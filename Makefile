@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check soak bench bench-json bench-coord bench-cluster bench-transport bench-alerts bench-streaming bench-workloads examples
+.PHONY: build vet test race check soak bench bench-json bench-coord bench-cluster bench-transport bench-alerts bench-streaming bench-workloads bench-e2e bench-e2e-test examples
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,18 @@ bench-streaming:
 # tenant run keeps episode recall >= 0.7 while cutting sampling cost.
 bench-workloads:
 	$(GO) run ./cmd/volleybench -preset quick -workloadjson BENCH_workloads.json
+
+# The end-to-end benchmark through a real volleyd (BENCHMARK.json,
+# benchmark/README.md): four workloads, every metric printed by name. For
+# one workload, repeats, traces or comparisons call benchmark/run.sh with
+# the flags its README lists.
+bench-e2e:
+	bash benchmark/run.sh
+
+# The benchmark harness is a module of its own, so `go test ./...` at the
+# root does not reach its tests.
+bench-e2e-test:
+	cd benchmark && $(GO) test ./...
 
 examples:
 	$(GO) run ./examples/quickstart

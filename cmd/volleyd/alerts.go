@@ -9,15 +9,53 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"volley"
 )
 
 func writeJSON(w http.ResponseWriter, v any) { _ = json.NewEncoder(w).Encode(v) }
+
+// alertLine is the JSON line a confirmed global violation prints on stdout
+// in cluster and shard mode. The fields are declared in the order
+// encoding/json sorts map keys into, so the bytes are those of the
+// map[string]any the line used to be encoded from.
+type alertLine struct {
+	At    string    `json:"at"`
+	Kind  string    `json:"kind"`
+	Shard string    `json:"shard,omitempty"`
+	Task  string    `json:"task"`
+	Time  time.Time `json:"time"`
+	Value float64   `json:"value"`
+}
+
+// alertPrinter serialises alert lines from concurrent coordinators onto one
+// writer. shard is empty in cluster mode.
+type alertPrinter struct {
+	mu    sync.Mutex
+	enc   *json.Encoder
+	shard string
+}
+
+func newAlertPrinter(w io.Writer, shard string) *alertPrinter {
+	return &alertPrinter{enc: json.NewEncoder(w), shard: shard}
+}
+
+// print writes one alert line, stamped with the wall clock under the lock so
+// lines leave in timestamp order; now is the virtual time of the tick that
+// confirmed the violation.
+func (p *alertPrinter) print(task string, now time.Duration, total float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_ = p.enc.Encode(alertLine{
+		At: now.String(), Kind: "alert", Shard: p.shard, Task: task, Time: time.Now(), Value: total,
+	})
+}
 
 // fileSink is an append-only buffered JSONL file. Writes go through the
 // buffer; Close flushes the tail and closes the file, so the last lines of

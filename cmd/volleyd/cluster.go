@@ -100,18 +100,23 @@ type clusterDaemon struct {
 	alertReg *volley.AlertRegistry
 	start    time.Time
 
-	mu   sync.Mutex
-	mons map[string][]*volley.Monitor // task name → hosted monitors
-	step uint64                       // virtual ticks elapsed
+	eventsSink, historySink *fileSink
+
+	mu     sync.Mutex
+	hosted hostedSet // the monitors hosted for admitted tasks
+	step   uint64    // virtual ticks elapsed
 
 	// Correlation gating state (guarded by mu). gates is index-aligned
-	// with mons for the same task. After construction, gates are only
+	// with hosted.mons for the same task. After construction, gates are only
 	// touched from the tick loop goroutine — Monitor.Tick drives
 	// Tick/Interval while ticking, and the loop's fan-out drives
 	// Armed/Signal afterwards — so Gate's single-goroutine contract holds.
-	gates       map[string][]*volley.Gate // gated task → per-monitor gates
-	gatePred    map[string]string         // gated task → predictor task
-	predTargets map[string][]string       // predictor task → gated dependents
+	gates    map[string][]*volley.Gate // gated task → per-monitor gates
+	gatePred map[string]string         // gated task → predictor task
+
+	// plan is the hosted set flattened for tickOnce; it belongs to the
+	// goroutine that ticks.
+	plan tickPlan
 
 	// skMu guards sketches — both the map and the trackers' contents. The
 	// tick loop feeds sampled values in, PATCH /tasks reads thresholds out,
@@ -135,34 +140,33 @@ func (d *clusterDaemon) now() time.Duration {
 	return time.Duration(d.step-1) * d.opts.interval
 }
 
-// runCluster is cluster-mode main: it builds the federation, serves the
-// control plane and drives the tick loop until the context ends.
-func runCluster(ctx context.Context, opts options) error {
+// newClusterDaemon builds the cluster-mode runtime — sinks, instruments,
+// alert registry and the federation — without serving or ticking it. The
+// caller closes it.
+func newClusterDaemon(opts options) (*clusterDaemon, error) {
 	if opts.interval <= 0 {
-		return fmt.Errorf("interval must be positive, got %v", opts.interval)
+		return nil, fmt.Errorf("interval must be positive, got %v", opts.interval)
 	}
 	if opts.maxInterval < 1 {
-		return fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
+		return nil, fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
 	}
 
 	d := &clusterDaemon{
-		opts:        opts,
-		net:         volley.NewMemoryNetwork(),
-		reg:         volley.NewMetrics(),
-		start:       time.Now(),
-		mons:        make(map[string][]*volley.Monitor),
-		sketches:    make(map[string][]*volley.StreamingThresholds),
-		gates:       make(map[string][]*volley.Gate),
-		gatePred:    make(map[string]string),
-		predTargets: make(map[string][]string),
+		opts:     opts,
+		net:      volley.NewMemoryNetwork(),
+		reg:      volley.NewMetrics(),
+		start:    time.Now(),
+		hosted:   newHostedSet(),
+		sketches: make(map[string][]*volley.StreamingThresholds),
+		gates:    make(map[string][]*volley.Gate),
+		gatePred: make(map[string]string),
 	}
-	eventsSink, err := openFileSink(opts.eventsFile)
-	if err != nil {
-		return err
+	var err error
+	if d.eventsSink, err = openFileSink(opts.eventsFile); err != nil {
+		return nil, err
 	}
-	historySink, err := openFileSink(opts.alertHist)
-	if err != nil {
-		return errors.Join(err, eventsSink.Close())
+	if d.historySink, err = openFileSink(opts.alertHist); err != nil {
+		return nil, errors.Join(err, d.close())
 	}
 	tracerOpts := []volley.TracerOption{
 		volley.WithTraceClock(func() time.Duration { return time.Since(d.start) }),
@@ -170,8 +174,8 @@ func runCluster(ctx context.Context, opts options) error {
 	if opts.events {
 		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(opts.out))
 	}
-	if eventsSink != nil {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(eventsSink))
+	if d.eventsSink != nil {
+		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(d.eventsSink))
 	}
 	d.tracer = volley.NewTracer(4096, tracerOpts...)
 	d.alerts = d.reg.Counter("volleyd_alerts_total", "State alerts raised across all cluster tasks.")
@@ -200,15 +204,14 @@ func runCluster(ctx context.Context, opts options) error {
 		"Non-finite sampled values rejected by the streaming sketches.",
 		func() float64 { _, _, _, _, rej := d.sketchStats(); return float64(rej) })
 	volley.RegisterBuildInfo(d.reg, d.start)
-	d.alertReg = newAlertRegistry("volleyd", opts, d.reg, d.tracer, historySink)
+	d.alertReg = newAlertRegistry("volleyd", opts, d.reg, d.tracer, d.historySink)
 
 	shards := make([]string, opts.shards)
 	for i := range shards {
 		shards[i] = fmt.Sprintf("shard-%d", i)
 	}
-	enc := json.NewEncoder(opts.out)
-	var encMu sync.Mutex
-	cl, err := volley.NewCluster(volley.ClusterConfig{
+	printer := newAlertPrinter(opts.out, "")
+	d.cl, err = volley.NewCluster(volley.ClusterConfig{
 		Name:    "volleyd",
 		Shards:  shards,
 		Network: d.net,
@@ -217,27 +220,33 @@ func runCluster(ctx context.Context, opts options) error {
 		Alerts:  d.alertReg,
 		OnAlert: func(task string, now time.Duration, total float64) {
 			d.alerts.Inc()
-			encMu.Lock()
-			defer encMu.Unlock()
-			_ = enc.Encode(map[string]any{
-				"time": time.Now(), "kind": "alert", "task": task,
-				"value": total, "at": now.String(),
-			})
+			printer.print(task, now, total)
 		},
 	})
 	if err != nil {
-		return errors.Join(err, closeSinks(eventsSink, historySink))
+		return nil, errors.Join(err, d.close())
 	}
-	d.cl = cl
+	return d, nil
+}
+
+// close flushes and closes the daemon's JSONL sinks.
+func (d *clusterDaemon) close() error { return closeSinks(d.eventsSink, d.historySink) }
+
+// runCluster is cluster-mode main: it builds the federation, serves the
+// control plane and drives the tick loop until the context ends.
+func runCluster(ctx context.Context, opts options) error {
+	d, err := newClusterDaemon(opts)
+	if err != nil {
+		return err
+	}
 	publishExpvar(d.status)
 
 	if opts.listen == "" {
-		return errors.Join(fmt.Errorf("cluster mode needs -listen (the control plane is HTTP)"),
-			closeSinks(eventsSink, historySink))
+		return errors.Join(fmt.Errorf("cluster mode needs -listen (the control plane is HTTP)"), d.close())
 	}
 	ln, err := net.Listen("tcp", opts.listen)
 	if err != nil {
-		return errors.Join(err, closeSinks(eventsSink, historySink))
+		return errors.Join(err, d.close())
 	}
 	if opts.onListen != nil {
 		opts.onListen(ln.Addr().String())
@@ -251,12 +260,12 @@ func runCluster(ctx context.Context, opts options) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
+		return errors.Join(loopErr, err, d.close())
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
+		return errors.Join(loopErr, err, d.close())
 	}
-	return errors.Join(loopErr, closeSinks(eventsSink, historySink))
+	return errors.Join(loopErr, d.close())
 }
 
 // loop advances the cluster and every hosted monitor once per -interval on
@@ -277,46 +286,38 @@ func (d *clusterDaemon) loop(ctx context.Context) error {
 			return nil
 		case <-ticker.C:
 		}
-		d.mu.Lock()
-		now := time.Duration(d.step) * d.opts.interval
-		d.step++
-		mons := make([]*volley.Monitor, 0, len(d.mons)*2)
-		names := make([]string, 0, len(d.mons)*2)
-		sks := make([]*volley.StreamingThresholds, 0, len(d.mons)*2)
+		d.tickOnce()
+	}
+}
+
+// tickOnce is one tick: the coordinators, then every hosted monitor, then
+// the sketch feed and the gate fan-out. While the hosted set is unchanged it
+// takes mu once, compares one integer and allocates nothing.
+func (d *clusterDaemon) tickOnce() {
+	p := &d.plan
+	d.mu.Lock()
+	now := time.Duration(d.step) * d.opts.interval
+	d.step++
+	if p.gen != d.hosted.gen {
 		d.skMu.Lock()
-		for name, ms := range d.mons {
-			mons = append(mons, ms...)
-			for range ms {
-				names = append(names, name)
-			}
-			sks = append(sks, d.sketches[name]...)
-		}
+		p.refresh(&d.hosted, d.sketches, d.gates, d.gatePred)
 		d.skMu.Unlock()
-		gating := len(d.predTargets) > 0
-		d.mu.Unlock()
-		d.cl.Tick(now)
-		values := make([]float64, len(mons))
-		fed := make([]bool, len(mons))
-		for i, m := range mons {
-			// Agent failures are retried at the next interval and already
-			// counted in the monitor's own stats.
-			sampled, v, err := m.Tick(now)
-			fed[i] = sampled && err == nil
-			values[i] = v
+	}
+	d.mu.Unlock()
+	d.cl.Tick(now)
+	p.tickMonitors(now)
+	// Feed the sampled values into the monitors' streaming sketches in
+	// one batch, after all (possibly slow) agent reads are done, so the
+	// sketch lock is never held across network I/O.
+	d.skMu.Lock()
+	for i, sk := range p.sks {
+		if p.fed[i] {
+			sk.Observe(p.values[i])
 		}
-		// Feed the sampled values into the monitors' streaming sketches in
-		// one batch, after all (possibly slow) agent reads are done, so the
-		// sketch lock is never held across network I/O.
-		d.skMu.Lock()
-		for i, sk := range sks {
-			if fed[i] {
-				sk.Observe(values[i])
-			}
-		}
-		d.skMu.Unlock()
-		if gating {
-			d.fanOutGateSignals(mons, names, values, fed)
-		}
+	}
+	d.skMu.Unlock()
+	if p.gating {
+		d.fanOutGateSignals(p)
 	}
 }
 
@@ -325,33 +326,33 @@ func (d *clusterDaemon) loop(ctx context.Context) error {
 // the adaptive interval and monitors still relaxed are woken so they
 // sample on the very next tick instead of finishing a stretched-out
 // countdown first (the scheduler's predictor-wakes-target semantics,
-// applied across admitted tasks).
-func (d *clusterDaemon) fanOutGateSignals(mons []*volley.Monitor, names []string, values []float64, fed []bool) {
-	violated := make(map[string]bool)
-	for i, m := range mons {
-		if fed[i] && m.Violates(values[i]) {
-			violated[names[i]] = true
+// applied across admitted tasks). It works on the plan alone, so a task
+// evicted since the plan was refreshed is still signalled this once.
+func (d *clusterDaemon) fanOutGateSignals(p *tickPlan) {
+	fired := false
+	for i, m := range p.mons {
+		if p.fed[i] && m.Violates(p.values[i]) {
+			p.violated[p.task[i]] = true
+			fired = true
 		}
 	}
-	if len(violated) == 0 {
+	if !fired {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for pred := range violated {
-		for _, tgt := range d.predTargets[pred] {
-			tmons := d.mons[tgt]
-			for j, g := range d.gates[tgt] {
-				if !g.Armed() {
-					d.gateArms.Inc()
-					if j < len(tmons) {
-						tmons[j].Wake()
-					}
-				}
-				g.Signal(true)
-			}
+	for i, g := range p.gates {
+		if g == nil {
+			continue
 		}
+		if pred := p.pred[p.task[i]]; pred < 0 || !p.violated[pred] {
+			continue
+		}
+		if !g.Armed() {
+			d.gateArms.Inc()
+			p.mons[i].Wake()
+		}
+		g.Signal(true)
 	}
+	clear(p.violated)
 }
 
 // sketchStats snapshots the live sketches for the scrape-time instruments:
@@ -485,7 +486,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		case pred == req.Name:
 			httpError(w, http.StatusBadRequest, fmt.Errorf("task %q cannot gate on itself", req.Name))
 			return
-		case len(d.mons[pred]) == 0:
+		case len(d.hosted.mons[pred]) == 0:
 			httpError(w, http.StatusBadRequest, fmt.Errorf("task %q: gate predictor %q is not admitted here", req.Name, pred))
 			return
 		}
@@ -565,7 +566,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// One streaming sketch per monitor, fed from its sampled ticks; index-
-	// aligned with d.mons[name] (the tick loop and PATCH rely on that).
+	// aligned with d.hosted.mons[name] (the tick loop and PATCH rely on that).
 	sks := make([]*volley.StreamingThresholds, len(addrs))
 	for i := range sks {
 		sk, err := volley.NewStreamingThresholds(clusterSelectivityGrid)
@@ -579,7 +580,6 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		}
 		sks[i] = sk
 	}
-	d.mons[req.Name] = mons
 	d.skMu.Lock()
 	d.sketches[req.Name] = sks
 	d.skMu.Unlock()
@@ -590,9 +590,9 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if gs != nil {
 		d.gates[req.Name] = gs
 		d.gatePred[req.Name] = req.Gate.Predictor
-		d.predTargets[req.Gate.Predictor] = append(d.predTargets[req.Gate.Predictor], req.Name)
 		resp["gate"] = map[string]any{"predictor": req.Gate.Predictor}
 	}
+	d.hosted.put(req.Name, mons)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	_ = json.NewEncoder(w).Encode(resp)
@@ -623,7 +623,7 @@ func (d *clusterDaemon) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	mons := d.mons[name]
+	mons := d.hosted.mons[name]
 	for _, m := range mons {
 		if err := m.SetLocalThreshold(req.Threshold / float64(len(mons))); err != nil {
 			httpError(w, http.StatusInternalServerError, err)
@@ -642,7 +642,7 @@ func (d *clusterDaemon) updateFromSelectivity(w http.ResponseWriter, name string
 			fmt.Errorf("task %q: threshold and selectivity are mutually exclusive", name))
 		return
 	}
-	mons := d.mons[name]
+	mons := d.hosted.mons[name]
 	if len(mons) == 0 {
 		httpError(w, http.StatusNotFound, fmt.Errorf("task %q not hosted here", name))
 		return
@@ -703,29 +703,18 @@ func (d *clusterDaemon) handleEvict(w http.ResponseWriter, r *http.Request) {
 	for _, a := range addrs {
 		_ = d.net.Deregister(a)
 	}
-	delete(d.mons, name)
+	d.hosted.remove(name)
 	// Gating cleanup. If the evicted task was gated, unlink it from its
 	// predictor. If it was a predictor, its dependents keep their gates but
 	// nothing arms them anymore: they sample at the relaxed interval until
 	// they are themselves evicted (documented on clusterGateRequest).
 	delete(d.gates, name)
-	if pred, ok := d.gatePred[name]; ok {
-		delete(d.gatePred, name)
-		tgts := d.predTargets[pred]
-		for i, t := range tgts {
-			if t == name {
-				d.predTargets[pred] = append(tgts[:i], tgts[i+1:]...)
-				break
-			}
-		}
-		if len(d.predTargets[pred]) == 0 {
-			delete(d.predTargets, pred)
+	delete(d.gatePred, name)
+	for tgt, pred := range d.gatePred {
+		if pred == name {
+			delete(d.gatePred, tgt)
 		}
 	}
-	for _, tgt := range d.predTargets[name] {
-		delete(d.gatePred, tgt)
-	}
-	delete(d.predTargets, name)
 	d.skMu.Lock()
 	delete(d.sketches, name)
 	d.skMu.Unlock()

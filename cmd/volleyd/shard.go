@@ -105,12 +105,15 @@ type shardDaemon struct {
 	alertReg *alerts.Registry
 	start    time.Time
 
-	encMu sync.Mutex
-	enc   *json.Encoder
+	eventsSink, historySink *fileSink
 
-	mu   sync.Mutex
-	mons map[string][]*monitor.Monitor
-	step uint64
+	mu     sync.Mutex
+	hosted hostedSet // the monitors hosted for owned tasks
+	step   uint64
+
+	// plan is the hosted set flattened for tickOnce; it belongs to the
+	// goroutine that ticks.
+	plan tickPlan
 }
 
 // now is the virtual clock position of the last completed tick, stamping
@@ -141,56 +144,50 @@ func parsePeerList(s string) ([]cluster.Member, error) {
 	return out, nil
 }
 
-// runShard is shard-mode main.
-func runShard(ctx context.Context, opts options) error {
+// newShardDaemon builds the shard-mode runtime — sinks, instruments, the
+// TCP fabric and the cluster node — without serving or ticking it. The
+// caller closes it.
+func newShardDaemon(opts options) (_ *shardDaemon, err error) {
 	if opts.interval <= 0 {
-		return fmt.Errorf("interval must be positive, got %v", opts.interval)
+		return nil, fmt.Errorf("interval must be positive, got %v", opts.interval)
 	}
 	if opts.maxInterval < 1 {
-		return fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
-	}
-	if opts.listen == "" {
-		return fmt.Errorf("shard mode needs -listen (the control plane is HTTP)")
+		return nil, fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
 	}
 	if opts.peerListen == "" {
-		return fmt.Errorf("shard mode needs -peer-listen (the inter-shard fabric)")
+		return nil, fmt.Errorf("shard mode needs -peer-listen (the inter-shard fabric)")
 	}
 	peers, err := parsePeerList(opts.peers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	d := &shardDaemon{
-		opts:  opts,
-		local: transport.NewMemory(),
-		reg:   obs.NewRegistry(),
-		start: time.Now(),
-		mons:  make(map[string][]*monitor.Monitor),
-		enc:   json.NewEncoder(opts.out),
-	}
-	eventsSink, err := openFileSink(opts.eventsFile)
-	if err != nil {
-		return err
-	}
-	historySink, err := openFileSink(opts.alertHist)
-	if err != nil {
-		return errors.Join(err, eventsSink.Close())
+		opts:   opts,
+		local:  transport.NewMemory(),
+		reg:    obs.NewRegistry(),
+		start:  time.Now(),
+		hosted: newHostedSet(),
 	}
 	defer func() {
-		// Flush the JSONL tails on every exit path, including fabric and
-		// listener setup errors.
-		if err := closeSinks(eventsSink, historySink); err != nil {
-			fmt.Fprintln(os.Stderr, "volleyd: close sinks:", err)
+		if err != nil {
+			err = errors.Join(err, d.close())
 		}
 	}()
+	if d.eventsSink, err = openFileSink(opts.eventsFile); err != nil {
+		return nil, err
+	}
+	if d.historySink, err = openFileSink(opts.alertHist); err != nil {
+		return nil, err
+	}
 	tracerOpts := []obs.TracerOption{
 		obs.WithNowFunc(func() time.Duration { return time.Since(d.start) }),
 	}
 	if opts.events {
 		tracerOpts = append(tracerOpts, obs.WithJSONLSink(opts.out))
 	}
-	if eventsSink != nil {
-		tracerOpts = append(tracerOpts, obs.WithJSONLSink(eventsSink))
+	if d.eventsSink != nil {
+		tracerOpts = append(tracerOpts, obs.WithJSONLSink(d.eventsSink))
 	}
 	d.tracer = obs.NewTracer(4096, tracerOpts...)
 	d.alerts = d.reg.Counter("volleyd_alerts_total", "State alerts raised across all owned tasks.")
@@ -204,8 +201,8 @@ func runShard(ctx context.Context, opts options) error {
 		Metrics: d.reg,
 		Tracer:  d.tracer,
 	}
-	if historySink != nil {
-		alertCfg.History = historySink
+	if d.historySink != nil {
+		alertCfg.History = d.historySink
 	}
 	d.alertReg = alerts.New(alertCfg)
 
@@ -221,13 +218,13 @@ func runShard(ctx context.Context, opts options) error {
 	}
 	d.fabric, err = newTCPFabric(opts.peerListen, d.tracer, opts.shardID, fabricOpts...)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer d.fabric.node.Close()
 	// Wire traffic next to the task metrics: bytes on the fabric, frames
 	// coalesced, queue depths per peer.
 	d.fabric.node.RegisterMetrics(d.reg)
 
+	printer := newAlertPrinter(opts.out, opts.shardID)
 	d.node, err = cluster.NewNode(cluster.NodeConfig{
 		ID:            opts.shardID,
 		Addr:          d.fabric.node.Addr(),
@@ -241,20 +238,41 @@ func runShard(ctx context.Context, opts options) error {
 		SnapshotEvery: opts.snapshotEvery,
 		OnAlert: func(task string, now time.Duration, total float64) {
 			d.alerts.Inc()
-			d.encMu.Lock()
-			defer d.encMu.Unlock()
-			_ = d.enc.Encode(map[string]any{
-				"time": time.Now(), "kind": "alert", "task": task,
-				"value": total, "at": now.String(), "shard": opts.shardID,
-			})
+			printer.print(task, now, total)
 		},
 		Metrics: d.reg,
 		Tracer:  d.tracer,
 		Alerts:  d.alertReg,
 	})
 	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// close stops the fabric and flushes the JSONL tails.
+func (d *shardDaemon) close() error {
+	if d.fabric != nil {
+		_ = d.fabric.node.Close()
+	}
+	return closeSinks(d.eventsSink, d.historySink)
+}
+
+// runShard is shard-mode main.
+func runShard(ctx context.Context, opts options) error {
+	if opts.listen == "" {
+		return fmt.Errorf("shard mode needs -listen (the control plane is HTTP)")
+	}
+	d, err := newShardDaemon(opts)
+	if err != nil {
 		return err
 	}
+	defer func() {
+		// On every exit path, including listener setup errors.
+		if err := d.close(); err != nil {
+			fmt.Fprintln(os.Stderr, "volleyd: close sinks:", err)
+		}
+	}()
 	publishExpvar(d.status)
 
 	ln, err := net.Listen("tcp", opts.listen)
@@ -299,25 +317,25 @@ func (d *shardDaemon) loop(ctx context.Context) error {
 			return nil
 		case <-ticker.C:
 		}
-		d.mu.Lock()
-		now := time.Duration(d.step+1) * d.opts.interval
-		d.step++
-		d.mu.Unlock()
-		// Tick the node first: ownership changes (StartTask/StopTask)
-		// settle before the monitor pass snapshots the hosted set.
-		d.node.Tick(now)
-		d.mu.Lock()
-		mons := make([]*monitor.Monitor, 0, len(d.mons)*2)
-		for _, ms := range d.mons {
-			mons = append(mons, ms...)
-		}
-		d.mu.Unlock()
-		for _, m := range mons {
-			// Agent failures are retried at the next interval and already
-			// counted in the monitor's own stats.
-			_, _, _ = m.Tick(now)
-		}
+		d.tickOnce()
 	}
+}
+
+// tickOnce is one tick: the node, then every hosted monitor.
+func (d *shardDaemon) tickOnce() {
+	d.mu.Lock()
+	now := time.Duration(d.step+1) * d.opts.interval
+	d.step++
+	d.mu.Unlock()
+	// Tick the node first: ownership changes (StartTask/StopTask) settle
+	// before the monitor pass looks at the hosted set.
+	d.node.Tick(now)
+	d.mu.Lock()
+	if d.plan.gen != d.hosted.gen {
+		d.plan.refresh(&d.hosted, nil, nil, nil)
+	}
+	d.mu.Unlock()
+	d.plan.tickMonitors(now)
 }
 
 // StartTask implements cluster.TaskHost: it builds and hosts the task's
@@ -379,7 +397,7 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 		}
 	}
 	d.mu.Lock()
-	d.mons[spec.Name] = mons
+	d.hosted.put(spec.Name, mons)
 	d.mu.Unlock()
 	return nil
 }
@@ -388,8 +406,7 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 // and their addresses freed.
 func (d *shardDaemon) StopTask(name string) error {
 	d.mu.Lock()
-	mons := d.mons[name]
-	delete(d.mons, name)
+	mons := d.hosted.remove(name)
 	d.mu.Unlock()
 	for _, m := range mons {
 		_ = d.local.Deregister(m.ID())

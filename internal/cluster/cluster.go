@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -150,10 +151,16 @@ type Cluster struct {
 	mu    sync.Mutex
 	ring  *Ring
 	tasks map[string]*task
-	// order caches the tasks sorted by name so Tick advances coordinators
-	// in a deterministic order; rebuilt on every admission/eviction.
+	// order holds the tasks sorted by name, so Tick advances coordinators
+	// and rebalances hand tasks off in a deterministic order. Admission and
+	// eviction insert and delete by binary search.
 	order []*task
-	now   time.Duration
+	// coords is order's coordinators as Tick and Stats walk them outside
+	// the lock. It is never written after it is built; whatever changes
+	// order or a task's coordinator sets it to nil and the next reader
+	// builds a fresh one.
+	coords []*coord.Coordinator
+	now    time.Duration
 	// retired accumulates the final counters of replaced or evicted
 	// coordinators, so Stats stays cumulative across handoffs and updates
 	// instead of resetting with each incarnation.
@@ -280,18 +287,32 @@ func (cl *Cluster) newCoordinator(spec TaskSpec) (*coord.Coordinator, error) {
 	})
 }
 
-// rebuildOrderLocked refreshes the deterministic tick order. Caller holds
-// cl.mu.
-func (cl *Cluster) rebuildOrderLocked() {
-	cl.order = cl.order[:0]
-	names := make([]string, 0, len(cl.tasks))
-	for n := range cl.tasks {
-		names = append(names, n)
+// orderIndexLocked is the position of name in cl.order, or the position to
+// insert it at. Caller holds cl.mu.
+func (cl *Cluster) orderIndexLocked(name string) int {
+	return sort.Search(len(cl.order), func(i int) bool { return cl.order[i].spec.Name >= name })
+}
+
+// forgetTaskLocked drops a task from the control plane's records. Caller
+// holds cl.mu.
+func (cl *Cluster) forgetTaskLocked(name string) {
+	delete(cl.tasks, name)
+	if i := cl.orderIndexLocked(name); i < len(cl.order) && cl.order[i].spec.Name == name {
+		cl.order = slices.Delete(cl.order, i, i+1)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		cl.order = append(cl.order, cl.tasks[n])
+	cl.coords = nil
+}
+
+// coordsLocked is the coordinators in task-name order, for walking after
+// cl.mu is released. Caller holds cl.mu.
+func (cl *Cluster) coordsLocked() []*coord.Coordinator {
+	if cl.coords == nil {
+		cl.coords = make([]*coord.Coordinator, len(cl.order))
+		for i, t := range cl.order {
+			cl.coords[i] = t.c
+		}
 	}
+	return cl.coords
 }
 
 // Admit validates spec, places the task on the ring and starts its
@@ -316,7 +337,8 @@ func (cl *Cluster) Admit(spec TaskSpec) (string, error) {
 	}
 	t := &task{spec: spec, shard: shard, c: c}
 	cl.tasks[spec.Name] = t
-	cl.rebuildOrderLocked()
+	cl.order = slices.Insert(cl.order, cl.orderIndexLocked(spec.Name), t)
+	cl.coords = nil
 	cl.admissions.Inc()
 	cl.cfg.Tracer.Record(obs.Event{
 		Type: obs.EventTaskAdmit, Node: cl.cfg.Name, Task: spec.Name,
@@ -339,8 +361,7 @@ func (cl *Cluster) Evict(name string) error {
 		return fmt.Errorf("cluster %s: evict %q: %w", cl.cfg.Name, name, err)
 	}
 	addStats(&cl.retired, t.c.Stats())
-	delete(cl.tasks, name)
-	cl.rebuildOrderLocked()
+	cl.forgetTaskLocked(name)
 	cl.cfg.Alerts.DropTask(name, cl.now)
 	cl.evictions.Inc()
 	cl.cfg.Tracer.Record(obs.Event{
@@ -479,13 +500,12 @@ func (cl *Cluster) rebuildCoordinatorLocked(t *task, spec TaskSpec) error {
 		// The address was already released; the task cannot be left
 		// half-replaced, so it is dropped. Unreachable in practice: the
 		// spec was validated when the task was admitted or updated.
-		delete(cl.tasks, spec.Name)
-		cl.rebuildOrderLocked()
+		cl.forgetTaskLocked(spec.Name)
 		return fmt.Errorf("rebuild coordinator: %w", err)
 	}
 	t.spec = spec
 	t.c = c
-	cl.rebuildOrderLocked()
+	cl.coords = nil
 	return nil
 }
 
@@ -565,7 +585,8 @@ func (cl *Cluster) dropShardLocked(id string) error {
 func (cl *Cluster) rebalanceTasksLocked(crashed string) error {
 	var moved float64
 	var firstErr error
-	for _, t := range cl.order {
+	// A failed rebuild drops its task from cl.order, so walk a copy.
+	for _, t := range slices.Clone(cl.order) {
 		newShard, ok := cl.ring.Place(t.spec.Name)
 		if !ok || newShard == t.shard {
 			continue
@@ -678,10 +699,7 @@ func (cl *Cluster) ReplicateTask(name string) error {
 func (cl *Cluster) Tick(now time.Duration) {
 	cl.mu.Lock()
 	cl.now = now
-	coords := make([]*coord.Coordinator, len(cl.order))
-	for i, t := range cl.order {
-		coords[i] = t.c
-	}
+	coords := cl.coordsLocked()
 	cl.mu.Unlock()
 	for _, c := range coords {
 		c.Tick(now)
@@ -769,10 +787,7 @@ func (cl *Cluster) Stats() Stats {
 		ShardCrashes: cl.shardCrashes.Value(),
 	}
 	st.Coord = cl.retired
-	coords := make([]*coord.Coordinator, len(cl.order))
-	for i, t := range cl.order {
-		coords[i] = t.c
-	}
+	coords := cl.coordsLocked()
 	cl.mu.Unlock()
 	for _, c := range coords {
 		addStats(&st.Coord, c.Stats())

@@ -187,7 +187,10 @@ func (m *Monitor) ID() string { return m.cfg.ID }
 // synchronous transports (the in-memory simulation network) can re-enter
 // this or other monitors without deadlocking.
 func (m *Monitor) Tick(now time.Duration) (sampled bool, value float64, err error) {
-	var outgoing []transport.Message
+	// At most three messages leave a tick (heartbeat, yield report, local
+	// violation), so they are collected on the stack.
+	var outgoing [3]transport.Message
+	n := 0
 
 	m.mu.Lock()
 	m.stats.Ticks++
@@ -195,16 +198,18 @@ func (m *Monitor) Tick(now time.Duration) (sampled bool, value float64, err erro
 		m.cfg.Gate.Tick()
 	}
 	if msg, ok := m.heartbeatLocked(now); ok {
-		outgoing = append(outgoing, msg)
+		outgoing[n] = msg
+		n++
 	}
 	if msg, ok := m.yieldReportLocked(now); ok {
-		outgoing = append(outgoing, msg)
+		outgoing[n] = msg
+		n++
 	}
 
 	if m.untilNext > 0 {
 		m.untilNext--
 		m.mu.Unlock()
-		m.sendAll(outgoing)
+		m.sendAll(outgoing[:n])
 		return false, 0, nil
 	}
 
@@ -215,7 +220,7 @@ func (m *Monitor) Tick(now time.Duration) (sampled bool, value float64, err erro
 		// silently.
 		m.untilNext = 0
 		m.mu.Unlock()
-		m.sendAll(outgoing)
+		m.sendAll(outgoing[:n])
 		return false, 0, fmt.Errorf("monitor %s: sample: %w", m.cfg.ID, sampleErr)
 	}
 	m.stats.Samples++
@@ -241,15 +246,16 @@ func (m *Monitor) Tick(now time.Duration) (sampled bool, value float64, err erro
 			Time: now, Value: v, Interval: interval,
 		})
 		m.cfg.Alerts.ObserveLocal(m.cfg.Task, m.cfg.ID, now, v)
-		outgoing = append(outgoing, transport.Message{
+		outgoing[n] = transport.Message{
 			Kind:  transport.KindLocalViolation,
 			Task:  m.cfg.Task,
 			Time:  now,
 			Value: v,
-		})
+		}
+		n++
 	}
 	m.mu.Unlock()
-	m.sendAll(outgoing)
+	m.sendAll(outgoing[:n])
 	return true, v, nil
 }
 

@@ -474,6 +474,14 @@ func (m *Memory) Send(from, to string, msg Message) error {
 	delay := m.delay
 	m.mu.Unlock()
 
+	if schedule == nil && !duplicated && len(held) == 0 {
+		// Nothing defers, repeats or follows this delivery, so it needs no
+		// closure and no list: the steady state of every in-process daemon.
+		h(msg)
+		m.stats.delivered.Add(1)
+		return nil
+	}
+
 	deliver := func(h Handler, msg Message) func() {
 		return func() {
 			h(msg)
