@@ -136,8 +136,12 @@ func TestClusterWarmRecoveryCarriesAlert(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot store holds no frame after ReplicateTask")
 	}
-	if len(entry.State.Alerts) != 1 || entry.State.Alerts[0].Window != before.Window {
-		t.Fatalf("snapshot alerts = %+v, want the live episode (window %v)", entry.State.Alerts, before.Window)
+	held, err := entry.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held.Alerts) != 1 || held.Alerts[0].Window != before.Window {
+		t.Fatalf("snapshot alerts = %+v, want the live episode (window %v)", held.Alerts, before.Window)
 	}
 
 	owner, ok := rig.cl.Owner("hot")

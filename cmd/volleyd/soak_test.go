@@ -24,10 +24,11 @@ import (
 // clusterView mirrors the /cluster payload (cluster.NodeStatus). Digest is
 // decoded as uint64 — a float64 round trip would lose the high bits.
 type clusterView struct {
-	ID          string   `json:"id"`
-	RingDigest  uint64   `json:"ringDigest"`
-	RingMembers []string `json:"ringMembers"`
-	Owned       []struct {
+	ID            string   `json:"id"`
+	RingDigest    uint64   `json:"ringDigest"`
+	RingMembers   []string `json:"ringMembers"`
+	CatalogDigest uint64   `json:"catalogDigest"`
+	Owned         []struct {
 		Name        string             `json:"name"`
 		Assignments map[string]float64 `json:"assignments"`
 		Recovery    *struct {
@@ -208,6 +209,45 @@ func TestShardSoakKill9(t *testing.T) {
 		}
 		return owners == 1
 	})
+
+	// Phase 2b: the catalog digests agree, and from then on the gossip
+	// carries no rows — only the beacons themselves keep the byte counter
+	// moving.
+	waitFor(t, 15*time.Second, "catalog digest agreement", func() bool {
+		var digests []uint64
+		for _, s := range shards {
+			v, err := view(s)
+			if err != nil {
+				return false
+			}
+			digests = append(digests, v.CatalogDigest)
+		}
+		return digests[0] != 0 && digests[0] == digests[1] && digests[1] == digests[2]
+	})
+	gossip := func(s *soakShard) (rows, beaconBytes float64) {
+		code, body := httpGet(t, "http://"+s.http+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("GET /metrics on %s: status %d", s.id, code)
+		}
+		return promValue(t, body, "volley_cluster_catalog_rows_sent_total"),
+			promValue(t, body, "volley_cluster_beacon_bytes_total")
+	}
+	// A few beacon periods for every shard to hear every agreeing digest.
+	time.Sleep(20 * 25 * time.Millisecond)
+	var rowsBefore, bytesBefore [3]float64
+	for i, s := range shards {
+		rowsBefore[i], bytesBefore[i] = gossip(s)
+	}
+	time.Sleep(40 * 25 * time.Millisecond)
+	for i, s := range shards {
+		rows, beaconBytes := gossip(s)
+		if rows != rowsBefore[i] {
+			t.Errorf("shard %s sent %v catalog rows after the digests agreed, want 0", s.id, rows-rowsBefore[i])
+		}
+		if beaconBytes <= bytesBefore[i] {
+			t.Errorf("shard %s beacon bytes stood still at %v: beacons stopped", s.id, beaconBytes)
+		}
+	}
 
 	// Phase 3: override the allowance to an unequal split so warm recovery
 	// is distinguishable from cold-start defaults (an even split).

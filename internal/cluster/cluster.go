@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -287,19 +286,13 @@ func (cl *Cluster) newCoordinator(spec TaskSpec) (*coord.Coordinator, error) {
 	})
 }
 
-// orderIndexLocked is the position of name in cl.order, or the position to
-// insert it at. Caller holds cl.mu.
-func (cl *Cluster) orderIndexLocked(name string) int {
-	return sort.Search(len(cl.order), func(i int) bool { return cl.order[i].spec.Name >= name })
-}
+func taskName(t *task) string { return t.spec.Name }
 
 // forgetTaskLocked drops a task from the control plane's records. Caller
 // holds cl.mu.
 func (cl *Cluster) forgetTaskLocked(name string) {
 	delete(cl.tasks, name)
-	if i := cl.orderIndexLocked(name); i < len(cl.order) && cl.order[i].spec.Name == name {
-		cl.order = slices.Delete(cl.order, i, i+1)
-	}
+	cl.order = deleteByName(cl.order, name, taskName)
 	cl.coords = nil
 }
 
@@ -337,7 +330,7 @@ func (cl *Cluster) Admit(spec TaskSpec) (string, error) {
 	}
 	t := &task{spec: spec, shard: shard, c: c}
 	cl.tasks[spec.Name] = t
-	cl.order = slices.Insert(cl.order, cl.orderIndexLocked(spec.Name), t)
+	cl.order = insertByName(cl.order, t, taskName)
 	cl.coords = nil
 	cl.admissions.Inc()
 	cl.cfg.Tracer.Record(obs.Event{
@@ -629,7 +622,11 @@ func (cl *Cluster) rebalanceTasksLocked(crashed string) error {
 func (cl *Cluster) recoverTaskLocked(t *task, crashed string) error {
 	name := t.spec.Name
 	if entry, ok := cl.cfg.Snapshots.Get(name); ok {
-		if err := cl.replaceCoordinatorLocked(t, t.spec, entry.State); err == nil {
+		st, err := entry.State()
+		if err == nil {
+			err = cl.replaceCoordinatorLocked(t, t.spec, st)
+		}
+		if err == nil {
 			cl.recoveries.Inc()
 			cl.cfg.Tracer.Record(obs.Event{
 				Type: obs.EventRecovery, Node: cl.cfg.Name, Task: name,
@@ -687,7 +684,7 @@ func (cl *Cluster) ReplicateTask(name string) error {
 	if err != nil {
 		return err
 	}
-	_, err = store.Put(shard, now, frame)
+	_, err = store.Put(name, shard, now, frame)
 	return err
 }
 

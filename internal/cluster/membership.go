@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"volley/internal/obs"
+	"volley/internal/transport"
 )
 
 // MemberState is a shard peer's liveness classification.
@@ -149,6 +151,14 @@ type Membership struct {
 	mu      sync.Mutex
 	self    Member
 	members map[string]*memberRecord
+	// order is members sorted by ID, so ticking and table snapshots are
+	// deterministic regardless of map iteration order. Records are only
+	// ever added (the dead stay as tombstones).
+	order []*memberRecord
+	// beacons is Tick's result, rewritten every tick; table is the rows
+	// of the beacon being merged.
+	beacons []Member
+	table   []Member
 	now     time.Duration
 	ticks   uint64
 	version uint64
@@ -210,9 +220,9 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 		if _, ok := m.members[s.ID]; ok {
 			continue
 		}
-		m.members[s.ID] = &memberRecord{
+		m.addLocked(&memberRecord{
 			Member: Member{ID: s.ID, Addr: s.Addr, State: MemberAlive},
-		}
+		})
 		m.joins.Inc()
 		m.tracer().Record(obs.Event{
 			Type: obs.EventMemberJoin, Node: m.self.ID, Peer: s.ID,
@@ -224,11 +234,20 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 
 func (m *Membership) tracer() *obs.Tracer { return m.cfg.Tracer }
 
+func recordID(r *memberRecord) string { return r.ID }
+
+// addLocked enters a new peer's record.
+func (m *Membership) addLocked(r *memberRecord) {
+	m.members[r.ID] = r
+	m.order = insertByName(m.order, r, recordID)
+}
+
 // Tick advances the clock, applies the silence horizons, and returns the
 // peers due a beacon this tick plus whether the table changed. The horizon
 // unit is estimated from the observed tick cadence (now/ticks), the same
 // scheme the coordinator uses for monitor liveness, so horizons configured
-// in ticks stay correct under any loop period.
+// in ticks stay correct under any loop period. The returned slice is the
+// table's own scratch: it is valid until the next Tick.
 func (m *Membership) Tick(now time.Duration) (beacons []Member, changed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -243,7 +262,8 @@ func (m *Membership) Tick(now time.Duration) (beacons []Member, changed bool) {
 	suspectH := unit * time.Duration(m.cfg.SuspectAfter)
 	deadH := unit * time.Duration(m.cfg.DeadAfter)
 
-	for _, r := range sortedRecords(m.members) {
+	beacons = m.beacons[:0]
+	for _, r := range m.order {
 		if r.State == MemberDead {
 			continue
 		}
@@ -274,6 +294,7 @@ func (m *Membership) Tick(now time.Duration) (beacons []Member, changed bool) {
 			r.nextBeacon = m.ticks + uint64(m.cfg.BeaconEvery+m.rng.Intn(2))
 		}
 	}
+	m.beacons = beacons
 	return beacons, changed
 }
 
@@ -286,6 +307,10 @@ func (m *Membership) Tick(now time.Duration) (beacons []Member, changed bool) {
 func (m *Membership) Observe(sender string, table []Member) (changed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.observeLocked(sender, table)
+}
+
+func (m *Membership) observeLocked(sender string, table []Member) (changed bool) {
 	for _, r := range table {
 		if m.mergeLocked(r) {
 			changed = true
@@ -308,6 +333,80 @@ func (m *Membership) Observe(sender string, table []Member) (changed bool) {
 		}
 	}
 	return changed
+}
+
+// AppendTable appends the full table (the rows Members returns) in its
+// beacon encoding: a uvarint count, then per member the ID and address as
+// length-prefixed strings, the incarnation as a uvarint and the state as
+// one byte.
+func (m *Membership) AppendTable(dst []byte) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	dst = binary.AppendUvarint(dst, uint64(len(m.order)+1))
+	dst = appendMember(dst, m.self)
+	for _, r := range m.order {
+		dst = appendMember(dst, r.Member)
+	}
+	return dst
+}
+
+func appendMember(dst []byte, r Member) []byte {
+	dst = transport.AppendString(dst, r.ID)
+	dst = transport.AppendString(dst, r.Addr)
+	dst = binary.AppendUvarint(dst, r.Incarnation)
+	return append(dst, byte(r.State))
+}
+
+// ObserveTable is Observe for a table in its beacon encoding at the front
+// of b; it returns what follows the table. A table that does not parse is
+// not merged at all. Rows naming members already known reuse the table's
+// own strings, so merging the beacon of a settled fleet allocates nothing.
+func (m *Membership) ObserveTable(sender string, b []byte) (rest []byte, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n, b, err := transport.Uvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	const minRow = 4 // two empty strings, incarnation, state
+	if n > uint64(len(b)/minRow) {
+		return nil, fmt.Errorf("%w: member table of %d rows in %d bytes", transport.ErrFrameCorrupt, n, len(b))
+	}
+	table := m.table[:0]
+	for i := uint64(0); i < n; i++ {
+		var id, addr []byte
+		var row Member
+		if id, b, err = transport.BytesField(b); err != nil {
+			return nil, err
+		}
+		if addr, b, err = transport.BytesField(b); err != nil {
+			return nil, err
+		}
+		if row.Incarnation, b, err = transport.Uvarint(b); err != nil {
+			return nil, err
+		}
+		if len(b) == 0 {
+			return nil, fmt.Errorf("%w: member row without a state", transport.ErrFrameTruncated)
+		}
+		row.State, b = MemberState(b[0]), b[1:]
+		if row.State < MemberAlive || row.State > MemberDead {
+			return nil, fmt.Errorf("%w: member state %d", transport.ErrFrameCorrupt, row.State)
+		}
+		known := m.self
+		if rec, ok := m.members[string(id)]; ok {
+			known = rec.Member
+		}
+		if row.ID = known.ID; string(id) != known.ID {
+			row.ID = string(id)
+		}
+		if row.Addr = known.Addr; string(addr) != known.Addr {
+			row.Addr = string(addr)
+		}
+		table = append(table, row)
+	}
+	m.table = table
+	m.observeLocked(sender, table)
+	return b, nil
 }
 
 // mergeLocked applies one gossiped row.
@@ -335,7 +434,7 @@ func (m *Membership) mergeLocked(r Member) bool {
 			lastSeen:   m.now,
 			nextBeacon: m.ticks,
 		}
-		m.members[r.ID] = rec
+		m.addLocked(rec)
 		m.version++
 		if r.State != MemberDead {
 			m.joins.Inc()
@@ -396,7 +495,7 @@ func (m *Membership) Members() []Member {
 	defer m.mu.Unlock()
 	out := make([]Member, 0, len(m.members)+1)
 	out = append(out, m.self)
-	for _, r := range sortedRecords(m.members) {
+	for _, r := range m.order {
 		out = append(out, r.Member)
 	}
 	return out
@@ -469,15 +568,4 @@ func (m *Membership) AddrOf(id string) (string, bool) {
 		return "", false
 	}
 	return r.Addr, true
-}
-
-// sortedRecords returns the records sorted by ID, so ticking and table
-// snapshots are deterministic regardless of map iteration order.
-func sortedRecords(members map[string]*memberRecord) []*memberRecord {
-	out := make([]*memberRecord, 0, len(members))
-	for _, r := range members {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -72,24 +71,6 @@ type NodeConfig struct {
 	Tracer *obs.Tracer
 }
 
-// CatalogRecord is one gossiped task-catalog row: the spec every shard
-// needs for placement, the opaque host spec for whoever wins ownership,
-// and a version so concurrent edits merge deterministically (higher
-// version wins; removals are tombstones so they win over stale adds).
-type CatalogRecord struct {
-	Spec     TaskSpec `json:"spec"`
-	HostSpec []byte   `json:"hostSpec,omitempty"`
-	Version  uint64   `json:"version"`
-	Deleted  bool     `json:"deleted,omitempty"`
-}
-
-// beaconBody is the payload of a KindShardBeacon frame: the sender's full
-// membership table plus its task catalog.
-type beaconBody struct {
-	Members []Member        `json:"members"`
-	Catalog []CatalogRecord `json:"catalog,omitempty"`
-}
-
 // RecoveryInfo records how an owned task's coordinator was seeded at
 // acquisition, frozen at that moment so later rebalances don't disturb
 // what an observer (or the soak harness) reads.
@@ -123,22 +104,25 @@ type SnapshotStatus struct {
 }
 
 // NodeStatus is a shard's externally visible state, served by volleyd's
-// /cluster endpoint. RingDigest is identical across converged shards.
+// /cluster endpoint. RingDigest is identical across converged shards, and
+// CatalogDigest across shards whose catalogs hold the same rows — a shard
+// gossips rows only to peers whose catalog digest differs from its own.
 type NodeStatus struct {
-	ID          string            `json:"id"`
-	Addr        string            `json:"addr"`
-	Incarnation uint64            `json:"incarnation"`
-	Tick        uint64            `json:"tick"`
-	Now         time.Duration     `json:"now"`
-	RingDigest  uint64            `json:"ringDigest"`
-	RingMembers []string          `json:"ringMembers"`
-	Members     []Member          `json:"members"`
-	CatalogLive int               `json:"catalogLive"`
-	Owned       []OwnedTaskStatus `json:"owned"`
-	Snapshots   []SnapshotStatus  `json:"snapshots"`
-	ColdStarts  uint64            `json:"coldStarts"`
-	Recoveries  uint64            `json:"recoveries"`
-	InFlight    int               `json:"inFlight"`
+	ID            string            `json:"id"`
+	Addr          string            `json:"addr"`
+	Incarnation   uint64            `json:"incarnation"`
+	Tick          uint64            `json:"tick"`
+	Now           time.Duration     `json:"now"`
+	RingDigest    uint64            `json:"ringDigest"`
+	RingMembers   []string          `json:"ringMembers"`
+	Members       []Member          `json:"members"`
+	CatalogLive   int               `json:"catalogLive"`
+	CatalogDigest uint64            `json:"catalogDigest"`
+	Owned         []OwnedTaskStatus `json:"owned"`
+	Snapshots     []SnapshotStatus  `json:"snapshots"`
+	ColdStarts    uint64            `json:"coldStarts"`
+	Recoveries    uint64            `json:"recoveries"`
+	InFlight      int               `json:"inFlight"`
 }
 
 // ownedTask is an owned task's runtime state.
@@ -149,6 +133,8 @@ type ownedTask struct {
 	recovery  *RecoveryInfo
 	hosted    bool
 }
+
+func ownedName(t *ownedTask) string { return t.spec.Name }
 
 // outMsg is a send assembled under the node lock, executed after it: the
 // Memory fabric delivers synchronously into handlers that may call back
@@ -167,8 +153,9 @@ type outMsg struct {
 // replicated snapshot when one is held, cold (traced and counted) when
 // not.
 //
-// Node is safe for concurrent use: the driving loop calls Tick, the
-// transport delivers into HandleMessage, and HTTP handlers read Status.
+// Node is safe for concurrent use by one driving loop calling Tick, the
+// transport delivering into HandleMessage, and HTTP handlers calling the
+// rest; Tick itself is not reentrant (it reuses its send list).
 type Node struct {
 	cfg        NodeConfig
 	membership *Membership
@@ -179,19 +166,42 @@ type Node struct {
 	recoveriesC   *obs.Counter
 	hostFailures  *obs.Counter
 	admitFailures *obs.Counter
+	rowsSent      *obs.Counter
+	fullSyncs     *obs.Counter
+	beaconBytes   *obs.Counter
 
-	mu             sync.Mutex
-	now            time.Duration
-	tick           uint64
-	ring           *Ring
-	ringVersion    uint64
-	catalog        map[string]*CatalogRecord
+	mu          sync.Mutex
+	now         time.Duration
+	tick        uint64
+	ring        *Ring
+	ringVersion uint64
+	// catalog is the gossiped task catalog, tombstones included;
+	// catalogOrder is its rows sorted by name, catalogDigest the XOR of
+	// their digest terms, and catalogVersion the high-water mark: the
+	// highest version of any row, so the next local edit outranks them all.
+	catalog        map[string]*catalogRow
+	catalogOrder   []*catalogRow
+	catalogDigest  uint64
 	catalogVersion uint64
-	owned          map[string]*ownedTask
-	prevOwner      map[string]string
-	knownDead      map[string]bool
-	coldStarts     uint64
-	recoveries     uint64
+	// peers is each peer's catalog digest and high-water as of the last
+	// beacon heard from it.
+	peers map[string]peerCatalog
+	// owned is the tasks this shard runs; ownedOrder is the same sorted by
+	// name, and coords their coordinators in that order for Tick to walk
+	// outside the lock — never written once built, set to nil by whatever
+	// changes owned, rebuilt by the next Tick.
+	owned      map[string]*ownedTask
+	ownedOrder []*ownedTask
+	coords     []*coord.Coordinator
+	prevOwner  map[string]string
+	knownDead  map[string]bool
+	coldStarts uint64
+	recoveries uint64
+	// Scratch reused across ticks: the sends of the tick in progress, the
+	// beacon being built, and the state each snapshot is exported into.
+	sends     []outMsg
+	beaconBuf []byte
+	export    coord.AllowanceState
 }
 
 // NewNode builds a shard node and registers it on the inter-shard fabric.
@@ -231,7 +241,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			Tracer:        cfg.Tracer,
 		}),
 		ring:      NewRing(cfg.Replicas),
-		catalog:   make(map[string]*CatalogRecord),
+		catalog:   make(map[string]*catalogRow),
+		peers:     make(map[string]peerCatalog),
 		owned:     make(map[string]*ownedTask),
 		prevOwner: make(map[string]string),
 		knownDead: make(map[string]bool),
@@ -257,6 +268,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			defer n.mu.Unlock()
 			return float64(n.liveCatalogLocked())
 		})
+	n.rowsSent = m.Counter("volley_cluster_catalog_rows_sent_total",
+		"Catalog rows attached to beacons. Flat once every peer's catalog digest matches this shard's.")
+	n.fullSyncs = m.Counter("volley_cluster_catalog_full_syncs_total",
+		"Beacons that carried the whole catalog: to a peer never heard from, or one whose digest differs although it has seen every version this shard has.")
+	n.beaconBytes = m.Counter("volley_cluster_beacon_bytes_total",
+		"Payload bytes of the beacons sent.")
 	if err := cfg.Inter.Register(cfg.Addr, n.HandleMessage); err != nil {
 		return nil, fmt.Errorf("cluster: node %s: register inter-shard address: %w", cfg.ID, err)
 	}
@@ -266,44 +283,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.ringVersion = membership.Version()
 	cfg.Tracer.Record(obs.Event{Type: obs.EventShardJoin, Node: cfg.ID, Peer: cfg.ID})
 	return n, nil
-}
-
-// Admit enters a task into the gossiped catalog. Ownership is decided by
-// the ring on the next Tick of whichever shard the ring places it on; the
-// spec reaches the other shards with the next beacons. hostSpec travels
-// with the spec for the owner's TaskHost.
-func (n *Node) Admit(spec TaskSpec, hostSpec []byte) error {
-	if spec.Name == "" {
-		return fmt.Errorf("cluster: admit needs a task name")
-	}
-	if len(spec.Monitors) == 0 {
-		return fmt.Errorf("cluster: task %q needs at least one monitor", spec.Name)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if rec, ok := n.catalog[spec.Name]; ok && !rec.Deleted {
-		return fmt.Errorf("cluster: task %q already admitted", spec.Name)
-	}
-	n.catalogVersion++
-	n.catalog[spec.Name] = &CatalogRecord{
-		Spec: spec, HostSpec: hostSpec, Version: n.catalogVersion,
-	}
-	return nil
-}
-
-// Remove tombstones a task; every shard evicts it as the tombstone
-// spreads.
-func (n *Node) Remove(name string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rec, ok := n.catalog[name]
-	if !ok || rec.Deleted {
-		return fmt.Errorf("cluster: task %q not admitted", name)
-	}
-	n.catalogVersion++
-	rec.Deleted = true
-	rec.Version = n.catalogVersion
-	return nil
 }
 
 // SetAllowance overrides an owned task's per-monitor allowance (keys are
@@ -339,34 +318,24 @@ func (n *Node) Tick(now time.Duration) {
 	n.mu.Lock()
 	n.now = now
 	n.tick++
-	beacons, _ := n.membership.Tick(now)
-	sends := n.reconcileLocked()
-	sends = append(sends, n.replicateLocked()...)
-	if len(beacons) > 0 {
-		if payload, err := json.Marshal(beaconBody{
-			Members: n.membership.Members(),
-			Catalog: n.catalogRecordsLocked(),
-		}); err == nil {
-			for _, b := range beacons {
-				if b.Addr == "" {
-					continue
-				}
-				sends = append(sends, outMsg{to: b.Addr, msg: transport.Message{
-					Kind: transport.KindShardBeacon, Task: n.cfg.ID,
-					Time: now, Payload: payload,
-				}})
-			}
+	due, _ := n.membership.Tick(now)
+	sends := n.reconcileLocked(n.sends[:0])
+	sends = n.replicateLocked(sends)
+	sends = n.beaconLocked(sends, due)
+	if n.coords == nil {
+		n.coords = make([]*coord.Coordinator, len(n.ownedOrder))
+		for i, t := range n.ownedOrder {
+			n.coords[i] = t.c
 		}
 	}
-	coords := make([]*coord.Coordinator, 0, len(n.owned))
-	for _, name := range sortedOwnedLocked(n.owned) {
-		coords = append(coords, n.owned[name].c)
-	}
+	coords := n.coords
 	n.mu.Unlock()
 
-	for _, s := range sends {
-		_ = n.cfg.Inter.Send(n.cfg.Addr, s.to, s.msg)
+	for i := range sends {
+		_ = n.cfg.Inter.Send(n.cfg.Addr, sends[i].to, sends[i].msg)
 	}
+	clear(sends) // the frames belong to the replicator and the fabric now
+	n.sends = sends[:0]
 	for _, c := range coords {
 		c.Tick(now)
 	}
@@ -379,20 +348,23 @@ func (n *Node) Tick(now time.Duration) {
 func (n *Node) HandleMessage(msg transport.Message) {
 	switch msg.Kind {
 	case transport.KindShardBeacon:
-		var body beaconBody
-		if err := json.Unmarshal(msg.Payload, &body); err != nil {
+		p := msg.Payload
+		if len(p) < beaconPrefixLen || p[0] != beaconVersion {
 			return
 		}
+		digest, version := binary.LittleEndian.Uint64(p[1:]), binary.LittleEndian.Uint64(p[9:])
 		n.mu.Lock()
-		n.membership.Observe(msg.Task, body.Members)
-		n.mergeCatalogLocked(body.Catalog)
+		if rows, err := n.membership.ObserveTable(msg.Task, p[beaconPrefixLen:]); err == nil {
+			n.peers[msg.Task] = peerCatalog{digest: digest, version: version}
+			n.mergeCatalogLocked(rows)
+		}
 		n.mu.Unlock()
 
 	case transport.KindSnapshot:
 		n.mu.Lock()
 		now := n.now
 		n.mu.Unlock()
-		_, err := n.store.Put(msg.From, now, msg.Payload)
+		_, err := n.store.Put(msg.Task, msg.From, now, msg.Payload)
 		if err != nil && !errors.Is(err, ErrSnapshotStale) {
 			// Corrupt frame: no ack, so the sender retries (the corruption
 			// may be transient) and eventually abandons.
@@ -417,8 +389,7 @@ func (n *Node) HandleMessage(msg transport.Message) {
 // peers' transports, evicts tombstoned tasks, acquires tasks the ring
 // places here, and releases (with a final snapshot handoff) tasks the
 // ring moved elsewhere.
-func (n *Node) reconcileLocked() []outMsg {
-	var sends []outMsg
+func (n *Node) reconcileLocked(sends []outMsg) []outMsg {
 	if v := n.membership.Version(); v != n.ringVersion {
 		n.ring = NewRing(n.cfg.Replicas)
 		for _, id := range n.membership.RingMembers() {
@@ -429,31 +400,13 @@ func (n *Node) reconcileLocked() []outMsg {
 			Time: n.now, Type: obs.EventRingRebuild,
 			Node: n.cfg.ID, Interval: n.ring.Len(),
 		})
-	}
-	for _, m := range n.membership.Members() {
-		if m.ID == n.cfg.ID {
-			continue
-		}
-		if m.State != MemberDead {
-			// A rejoined peer is no longer dead; let a future death
-			// deregister it again.
-			delete(n.knownDead, m.ID)
-			continue
-		}
-		if n.knownDead[m.ID] {
-			continue
-		}
-		n.knownDead[m.ID] = true
-		n.cfg.Tracer.Record(obs.Event{
-			Time: n.now, Type: obs.EventShardCrash, Node: n.cfg.ID, Peer: m.ID,
-		})
-		if dereg, ok := n.cfg.Inter.(transport.Deregisterer); ok && m.Addr != "" {
-			_ = dereg.Deregister(m.Addr) // unknown peer (never dialed) is fine
-		}
+		// Every liveness transition advances the version, so this is also
+		// the only time a peer can have died or come back.
+		n.noteDeathsLocked()
 	}
 
-	for _, name := range sortedCatalogLocked(n.catalog) {
-		rec := n.catalog[name]
+	for _, rec := range n.catalogOrder {
+		name := rec.Spec.Name
 		if rec.Deleted {
 			if t, ok := n.owned[name]; ok {
 				n.stopOwnedLocked(name, t)
@@ -478,17 +431,43 @@ func (n *Node) reconcileLocked() []outMsg {
 				n.acquireLocked(name, rec, prev)
 			}
 		} else if t, have := n.owned[name]; have {
-			sends = append(sends, n.releaseLocked(name, t, owner)...)
+			sends = n.releaseLocked(sends, name, t, owner)
 		}
 	}
 	return sends
+}
+
+// noteDeathsLocked traces each newly dead peer once and deregisters it
+// from the inter-shard fabric, ending reconnect loops to it.
+func (n *Node) noteDeathsLocked() {
+	for _, m := range n.membership.Members() {
+		if m.ID == n.cfg.ID {
+			continue
+		}
+		if m.State != MemberDead {
+			// A rejoined peer is no longer dead; let a future death
+			// deregister it again.
+			delete(n.knownDead, m.ID)
+			continue
+		}
+		if n.knownDead[m.ID] {
+			continue
+		}
+		n.knownDead[m.ID] = true
+		n.cfg.Tracer.Record(obs.Event{
+			Time: n.now, Type: obs.EventShardCrash, Node: n.cfg.ID, Peer: m.ID,
+		})
+		if dereg, ok := n.cfg.Inter.(transport.Deregisterer); ok && m.Addr != "" {
+			_ = dereg.Deregister(m.Addr) // unknown peer (never dialed) is fine
+		}
+	}
 }
 
 // acquireLocked starts owning a task: builds its coordinator, seeds it
 // from the freshest replicated snapshot when one is held (warm recovery),
 // and otherwise — if this is a takeover rather than a first placement —
 // records the allowance loss as a cold start.
-func (n *Node) acquireLocked(name string, rec *CatalogRecord, prevOwner string) {
+func (n *Node) acquireLocked(name string, rec *catalogRow, prevOwner string) {
 	spec := rec.Spec
 	coordAddr := n.cfg.ID + "/" + name + "/coord"
 	var onAlert coord.AlertFunc
@@ -520,11 +499,15 @@ func (n *Node) acquireLocked(name string, rec *CatalogRecord, prevOwner string) 
 	takeover := prevOwner != "" && prevOwner != n.cfg.ID
 	recovery := &RecoveryInfo{PrevOwner: prevOwner}
 	if entry, ok := n.store.Get(name); ok {
-		if err := c.ImportAllowance(entry.State); err == nil {
+		st, err := entry.State()
+		if err == nil {
+			err = c.ImportAllowance(st)
+		}
+		if err == nil {
 			recovery.Warm = true
 			recovery.Epoch = entry.Epoch
 			recovery.From = entry.From
-			recovery.Assignments = copyAssignments(entry.State.Assignments)
+			recovery.Assignments = st.Assignments // decoded for this import, nobody else holds it
 			n.recoveries++
 			n.recoveriesC.Inc()
 			n.cfg.Tracer.Record(obs.Event{
@@ -566,16 +549,19 @@ func (n *Node) acquireLocked(name string, rec *CatalogRecord, prevOwner string) 
 			hosted = true
 		}
 	}
-	n.owned[name] = &ownedTask{
+	t := &ownedTask{
 		spec: spec, c: c, coordAddr: coordAddr, recovery: recovery, hosted: hosted,
 	}
+	n.owned[name] = t
+	n.ownedOrder = insertByName(n.ownedOrder, t, ownedName)
+	n.coords = nil
 	n.rep.Track(name, n.tick)
 }
 
 // releaseLocked hands a task to its new owner: stops the local data
 // plane, exports a final snapshot, and ships it to the new owner through
 // the replicator (acked, retried, eventually abandoned like any frame).
-func (n *Node) releaseLocked(name string, t *ownedTask, newOwner string) []outMsg {
+func (n *Node) releaseLocked(sends []outMsg, name string, t *ownedTask, newOwner string) []outMsg {
 	n.stopOwnedLocked(name, t)
 	n.cfg.Tracer.Record(obs.Event{
 		Time: n.now, Type: obs.EventTaskHandoff,
@@ -583,22 +569,29 @@ func (n *Node) releaseLocked(name string, t *ownedTask, newOwner string) []outMs
 	})
 	addr, ok := n.membership.AddrOf(newOwner)
 	if !ok {
-		return nil
+		return sends
 	}
-	st := t.c.ExportAllowance()
-	// The open alert travels inside st; the local copy would otherwise
-	// linger as a stale live episode on a shard that no longer owns the
-	// task.
+	t.c.ExportAllowanceInto(&n.export)
+	// The open alert travels inside the export; the local copy would
+	// otherwise linger as a stale live episode on a shard that no longer
+	// owns the task.
 	n.cfg.Alerts.Forget(name)
-	frame, err := EncodeSnapshot(st)
+	return n.shipLocked(sends, name, newOwner, addr)
+}
+
+// shipLocked frames the state last exported into n.export and sends it to
+// a peer through the replicator (acked, retried, eventually abandoned).
+func (n *Node) shipLocked(sends []outMsg, name, to, addr string) []outMsg {
+	epoch := n.export.Epoch
+	frame, err := EncodeSnapshot(n.export)
 	if err != nil {
-		return nil
+		return sends
 	}
-	n.rep.Shipped(name, newOwner, addr, st.Epoch, frame, n.tick, n.now)
-	return []outMsg{{to: addr, msg: transport.Message{
+	n.rep.Shipped(name, to, addr, epoch, frame, n.tick, n.now)
+	return append(sends, outMsg{to: addr, msg: transport.Message{
 		Kind: transport.KindSnapshot, Task: name,
-		Time: n.now, Epoch: st.Epoch, Payload: frame,
-	}}}
+		Time: n.now, Epoch: epoch, Payload: frame,
+	}})
 }
 
 // stopOwnedLocked tears down an owned task's local runtime.
@@ -610,13 +603,14 @@ func (n *Node) stopOwnedLocked(name string, t *ownedTask) {
 		_ = dereg.Deregister(t.coordAddr)
 	}
 	delete(n.owned, name)
+	n.ownedOrder = deleteByName(n.ownedOrder, name, ownedName)
+	n.coords = nil
 	n.rep.Untrack(name)
 }
 
 // replicateLocked runs one replication round: fresh ships for due tasks
 // and retries for unacked frames.
-func (n *Node) replicateLocked() []outMsg {
-	var sends []outMsg
+func (n *Node) replicateLocked(sends []outMsg) []outMsg {
 	for _, name := range n.rep.Due(n.tick) {
 		t, ok := n.owned[name]
 		if !ok {
@@ -636,16 +630,8 @@ func (n *Node) replicateLocked() []outMsg {
 		if !ok {
 			continue
 		}
-		st := t.c.ExportAllowance()
-		frame, err := EncodeSnapshot(st)
-		if err != nil {
-			continue
-		}
-		n.rep.Shipped(name, succ, addr, st.Epoch, frame, n.tick, n.now)
-		sends = append(sends, outMsg{to: addr, msg: transport.Message{
-			Kind: transport.KindSnapshot, Task: name,
-			Time: n.now, Epoch: st.Epoch, Payload: frame,
-		}})
+		t.c.ExportAllowanceInto(&n.export)
+		sends = n.shipLocked(sends, name, succ, addr)
 	}
 	for _, p := range n.rep.Resend(n.tick, n.now) {
 		sends = append(sends, outMsg{to: p.Addr, msg: transport.Message{
@@ -654,47 +640,6 @@ func (n *Node) replicateLocked() []outMsg {
 		}})
 	}
 	return sends
-}
-
-// mergeCatalogLocked merges gossiped catalog rows: higher version wins.
-func (n *Node) mergeCatalogLocked(rows []CatalogRecord) {
-	for i := range rows {
-		r := rows[i]
-		if r.Spec.Name == "" {
-			continue
-		}
-		l, ok := n.catalog[r.Spec.Name]
-		if ok && r.Version <= l.Version {
-			continue
-		}
-		n.catalog[r.Spec.Name] = &r
-		if r.Version > n.catalogVersion {
-			n.catalogVersion = r.Version
-		}
-	}
-}
-
-// catalogRecordsLocked snapshots the catalog for a beacon payload.
-func (n *Node) catalogRecordsLocked() []CatalogRecord {
-	if len(n.catalog) == 0 {
-		return nil
-	}
-	out := make([]CatalogRecord, 0, len(n.catalog))
-	for _, name := range sortedCatalogLocked(n.catalog) {
-		out = append(out, *n.catalog[name])
-	}
-	return out
-}
-
-// liveCatalogLocked counts non-tombstoned catalog rows.
-func (n *Node) liveCatalogLocked() int {
-	live := 0
-	for _, rec := range n.catalog {
-		if !rec.Deleted {
-			live++
-		}
-	}
-	return live
 }
 
 // Status snapshots the shard's externally visible state.
@@ -714,46 +659,41 @@ func (n *Node) Status() NodeStatus {
 		ColdStarts:  n.coldStarts,
 		Recoveries:  n.recoveries,
 		InFlight:    n.rep.InFlight(),
+
+		CatalogDigest: n.catalogDigest,
 	}
-	for _, name := range sortedOwnedLocked(n.owned) {
-		t := n.owned[name]
+	for _, t := range n.ownedOrder {
 		st.Owned = append(st.Owned, OwnedTaskStatus{
-			Name:        name,
+			Name:        t.spec.Name,
 			CoordAddr:   t.coordAddr,
 			Assignments: t.c.Assignments(),
 			Recovery:    t.recovery,
 		})
 	}
 	for _, e := range n.store.Entries() {
+		held, err := e.State()
+		if err != nil {
+			continue // the store walked this frame when it took it
+		}
 		st.Snapshots = append(st.Snapshots, SnapshotStatus{
 			Task:        e.Task,
 			Epoch:       e.Epoch,
 			From:        e.From,
-			Assignments: copyAssignments(e.State.Assignments),
+			Assignments: held.Assignments,
 		})
 	}
 	return st
-}
-
-// Catalog lists the live (non-tombstoned) task catalog rows, sorted by
-// task name.
-func (n *Node) Catalog() []CatalogRecord {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]CatalogRecord, 0, len(n.catalog))
-	for _, name := range sortedCatalogLocked(n.catalog) {
-		if rec := n.catalog[name]; !rec.Deleted {
-			out = append(out, *rec)
-		}
-	}
-	return out
 }
 
 // Owned lists the tasks this shard currently owns, sorted.
 func (n *Node) Owned() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return sortedOwnedLocked(n.owned)
+	out := make([]string, len(n.ownedOrder))
+	for i, t := range n.ownedOrder {
+		out[i] = t.spec.Name
+	}
+	return out
 }
 
 // Allowance returns an owned task's live per-monitor allowance.
@@ -772,32 +712,3 @@ func (n *Node) Membership() *Membership { return n.membership }
 
 // Store exposes the node's replica snapshot store (for tests).
 func (n *Node) Store() *SnapshotStore { return n.store }
-
-func copyAssignments(in map[string]float64) map[string]float64 {
-	if in == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func sortedOwnedLocked(owned map[string]*ownedTask) []string {
-	out := make([]string, 0, len(owned))
-	for name := range owned {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedCatalogLocked(catalog map[string]*CatalogRecord) []string {
-	out := make([]string, 0, len(catalog))
-	for name := range catalog {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

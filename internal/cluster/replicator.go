@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"sort"
 	"time"
 
 	"volley/internal/obs"
@@ -62,8 +61,12 @@ type Pending struct {
 
 // replSchedule is the per-task cadence state.
 type replSchedule struct {
+	task     string
 	nextShip uint64
 }
+
+func scheduleTask(s *replSchedule) string { return s.task }
+func pendingTask(p *Pending) string       { return p.Task }
 
 // Replicator schedules allowance-snapshot replication for a shard's owned
 // tasks: per-task staggered cadence, one in-flight frame per task with
@@ -83,6 +86,13 @@ type Replicator struct {
 
 	tasks   map[string]*replSchedule
 	pending map[string]*Pending
+	// order and inflight are tasks and pending sorted by task name, the
+	// order Due and Resend report in; due and resend are their results,
+	// rewritten by every call.
+	order    []*replSchedule
+	inflight []*Pending
+	due      []string
+	resend   []*Pending
 }
 
 // NewReplicator builds an idle replicator.
@@ -121,32 +131,46 @@ func (r *Replicator) Track(task string, tick uint64) {
 		return
 	}
 	stagger := keyHash(task) % uint64(r.cfg.SnapshotEvery)
-	r.tasks[task] = &replSchedule{nextShip: tick + 1 + stagger}
+	s := &replSchedule{task: task, nextShip: tick + 1 + stagger}
+	r.tasks[task] = s
+	r.order = insertByName(r.order, s, scheduleTask)
 }
 
 // Untrack stops scheduling a task and drops any in-flight frame for it.
 func (r *Replicator) Untrack(task string) {
-	delete(r.tasks, task)
-	delete(r.pending, task)
+	if _, ok := r.tasks[task]; ok {
+		delete(r.tasks, task)
+		r.order = deleteByName(r.order, task, scheduleTask)
+	}
+	r.dropPending(task)
+}
+
+// dropPending forgets the in-flight frame for a task, if there is one.
+func (r *Replicator) dropPending(task string) {
+	if _, ok := r.pending[task]; ok {
+		delete(r.pending, task)
+		r.inflight = deleteByName(r.inflight, task, pendingTask)
+	}
 }
 
 // Due returns the tasks due a fresh snapshot ship at the given tick,
 // sorted for determinism. A task with a frame still in flight is held
 // back — one in-flight frame per task — but its schedule keeps its slot,
-// so it is due again as soon as the frame is acked or abandoned.
+// so it is due again as soon as the frame is acked or abandoned. The
+// result is valid until the next Due; the caller may Track, Untrack and
+// ship while walking it.
 func (r *Replicator) Due(tick uint64) []string {
-	var due []string
-	for task, s := range r.tasks {
+	r.due = r.due[:0]
+	for _, s := range r.order {
 		if s.nextShip > tick {
 			continue
 		}
-		if _, inflight := r.pending[task]; inflight {
+		if _, inflight := r.pending[s.task]; inflight {
 			continue
 		}
-		due = append(due, task)
+		r.due = append(r.due, s.task)
 	}
-	sort.Strings(due)
-	return due
+	return r.due
 }
 
 // Shipped records that a fresh frame for a task went out, arming the retry
@@ -155,11 +179,14 @@ func (r *Replicator) Shipped(task, to, addr string, epoch uint64, frame []byte, 
 	if s, ok := r.tasks[task]; ok {
 		s.nextShip = tick + uint64(r.cfg.SnapshotEvery)
 	}
-	r.pending[task] = &Pending{
+	r.dropPending(task)
+	p := &Pending{
 		Task: task, To: to, Addr: addr, Epoch: epoch, Frame: frame,
 		attempts: 1,
 		nextSend: tick + uint64(r.cfg.RetryAfter),
 	}
+	r.pending[task] = p
+	r.inflight = insertByName(r.inflight, p, pendingTask)
 	r.shipped.Inc()
 	r.cfg.Tracer.Record(obs.Event{
 		Time: now, Type: obs.EventSnapshotShip,
@@ -175,42 +202,41 @@ func (r *Replicator) Ack(task string, epoch uint64) bool {
 	if !ok || epoch < p.Epoch {
 		return false
 	}
-	delete(r.pending, task)
+	r.dropPending(task)
 	r.acks.Inc()
 	return true
 }
 
 // Resend returns the in-flight frames whose retry timer expired at the
-// given tick, bumping their attempt counts and doubling their backoff.
-// Frames that exhausted MaxAttempts are dropped, traced and counted as
-// abandoned instead of returned.
+// given tick, in task order, bumping their attempt counts and doubling
+// their backoff. Frames that exhausted MaxAttempts are dropped, traced and
+// counted as abandoned instead of returned. The result is valid until the
+// next Resend.
 func (r *Replicator) Resend(tick uint64, now time.Duration) []*Pending {
-	var out []*Pending
-	var tasks []string
-	for task := range r.pending {
-		tasks = append(tasks, task)
-	}
-	sort.Strings(tasks)
-	for _, task := range tasks {
-		p := r.pending[task]
-		if p.nextSend > tick {
-			continue
-		}
-		if p.attempts >= r.cfg.MaxAttempts {
-			delete(r.pending, task)
+	r.resend = r.resend[:0]
+	kept := r.inflight[:0]
+	for _, p := range r.inflight {
+		if p.nextSend <= tick && p.attempts >= r.cfg.MaxAttempts {
+			delete(r.pending, p.Task)
 			r.abandoned.Inc()
 			r.cfg.Tracer.Record(obs.Event{
 				Time: now, Type: obs.EventSnapshotAbandon,
-				Node: r.cfg.Node, Task: task, Peer: p.To, Value: float64(p.Epoch),
+				Node: r.cfg.Node, Task: p.Task, Peer: p.To, Value: float64(p.Epoch),
 			})
+			continue
+		}
+		kept = append(kept, p)
+		if p.nextSend > tick {
 			continue
 		}
 		p.attempts++
 		p.nextSend = tick + uint64(r.cfg.RetryAfter)<<(p.attempts-1)
 		r.retries.Inc()
-		out = append(out, p)
+		r.resend = append(r.resend, p)
 	}
-	return out
+	clear(r.inflight[len(kept):]) // let abandoned frames go
+	r.inflight = kept
+	return r.resend
 }
 
 // InFlight reports how many frames await acknowledgement.

@@ -45,8 +45,7 @@ type AllowanceState struct {
 	LastSeen map[string]time.Duration `json:"lastSeen,omitempty"`
 	// Alerts carries the task's live (open/acked) alerts so a successor
 	// resumes the violation episode instead of losing it; absent when the
-	// coordinator has no alert registry or no live alert. Riding in the
-	// JSON body keeps snapshot frames wire-compatible with older nodes.
+	// coordinator has no alert registry or no live alert.
 	Alerts []alerts.Alert `json:"alerts,omitempty"`
 }
 
@@ -55,17 +54,33 @@ type AllowanceState struct {
 // re-triggered by the next local violation, while allowance is cumulative
 // state that would otherwise be lost.
 func (c *Coordinator) ExportAllowance() AllowanceState {
+	var st AllowanceState
+	c.ExportAllowanceInto(&st)
+	return st
+}
+
+// ExportAllowanceInto is ExportAllowance into a state the caller owns and
+// reuses: its maps are cleared and refilled and its Dead list is rewritten
+// in place, so a caller that only serializes the result (the replicator,
+// every few ticks per task) allocates no maps per export. A map the state
+// does not have yet is made when first needed and kept, so a reused state
+// may hold an empty map where a fresh one holds nil.
+func (c *Coordinator) ExportAllowanceInto(st *AllowanceState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.epoch++
-	st := AllowanceState{
-		Task:        c.cfg.Task,
-		Epoch:       c.epoch,
-		Err:         c.cfg.Err,
-		Now:         c.now,
-		Ticks:       c.ticks,
-		Assignments: make(map[string]float64, len(c.assign)),
+	st.Task = c.cfg.Task
+	st.Epoch = c.epoch
+	st.Err = c.cfg.Err
+	st.Now = c.now
+	st.Ticks = c.ticks
+	if st.Assignments == nil {
+		st.Assignments = make(map[string]float64, len(c.assign))
 	}
+	clear(st.Assignments)
+	clear(st.Reclaimed)
+	clear(st.LastSeen)
+	st.Dead = st.Dead[:0]
 	for i, m := range c.cfg.Monitors {
 		st.Assignments[m] = c.assign[i]
 		if c.reclaimed[i] != 0 {
@@ -85,7 +100,6 @@ func (c *Coordinator) ExportAllowance() AllowanceState {
 		}
 	}
 	st.Alerts = c.cfg.Alerts.ExportOpen(c.cfg.Task)
-	return st
 }
 
 // ImportAllowance resumes from a snapshot taken by a coordinator for the

@@ -146,30 +146,28 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	dst = append(dst, byte(m.Kind))
 	dst = binary.AppendUvarint(dst, bits)
 	if bits&bitTask != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(m.Task)))
-		dst = append(dst, m.Task...)
+		dst = AppendString(dst, m.Task)
 	}
 	if bits&bitFrom != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(m.From)))
-		dst = append(dst, m.From...)
+		dst = AppendString(dst, m.From)
 	}
 	if bits&bitTime != 0 {
 		dst = binary.AppendVarint(dst, int64(m.Time))
 	}
 	if bits&bitValue != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Value))
+		dst = AppendFloat64(dst, m.Value)
 	}
 	if bits&bitReduction != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Reduction))
+		dst = AppendFloat64(dst, m.Reduction)
 	}
 	if bits&bitNeeded != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Needed))
+		dst = AppendFloat64(dst, m.Needed)
 	}
 	if bits&bitInterval != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Interval))
+		dst = AppendFloat64(dst, m.Interval)
 	}
 	if bits&bitErr != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Err))
+		dst = AppendFloat64(dst, m.Err)
 	}
 	if bits&bitSeq != 0 {
 		dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
@@ -182,6 +180,24 @@ func appendMessage(dst []byte, m *Message) ([]byte, error) {
 		dst = append(dst, m.Payload...)
 	}
 	return dst, nil
+}
+
+// The field primitives below are the codec's whole vocabulary of
+// encodings. They are exported so the one other binary format in the tree
+// — the replicated allowance snapshot and the shard beacon
+// (internal/cluster) — is built from the same pieces and read back by the
+// same hardened readers, instead of growing a second set.
+
+// AppendString appends s as a uvarint length followed by its bytes.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendFloat64 appends f as its 8-byte little-endian IEEE 754 bit
+// pattern, so NaN payloads and negative zero survive exactly.
+func AppendFloat64(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // beginFrame reserves the length prefix; endFrame backfills it.
@@ -286,10 +302,10 @@ func newFrameDecoder() *frameDecoder {
 	return &frameDecoder{intern: newInternTable()}
 }
 
-// uvarint reads an unsigned varint, erroring on truncation or a value
+// Uvarint reads an unsigned varint, erroring on truncation or a value
 // overflowing 64 bits. The single-byte case — almost every field length
 // and batch count on the wire — skips the generic decode loop.
-func uvarint(b []byte) (uint64, []byte, error) {
+func Uvarint(b []byte) (uint64, []byte, error) {
 	if len(b) > 0 && b[0] < 0x80 {
 		return uint64(b[0]), b[1:], nil
 	}
@@ -300,9 +316,10 @@ func uvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// bytesField reads a uvarint-length-prefixed byte field.
-func bytesField(b []byte) ([]byte, []byte, error) {
-	ln, b, err := uvarint(b)
+// BytesField reads a uvarint-length-prefixed byte field, returning a
+// sub-slice of b (no copy).
+func BytesField(b []byte) ([]byte, []byte, error) {
+	ln, b, err := Uvarint(b)
 	if err != nil {
 		return nil, b, err
 	}
@@ -312,8 +329,8 @@ func bytesField(b []byte) ([]byte, []byte, error) {
 	return b[:ln], b[ln:], nil
 }
 
-// fixed64 reads an 8-byte little-endian value.
-func fixed64(b []byte) (uint64, []byte, error) {
+// Fixed64 reads an 8-byte little-endian value.
+func Fixed64(b []byte) (uint64, []byte, error) {
 	if len(b) < 8 {
 		return 0, b, fmt.Errorf("%w: fixed64 field, %d bytes remain", ErrFrameTruncated, len(b))
 	}
@@ -333,7 +350,7 @@ func (d *frameDecoder) decodeMessage(b []byte, m *Message) ([]byte, error) {
 		return b, fmt.Errorf("%w: unknown kind tag %d", ErrFrameCorrupt, b[0])
 	}
 	m.Kind = k
-	bits, b, err := uvarint(b[1:])
+	bits, b, err := Uvarint(b[1:])
 	if err != nil {
 		return b, err
 	}
@@ -343,13 +360,13 @@ func (d *frameDecoder) decodeMessage(b []byte, m *Message) ([]byte, error) {
 	var raw []byte
 	var u uint64
 	if bits&bitTask != 0 {
-		if raw, b, err = bytesField(b); err != nil {
+		if raw, b, err = BytesField(b); err != nil {
 			return b, err
 		}
 		m.Task = d.intern.str(raw)
 	}
 	if bits&bitFrom != 0 {
-		if raw, b, err = bytesField(b); err != nil {
+		if raw, b, err = BytesField(b); err != nil {
 			return b, err
 		}
 		m.From = d.intern.str(raw)
@@ -362,47 +379,47 @@ func (d *frameDecoder) decodeMessage(b []byte, m *Message) ([]byte, error) {
 		m.Time, b = time.Duration(v), b[n:]
 	}
 	if bits&bitValue != 0 {
-		if u, b, err = fixed64(b); err != nil {
+		if u, b, err = Fixed64(b); err != nil {
 			return b, err
 		}
 		m.Value = math.Float64frombits(u)
 	}
 	if bits&bitReduction != 0 {
-		if u, b, err = fixed64(b); err != nil {
+		if u, b, err = Fixed64(b); err != nil {
 			return b, err
 		}
 		m.Reduction = math.Float64frombits(u)
 	}
 	if bits&bitNeeded != 0 {
-		if u, b, err = fixed64(b); err != nil {
+		if u, b, err = Fixed64(b); err != nil {
 			return b, err
 		}
 		m.Needed = math.Float64frombits(u)
 	}
 	if bits&bitInterval != 0 {
-		if u, b, err = fixed64(b); err != nil {
+		if u, b, err = Fixed64(b); err != nil {
 			return b, err
 		}
 		m.Interval = math.Float64frombits(u)
 	}
 	if bits&bitErr != 0 {
-		if u, b, err = fixed64(b); err != nil {
+		if u, b, err = Fixed64(b); err != nil {
 			return b, err
 		}
 		m.Err = math.Float64frombits(u)
 	}
 	if bits&bitSeq != 0 {
-		if m.Seq, b, err = fixed64(b); err != nil {
+		if m.Seq, b, err = Fixed64(b); err != nil {
 			return b, err
 		}
 	}
 	if bits&bitEpoch != 0 {
-		if m.Epoch, b, err = uvarint(b); err != nil {
+		if m.Epoch, b, err = Uvarint(b); err != nil {
 			return b, err
 		}
 	}
 	if bits&bitPayload != 0 {
-		if raw, b, err = bytesField(b); err != nil {
+		if raw, b, err = BytesField(b); err != nil {
 			return b, err
 		}
 		// The frame buffer is reused for the next read; the payload must
@@ -433,7 +450,7 @@ func (d *frameDecoder) decodeBodyInto(body []byte, msgs []Message) ([]Message, e
 		}
 		return msgs, nil
 	}
-	count, rest, err := uvarint(body[1:])
+	count, rest, err := Uvarint(body[1:])
 	if err != nil {
 		return msgs, err
 	}
