@@ -98,6 +98,7 @@ type clusterDaemon struct {
 	alerts   *volley.Counter
 	gateArms *volley.Counter
 	alertReg *volley.AlertRegistry
+	agents   *agentPool // the hosted monitors' HTTP agents' connections
 	start    time.Time
 
 	eventsSink, historySink *fileSink
@@ -151,10 +152,12 @@ func newClusterDaemon(opts options) (*clusterDaemon, error) {
 		return nil, fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
 	}
 
+	reg := volley.NewMetrics()
 	d := &clusterDaemon{
 		opts:     opts,
 		net:      volley.NewMemoryNetwork(),
-		reg:      volley.NewMetrics(),
+		reg:      reg,
+		agents:   newAgentPool(reg),
 		start:    time.Now(),
 		hosted:   newHostedSet(),
 		sketches: make(map[string][]*volley.StreamingThresholds),
@@ -229,8 +232,12 @@ func newClusterDaemon(opts options) (*clusterDaemon, error) {
 	return d, nil
 }
 
-// close flushes and closes the daemon's JSONL sinks.
-func (d *clusterDaemon) close() error { return closeSinks(d.eventsSink, d.historySink) }
+// close flushes and closes the daemon's JSONL sinks and drops its agents'
+// idle connections.
+func (d *clusterDaemon) close() error {
+	d.agents.close()
+	return closeSinks(d.eventsSink, d.historySink)
+}
 
 // runCluster is cluster-mode main: it builds the federation, serves the
 // control plane and drives the tick loop until the context ends.
@@ -319,6 +326,7 @@ func (d *clusterDaemon) tickOnce() {
 	if p.gating {
 		d.fanOutGateSignals(p)
 	}
+	d.agents.sweep(time.Now())
 }
 
 // fanOutGateSignals arms the correlation gates of every task whose
@@ -454,7 +462,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Build every agent before touching cluster state, so a bad source
 	// rejects the whole admission.
-	agents := make([]func() (float64, error), len(req.Monitors))
+	agents := make([]volley.Agent, len(req.Monitors))
 	addrs := make([]string, len(req.Monitors))
 	seen := make(map[string]bool, len(req.Monitors))
 	for i, m := range req.Monitors {
@@ -463,7 +471,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seen[m.ID] = true
-		agents[i], err = buildAgent(m.Source)
+		agents[i], err = buildAgent(m.Source, d.agents)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -530,7 +538,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		cfg := volley.MonitorConfig{
 			ID:    addr,
 			Task:  req.Name,
-			Agent: volley.AgentFunc(agents[i]),
+			Agent: agents[i],
 			Sampler: volley.SamplerConfig{
 				// The local task decomposition: an even split of the global
 				// threshold and allowance; the coordinator re-tunes the

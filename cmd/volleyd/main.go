@@ -19,7 +19,14 @@
 //
 // Flags:
 //
-//	-source     cmd:<command line> or an http(s) URL returning a number
+//	-source     cmd:<command line> (run by sh -c) or an http(s) URL; either
+//	            must print a number and is given 10 s. URLs are read with
+//	            GET over HTTP/1.1 on kept connections: Content-Length,
+//	            chunked and close-delimited bodies of which the first 64 KiB
+//	            are looked at, status 200 only, TLS against the system
+//	            roots, user:password@ sent as Basic credentials. Redirects
+//	            are not followed, HTTP(S)_PROXY is not consulted, HTTP/2 is
+//	            not spoken.
 //	-interval   default sampling interval Id
 //	-threshold  alert threshold T
 //	-direction  above (default) or below
@@ -38,6 +45,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,6 +64,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode"
 
 	"volley"
 	"volley/internal/transport"
@@ -63,7 +72,7 @@ import (
 
 func main() {
 	var (
-		source      = flag.String("source", "", `signal source: "cmd:<command>" or an http(s) URL`)
+		source      = flag.String("source", "", `signal source: "cmd:<command>" or an http(s) URL printing a number (HTTP/1.1 GET, status 200, no redirects, no proxy; 10 s deadline)`)
 		interval    = flag.Duration("interval", 5*time.Second, "default sampling interval Id")
 		threshold   = flag.Float64("threshold", 0, "alert threshold T")
 		direction   = flag.String("direction", "above", "violating side of the threshold: above or below")
@@ -181,7 +190,10 @@ func run(ctx context.Context, opts options) error {
 	if opts.shards > 0 {
 		return runCluster(ctx, opts)
 	}
-	agent, err := buildAgent(opts.source)
+	reg := volley.NewMetrics()
+	agents := newAgentPool(reg)
+	defer agents.close()
+	agent, err := buildAgent(opts.source, agents)
 	if err != nil {
 		return err
 	}
@@ -253,7 +265,6 @@ func run(ctx context.Context, opts options) error {
 		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(eventsSink))
 	}
 	tracer := volley.NewTracer(1024, tracerOpts...)
-	reg := volley.NewMetrics()
 	volley.RegisterBuildInfo(reg, start)
 	alertReg := newAlertRegistry("volleyd", opts, reg, tracer, historySink)
 	var (
@@ -363,7 +374,7 @@ func run(ctx context.Context, opts options) error {
 
 // loopState carries the sampling loop's collaborators.
 type loopState struct {
-	agent    func() (float64, error)
+	agent    volley.Agent
 	sampler  *volley.Sampler
 	agg      *volley.AggregateSampler
 	tracer   *volley.Tracer
@@ -400,7 +411,7 @@ func sampleLoop(ctx context.Context, opts options, st loopState) error {
 			untilNext--
 			continue
 		}
-		value, sampleErr := st.agent()
+		value, sampleErr := st.agent.Sample()
 		now := time.Now()
 		if sampleErr != nil {
 			st.errs.Inc()
@@ -480,40 +491,37 @@ func parseDirection(s string) (volley.Direction, error) {
 	}
 }
 
-// buildAgent turns the -source flag into a sampling function.
-func buildAgent(source string) (func() (float64, error), error) {
+// buildAgent turns a source — the -source flag, or a monitor's source in an
+// admission — into the agent that reads it. http(s) agents keep their
+// connections in pool (httpagent.go).
+func buildAgent(source string, pool *agentPool) (volley.Agent, error) {
 	switch {
 	case strings.HasPrefix(source, "cmd:"):
 		cmdline := strings.TrimPrefix(source, "cmd:")
 		if strings.TrimSpace(cmdline) == "" {
 			return nil, fmt.Errorf("empty command in source %q", source)
 		}
-		return func() (float64, error) {
-			out, err := exec.Command("sh", "-c", cmdline).Output()
+		return volley.AgentFunc(func() (float64, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), agentTimeout)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, "sh", "-c", cmdline)
+			killGroupOnCancel(cmd)
+			// Whatever survives that and holds the output pipe open is given
+			// this long, then abandoned.
+			cmd.WaitDelay = time.Second
+			out, err := cmd.Output()
+			if ctx.Err() != nil {
+				err = fmt.Errorf("gave up after %v", agentTimeout)
+			}
 			if err != nil {
 				return 0, fmt.Errorf("run %q: %w", cmdline, err)
 			}
-			return parseNumber(string(out))
-		}, nil
+			return parseNumber(out)
+		}), nil
 	case strings.HasPrefix(source, "workload:"):
 		return buildWorkloadAgent(source)
 	case strings.HasPrefix(source, "http://"), strings.HasPrefix(source, "https://"):
-		client := &http.Client{Timeout: 10 * time.Second}
-		return func() (float64, error) {
-			resp, err := client.Get(source)
-			if err != nil {
-				return 0, err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return 0, fmt.Errorf("GET %s: status %d", source, resp.StatusCode)
-			}
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-			if err != nil {
-				return 0, err
-			}
-			return parseNumber(string(body))
-		}, nil
+		return newHTTPAgent(source, pool)
 	case source == "":
 		return nil, fmt.Errorf("missing -source")
 	default:
@@ -521,15 +529,19 @@ func buildAgent(source string) (func() (float64, error), error) {
 	}
 }
 
-// parseNumber extracts the first whitespace-delimited float from s.
-func parseNumber(s string) (float64, error) {
-	fields := strings.Fields(s)
-	if len(fields) == 0 {
+// parseNumber extracts the first whitespace-delimited float from b. It
+// allocates only to report an error.
+func parseNumber(b []byte) (float64, error) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		b = b[:i]
+	}
+	if len(b) == 0 {
 		return 0, fmt.Errorf("source produced no output")
 	}
-	v, err := strconv.ParseFloat(fields[0], 64)
+	v, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
-		return 0, fmt.Errorf("parse %q: %w", fields[0], err)
+		return 0, fmt.Errorf("parse %q: %w", b, err)
 	}
 	return v, nil
 }

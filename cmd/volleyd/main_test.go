@@ -35,7 +35,7 @@ func TestParseNumber(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := parseNumber(tt.in)
+			got, err := parseNumber([]byte(tt.in))
 			if (err != nil) != tt.wantErr {
 				t.Fatalf("err = %v, wantErr %v", err, tt.wantErr)
 			}
@@ -59,23 +59,23 @@ func TestParseDirection(t *testing.T) {
 }
 
 func TestBuildAgentValidation(t *testing.T) {
-	if _, err := buildAgent(""); err == nil {
+	if _, err := buildAgent("", nil); err == nil {
 		t.Error("empty source accepted, want error")
 	}
-	if _, err := buildAgent("cmd:   "); err == nil {
+	if _, err := buildAgent("cmd:   ", nil); err == nil {
 		t.Error("empty command accepted, want error")
 	}
-	if _, err := buildAgent("ftp://example"); err == nil {
+	if _, err := buildAgent("ftp://example", nil); err == nil {
 		t.Error("unknown scheme accepted, want error")
 	}
 }
 
 func TestBuildAgentCmd(t *testing.T) {
-	agent, err := buildAgent("cmd:echo 12.5")
+	agent, err := buildAgent("cmd:echo 12.5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := agent()
+	v, err := agent.Sample()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestBuildAgentCmd(t *testing.T) {
 }
 
 func TestBuildAgentCmdFailure(t *testing.T) {
-	agent, err := buildAgent("cmd:false")
+	agent, err := buildAgent("cmd:false", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent(); err == nil {
+	if _, err := agent.Sample(); err == nil {
 		t.Error("failing command produced no error")
 	}
 }
@@ -101,11 +101,11 @@ func TestBuildAgentHTTP(t *testing.T) {
 		_, _ = w.Write([]byte(value.Load().(string)))
 	}))
 	defer srv.Close()
-	agent, err := buildAgent(srv.URL)
+	agent, err := buildAgent(srv.URL, newAgentPool(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := agent()
+	v, err := agent.Sample()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBuildAgentHTTP(t *testing.T) {
 		t.Errorf("http agent = %v, want 55", v)
 	}
 	value.Store("not-a-number")
-	if _, err := agent(); err == nil {
+	if _, err := agent.Sample(); err == nil {
 		t.Error("non-numeric body produced no error")
 	}
 }
@@ -123,11 +123,11 @@ func TestBuildAgentHTTPStatusError(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	agent, err := buildAgent(srv.URL)
+	agent, err := buildAgent(srv.URL, newAgentPool(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := agent(); err == nil {
+	if _, err := agent.Sample(); err == nil {
 		t.Error("500 response produced no error")
 	}
 }
@@ -804,5 +804,25 @@ func TestClusterModeValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), options{shards: 2, interval: 0, maxInterval: 5, listen: "127.0.0.1:0", out: io.Discard}); err == nil {
 		t.Error("cluster mode with zero interval accepted, want error")
+	}
+}
+
+// TestBuildAgentCmdDeadline: a command that hangs costs the tick loop the
+// agents' deadline, as a stalled HTTP source does, not the rest of its life.
+func TestBuildAgentCmdDeadline(t *testing.T) {
+	shortTimeout(t, 100*time.Millisecond)
+	agent, err := buildAgent("cmd:sleep 60", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = agent.Sample()
+	if err == nil || !strings.Contains(err.Error(), "gave up after 100ms") {
+		t.Errorf("hung command: %v, want the deadline's error", err)
+	}
+	// Well short of the second a survivor holding the pipe would be given:
+	// the shell's child died with it.
+	if took := time.Since(start); took > 800*time.Millisecond {
+		t.Errorf("gave up after %v", took)
 	}
 }

@@ -103,6 +103,7 @@ type shardDaemon struct {
 	tracer   *obs.Tracer
 	alerts   *obs.Counter
 	alertReg *alerts.Registry
+	agents   *agentPool // the hosted monitors' HTTP agents' connections
 	start    time.Time
 
 	eventsSink, historySink *fileSink
@@ -162,10 +163,12 @@ func newShardDaemon(opts options) (_ *shardDaemon, err error) {
 		return nil, err
 	}
 
+	reg := obs.NewRegistry()
 	d := &shardDaemon{
 		opts:   opts,
 		local:  transport.NewMemory(),
-		reg:    obs.NewRegistry(),
+		reg:    reg,
+		agents: newAgentPool(reg),
 		start:  time.Now(),
 		hosted: newHostedSet(),
 	}
@@ -250,8 +253,10 @@ func newShardDaemon(opts options) (_ *shardDaemon, err error) {
 	return d, nil
 }
 
-// close stops the fabric and flushes the JSONL tails.
+// close stops the fabric, drops the agents' idle connections and flushes the
+// JSONL tails.
 func (d *shardDaemon) close() error {
+	d.agents.close()
 	if d.fabric != nil {
 		_ = d.fabric.node.Close()
 	}
@@ -336,6 +341,7 @@ func (d *shardDaemon) tickOnce() {
 	}
 	d.mu.Unlock()
 	d.plan.tickMonitors(now)
+	d.agents.sweep(time.Now())
 }
 
 // StartTask implements cluster.TaskHost: it builds and hosts the task's
@@ -363,7 +369,7 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 	mons := make([]*monitor.Monitor, len(hs.Monitors))
 	addrs := make([]string, len(hs.Monitors))
 	for i, mreq := range hs.Monitors {
-		agent, err := buildAgent(mreq.Source)
+		agent, err := buildAgent(mreq.Source, d.agents)
 		if err != nil {
 			return err
 		}
@@ -371,7 +377,7 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 		mons[i], err = monitor.New(monitor.Config{
 			ID:    addrs[i],
 			Task:  spec.Name,
-			Agent: monitor.AgentFunc(agent),
+			Agent: agent,
 			Sampler: core.Config{
 				// The local task decomposition: an even split of the global
 				// threshold and allowance; the coordinator re-tunes the
@@ -494,7 +500,7 @@ func (d *shardDaemon) handleShardAdmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		seen[m.ID] = true
-		if _, err := buildAgent(m.Source); err != nil {
+		if _, err := buildAgent(m.Source, d.agents); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}

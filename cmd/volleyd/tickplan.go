@@ -150,6 +150,18 @@ func resized[T any](s []T, n int) []T {
 // waited least for a sample go first; each later walk starts a golden-ratio
 // stride further on (multiplying by 2^32/φ spreads consecutive tick numbers
 // evenly over the plan).
+//
+// Where monitors read agents that can start a read early (HTTP), the walk
+// keeps those reads issued for the agentWindow entries it is about to reach,
+// the one being ticked included: a monitor's request is out while the ones
+// before it are ticked, so a tick waits for the slowest of a window and not
+// for the sum of all. Ahead is measured in entries of the walk, not in time
+// from the start of the tick, so every monitor is still read at its own place
+// in the walk (issuing everything up front would pin them all to phase 0), a
+// value is at most agentWindow entries old when its Tick consumes it, and no
+// more than agentWindow reads are out at once. Every read issued is consumed
+// by its monitor's Tick in this same walk — Monitor.Prefetch only starts what
+// that Tick will ask for — so none is in flight when the walk returns.
 func (p *tickPlan) tickMonitors(now time.Duration) {
 	n := len(p.mons)
 	start := 0
@@ -157,11 +169,20 @@ func (p *tickPlan) tickMonitors(now time.Duration) {
 		start = (p.origin + int(uint64(p.ticks*2654435769)*uint64(n)>>32)) % n
 	}
 	p.ticks++
-	for i := start; i < n; i++ {
+	// k and issued count entries of the walk, which i and j, wrapping, turn
+	// into plan entries: i is the one to tick, j the next to look ahead at.
+	i, j, issued := start, start, 0
+	for k := 0; k < n; k++ {
+		for ; issued < n && issued < k+agentWindow; issued++ {
+			p.mons[j].Prefetch() // returns at once where the agent reads in-process
+			if j++; j == n {
+				j = 0
+			}
+		}
 		p.tickMonitor(i, now)
-	}
-	for i := 0; i < start; i++ {
-		p.tickMonitor(i, now)
+		if i++; i == n {
+			i = 0
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func workloadSet(key string, gen func() (*volley.WorkloadSet, error)) (*volley.W
 }
 
 // buildWorkloadAgent turns a workload: source into a sampling function.
-func buildWorkloadAgent(source string) (func() (float64, error), error) {
+func buildWorkloadAgent(source string) (volley.Agent, error) {
 	u, err := url.Parse(source)
 	if err != nil {
 		return nil, fmt.Errorf("parse source %q: %w", source, err)
@@ -146,10 +146,10 @@ func buildWorkloadAgent(source string) (func() (float64, error), error) {
 		return nil, fmt.Errorf("unknown workload family %q in source %q (want entropy, tenant or tenantagg)", family, source)
 	}
 
-	return func() (float64, error) {
+	return volley.AgentFunc(func() (float64, error) {
 		idx := int(workloadNow()/period) % len(values)
 		return values[idx], nil
-	}, nil
+	}), nil
 }
 
 // workloadInt reads one integer query parameter with a default.

@@ -25,7 +25,7 @@ func TestBuildWorkloadAgentValidation(t *testing.T) {
 		"workload:tenant?index=0&period=xyz",    // unparseable period
 		"workload:tenant?index=x",               // unparseable int
 	} {
-		if _, err := buildAgent(source); err == nil {
+		if _, err := buildAgent(source, nil); err == nil {
 			t.Errorf("buildAgent(%q) accepted, want error", source)
 		}
 	}
@@ -35,7 +35,7 @@ func TestBuildWorkloadAgentServesSeries(t *testing.T) {
 	// Small family, long period: the agent must serve window 0 of the
 	// requested series right after construction.
 	src := "workload:tenant?index=3&tenants=8&groups=2&windows=64&seed=11&period=1h"
-	agent, err := buildAgent(src)
+	agent, err := buildAgent(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBuildWorkloadAgentServesSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := agent()
+	v, err := agent.Sample()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestBuildWorkloadAgentServesSeries(t *testing.T) {
 		t.Errorf("tenant agent = %v, want window 0 value %v", v, want)
 	}
 
-	agg, err := buildAgent("workload:tenantagg?group=1&tenants=8&groups=2&windows=64&seed=11&period=1h")
+	agg, err := buildAgent("workload:tenantagg?group=1&tenants=8&groups=2&windows=64&seed=11&period=1h", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = agg()
+	v, err = agg.Sample()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBuildWorkloadAgentServesSeries(t *testing.T) {
 		t.Errorf("tenantagg agent = %v, want window 0 value %v", v, want)
 	}
 
-	ent, err := buildAgent("workload:entropy?index=2&nodes=4&windows=64&seed=5&period=1h")
+	ent, err := buildAgent("workload:entropy?index=2&nodes=4&windows=64&seed=5&period=1h", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBuildWorkloadAgentServesSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = ent()
+	v, err = ent.Sample()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,10 @@ type Agent = monitor.Agent
 // AgentFunc adapts a plain function to the Agent interface.
 type AgentFunc = monitor.AgentFunc
 
+// Prefetcher is an Agent that can start its read early (Prefetch) and
+// complete it in the next Sample; Monitor.Prefetch drives it.
+type Prefetcher = monitor.Prefetcher
+
 // Monitor is a monitor node: it drives an adaptive sampler against an
 // Agent, detects local violations, reports them to its coordinator, serves
 // global polls and ships yield statistics for allowance coordination.

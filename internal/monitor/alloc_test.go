@@ -94,3 +94,37 @@ func TestMonitorTickZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestMonitorPrefetchZeroAlloc: looking ahead costs a monitor a lock and a
+// comparison, whether it starts a read, finds it is not due, or has an agent
+// that cannot start one.
+func TestMonitorPrefetchZeroAlloc(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"due":       {Agent: &splitAgent{}, Sampler: core.Config{Threshold: 1000, Err: 0.01, MaxInterval: 1}},
+		"countdown": {Agent: &splitAgent{}, Sampler: core.Config{Threshold: 1000, Err: 0.01, MaxInterval: 1}, Gate: fixedGate(1 << 30)},
+		"plain":     {Agent: quietAgent(), Sampler: core.Config{Threshold: 1000, Err: 0.01, MaxInterval: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.ID, cfg.Task = "m1", "t"
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := time.Duration(0)
+			step := func() {
+				now += time.Second
+				m.Prefetch()
+				if _, _, err := m.Tick(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step()
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Errorf("Prefetch and Tick allocate %.1f times, want 0", allocs)
+			}
+			if a, ok := cfg.Agent.(*splitAgent); ok && (a.early != a.sampled || a.out) {
+				t.Errorf("%d reads started early, %d sampled, one left started = %v", a.early, a.sampled, a.out)
+			}
+		})
+	}
+}

@@ -35,6 +35,17 @@ type AgentFunc func() (float64, error)
 // Sample implements Agent.
 func (f AgentFunc) Sample() (float64, error) { return f() }
 
+// Prefetcher is an Agent whose read has a part that can be started early: a
+// request that is written and then waited for. Prefetch starts a read and
+// returns without waiting; the next Sample completes that read, or performs
+// a whole one when none was started. A driver ticking many monitors calls
+// Monitor.Prefetch on the ones it is about to tick, so their waits overlap
+// without a goroutine. The monitor calls both methods under its own lock.
+type Prefetcher interface {
+	Agent
+	Prefetch()
+}
+
 // IntervalGate relaxes a monitor's effective sampling interval while no
 // correlated predictor task signals elevated violation likelihood
 // (correlation.Gate satisfies it). Tick is called once per monitor tick
@@ -114,8 +125,9 @@ type Stats struct {
 // from the same goroutine (the simulation loop); the mutex exists for the
 // TCP transport, whose deliveries come from receive goroutines.
 type Monitor struct {
-	cfg     Config
-	sampler *core.Sampler
+	cfg      Config
+	sampler  *core.Sampler
+	prefetch Prefetcher // cfg.Agent when it can start its read early, else nil
 
 	mu        sync.Mutex
 	untilNext int // ticks remaining until the next sample
@@ -156,6 +168,7 @@ func New(cfg Config) (*Monitor, error) {
 		return nil, fmt.Errorf("monitor %s: %w", cfg.ID, err)
 	}
 	m := &Monitor{cfg: cfg, sampler: sampler}
+	m.prefetch, _ = cfg.Agent.(Prefetcher)
 	if cfg.Metrics != nil || cfg.Tracer != nil {
 		sampler.Instrument(core.SamplerObs{
 			Tracer:       cfg.Tracer,
@@ -179,6 +192,23 @@ func New(cfg Config) (*Monitor, error) {
 
 // ID reports the monitor's address.
 func (m *Monitor) ID() string { return m.cfg.ID }
+
+// Prefetch starts the agent's read if the next Tick will sample, so that
+// Tick finds the answer on its way instead of waiting a round trip for it.
+// A read is only ever started that the very next Tick would have made, and
+// that Tick (or a poll arriving before it) completes it: what is sampled,
+// and when, does not depend on whether Prefetch was called. Where the agent
+// has no such part, Prefetch does nothing and takes no lock.
+func (m *Monitor) Prefetch() {
+	if m.prefetch == nil {
+		return
+	}
+	m.mu.Lock()
+	if m.untilNext == 0 {
+		m.prefetch.Prefetch()
+	}
+	m.mu.Unlock()
+}
 
 // Tick advances one default interval. It returns whether this tick
 // performed a sampling operation and, if so, the sampled value.

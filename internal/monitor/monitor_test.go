@@ -394,3 +394,116 @@ func TestDuplicateRegistration(t *testing.T) {
 		t.Error("duplicate monitor address accepted, want error")
 	}
 }
+
+// splitAgent is a Prefetcher that records how it is driven: reads started
+// early, reads completed, and reads Sample had to make whole.
+type splitAgent struct {
+	out                     bool // a read is started and not yet completed
+	started, early, sampled int
+}
+
+func (a *splitAgent) Prefetch() {
+	if !a.out {
+		a.out = true
+		a.started++
+		a.early++
+	}
+}
+
+func (a *splitAgent) Sample() (float64, error) {
+	if !a.out {
+		a.started++
+	}
+	a.out = false
+	a.sampled++
+	return 1, nil
+}
+
+// TestPrefetchStartsOnlyWhatTheNextTickReads: Monitor.Prefetch starts the
+// agent's read exactly when the next Tick will sample, so a started read is
+// always completed by that Tick (or by a poll before it), the sampling
+// schedule is the one the monitor would have kept without it, and a monitor
+// whose agent cannot prefetch is left alone.
+func TestPrefetchStartsOnlyWhatTheNextTickReads(t *testing.T) {
+	run := func(prefetch bool) (Stats, *splitAgent) {
+		agent := &splitAgent{}
+		m, err := New(Config{ID: "m", Task: "t", Agent: agent, Sampler: samplerCfg(100, 0.2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if prefetch {
+				m.Prefetch()
+				m.Prefetch() // the second finds the read started
+			}
+			wasOut := agent.out
+			sampled, _, err := m.Tick(time.Duration(i) * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wasOut != (prefetch && sampled) {
+				t.Fatalf("tick %d: read started early = %v, sampled = %v", i, wasOut, sampled)
+			}
+			if agent.out {
+				t.Fatalf("tick %d left a read started", i)
+			}
+			if i == 100 {
+				// A wake between the look ahead and the tick: nothing is
+				// started, and the tick reads whole.
+				m.Wake()
+			}
+		}
+		return m.Stats(), agent
+	}
+	plain, plainAgent := run(false)
+	ahead, aheadAgent := run(true)
+	if plain != ahead {
+		t.Errorf("stats with prefetching %+v, without %+v", ahead, plain)
+	}
+	if plain.Samples == plain.Ticks || plain.Samples < 10 {
+		t.Fatalf("%d samples in %d ticks: the schedule never stretched, or hardly sampled", plain.Samples, plain.Ticks)
+	}
+	if plainAgent.early != 0 || aheadAgent.early != aheadAgent.sampled || aheadAgent.started != aheadAgent.sampled {
+		t.Errorf("reads started early/started/completed: %d/%d/%d with prefetching, %d/%d/%d without",
+			aheadAgent.early, aheadAgent.started, aheadAgent.sampled, plainAgent.early, plainAgent.started, plainAgent.sampled)
+	}
+
+	m, err := New(Config{ID: "m", Task: "t", Agent: quietAgent(), Sampler: samplerCfg(100, 0.2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Prefetch() // a plain agent: nothing to start, nothing to go wrong
+}
+
+// TestPrefetchedReadAnswersAPoll: a poll that arrives between Prefetch and
+// Tick completes the started read — the value is as fresh as a poll's own
+// would be — and the Tick then reads whole.
+func TestPrefetchedReadAnswersAPoll(t *testing.T) {
+	net := transport.NewMemory()
+	var polled int
+	if err := net.Register("coord", func(msg transport.Message) {
+		if msg.Kind == transport.KindPollResponse {
+			polled++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	agent := &splitAgent{}
+	m, err := New(Config{ID: "m", Task: "t", Agent: agent, Sampler: samplerCfg(100, 0.2), Network: net, Coordinator: "coord"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Prefetch()
+	if err := net.Send("coord", "m", transport.Message{Kind: transport.KindPollRequest, Task: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if polled != 1 || agent.out || agent.started != 1 {
+		t.Fatalf("after the poll: %d responses, read still started = %v, %d reads started", polled, agent.out, agent.started)
+	}
+	if sampled, _, err := m.Tick(0); err != nil || !sampled {
+		t.Fatalf("Tick = (%v, _, %v)", sampled, err)
+	}
+	if agent.started != 2 || agent.early != 1 || agent.out {
+		t.Errorf("%d reads started, %d early, one still started = %v; want 2, 1, false", agent.started, agent.early, agent.out)
+	}
+}
