@@ -46,10 +46,9 @@ bench-coord:
 bench-cluster:
 	$(GO) run ./cmd/volleybench -clusterjson BENCH_cluster.json
 
-# Benchmark the wire codec (gob vs hand-rolled binary, encode ns/msg and
-# allocs/op — must be 0) and end-to-end loopback TCP throughput in three
-# modes (gob, binary unbatched, binary batched) to BENCH_transport.json.
-# The headline gates: batched binary >= 10x gob msgs/sec, 0 encode allocs.
+# Benchmark the wire codec (hand-rolled binary against stdlib gob, encode
+# ns/msg and allocs/op — must be 0) and end-to-end loopback TCP throughput,
+# unbatched and batched, to BENCH_transport.json.
 bench-transport:
 	$(GO) run ./cmd/volleybench -transportjson BENCH_transport.json
 

@@ -72,7 +72,11 @@ func BenchmarkFig7Accuracy(b *testing.B) {
 	p := bench.Quick()
 	var last *bench.SweepResult
 	for i := 0; i < b.N; i++ {
-		r, err := bench.RunFig7(p)
+		series, err := bench.GenSystem(p.SysNodes, p.SysMetricsPerNode, p.SysSteps, p.Seed+100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := bench.RunSweep("fig7-system-accuracy", series, p)
 		if err != nil {
 			b.Fatal(err)
 		}

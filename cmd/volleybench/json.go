@@ -113,7 +113,7 @@ func writeBenchJSON(p bench.Preset, presetName, path string, out *os.File) error
 		{"fig5a", bench.RunFig5a},
 		{"fig5b", bench.RunFig5b},
 		{"fig5c", bench.RunFig5c},
-		{"fig7", bench.RunFig7},
+		{"fig7", runFig7},
 	} {
 		if err := timed(sweep.figure, func() (*float64, *float64, error) {
 			r, err := sweep.run(p)

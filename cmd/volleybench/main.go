@@ -48,7 +48,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write headline metrics (ratios, misdetect rates, wall clock) as JSON to this file instead of printing tables")
 	coordJSONPath := flag.String("coordjson", "", "benchmark the coordinator rebalance hot path at 100/1k/10k monitors and write ns/op and allocs/op as JSON to this file")
 	clusterJSONPath := flag.String("clusterjson", "", "benchmark consistent-hash task placement at 4/16/64 shards and write ns/op, allocs/op and movement fractions as JSON to this file")
-	transportJSONPath := flag.String("transportjson", "", "benchmark the wire codec (gob vs binary, batched vs not) end-to-end over loopback TCP and write throughput and bytes/msg as JSON to this file")
+	transportJSONPath := flag.String("transportjson", "", "benchmark the wire codec (encode cost against stdlib gob) and the TCP transport (batched vs not) over loopback and write throughput and bytes/msg as JSON to this file")
 	alertsJSONPath := flag.String("alertsjson", "", "benchmark the alert registry hot paths (dedup raise, local observe, lifecycle, snapshot export) and write ns/op and allocs/op as JSON to this file")
 	streamingJSONPath := flag.String("streamingjson", "", "benchmark the streaming threshold sketches (resident bytes vs trace length, ns/observe, refresh cost vs sorted-copy baseline, million-series soak, per-preset rank error) and write the results as JSON to this file")
 	workloadJSONPath := flag.String("workloadjson", "", "run the workload families (entropy-flow, tenant-colo) end to end and write their savings-vs-misdetection curves and the correlation-gated tenant run as JSON to this file")
@@ -157,6 +157,17 @@ func run2(fig, preset, csvDir string, out *os.File) error {
 	return runFigures(fig, p, csvWriter(csvDir), out)
 }
 
+// runFig7 is the accuracy view of the system-level sweep (the paper shows
+// system-level mis-detection rates; network and application "results are
+// similar").
+func runFig7(p bench.Preset) (*bench.SweepResult, error) {
+	series, err := bench.GenSystem(p.SysNodes, p.SysMetricsPerNode, p.SysSteps, p.Seed+100)
+	if err != nil {
+		return nil, err
+	}
+	return bench.RunSweep("fig7-system-accuracy", series, p)
+}
+
 func runFigures(fig string, p bench.Preset, writeCSV func(name, data string) error, out *os.File) error {
 	want := func(name string) bool { return fig == "all" || fig == name }
 	ran := false
@@ -225,7 +236,7 @@ func runFigures(fig string, p bench.Preset, writeCSV func(name, data string) err
 	}
 	if want("7") {
 		ran = true
-		r, err := bench.RunFig7(p)
+		r, err := runFig7(p)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,8 @@
 // Alert plumbing shared by all three volleyd modes: the JSONL file sinks
 // (-events-file decision trace, -alert-history lifecycle history) that are
-// flushed and closed on graceful shutdown, and the operator HTTP surface
-// (GET /alerts, POST /alerts/{id}/ack, POST /alerts/{id}/resolve).
+// flushed and closed on graceful shutdown, the stdout alert line, and the
+// operator HTTP surface (GET /alerts, POST /alerts/{id}/ack, POST
+// /alerts/{id}/resolve).
 package main
 
 import (
@@ -19,7 +20,18 @@ import (
 	"volley"
 )
 
-func writeJSON(w http.ResponseWriter, v any) { _ = json.NewEncoder(w).Encode(v) }
+// writeJSON answers 200 with v as the JSON body.
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
+func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+func httpError(w http.ResponseWriter, code int, err error) {
+	writeJSONStatus(w, code, map[string]string{"error": err.Error()})
+}
 
 // alertLine is the JSON line a confirmed global violation prints on stdout
 // in cluster and shard mode. The fields are declared in the order
@@ -34,22 +46,25 @@ type alertLine struct {
 	Value float64   `json:"value"`
 }
 
-// alertPrinter serialises alert lines from concurrent coordinators onto one
-// writer. shard is empty in cluster mode.
+// alertPrinter is the cluster modes' OnAlert: it counts confirmed global
+// violations and serialises their lines from concurrent coordinators onto
+// one writer. shard is empty in cluster mode.
 type alertPrinter struct {
 	mu    sync.Mutex
 	enc   *json.Encoder
 	shard string
+	count *volley.Counter
 }
 
-func newAlertPrinter(w io.Writer, shard string) *alertPrinter {
-	return &alertPrinter{enc: json.NewEncoder(w), shard: shard}
+func newAlertPrinter(w io.Writer, shard string, count *volley.Counter) *alertPrinter {
+	return &alertPrinter{enc: json.NewEncoder(w), shard: shard, count: count}
 }
 
 // print writes one alert line, stamped with the wall clock under the lock so
 // lines leave in timestamp order; now is the virtual time of the tick that
 // confirmed the violation.
 func (p *alertPrinter) print(task string, now time.Duration, total float64) {
+	p.count.Inc()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	_ = p.enc.Encode(alertLine{
@@ -93,39 +108,12 @@ func (s *fileSink) Close() error {
 	return errors.Join(s.w.Flush(), s.f.Close())
 }
 
-// closeSinks closes every sink, joining errors (for shutdown paths).
-func closeSinks(sinks ...*fileSink) error {
-	var err error
-	for _, s := range sinks {
-		err = errors.Join(err, s.Close())
-	}
-	return err
-}
-
-// newAlertRegistry builds the mode's alert registry on top of its metrics
-// registry, tracer and the -alert-history sink.
-func newAlertRegistry(node string, opts options, reg *volley.Metrics, tracer *volley.Tracer, hist *fileSink) *volley.AlertRegistry {
-	cfg := volley.AlertConfig{
-		Node:    node,
-		TTL:     opts.alertTTL,
-		Metrics: reg,
-		Tracer:  tracer,
-	}
-	if hist != nil {
-		cfg.History = hist
-	}
-	return volley.NewAlertRegistry(cfg)
-}
-
 // registerAlertRoutes wires the operator alert API onto mux. now supplies
 // the mode's clock (wall-based in single mode, virtual in the cluster
 // modes) so ack/resolve transitions carry timestamps in the same time base
 // as raises.
 func registerAlertRoutes(mux *http.ServeMux, reg *volley.AlertRegistry, now func() time.Duration) {
-	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, reg.List())
-	})
+	mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, reg.List()) })
 	op := func(do func(id uint64, at time.Duration, actor string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -149,7 +137,6 @@ func registerAlertRoutes(mux *http.ServeMux, reg *volley.AlertRegistry, now func
 				httpError(w, http.StatusNotFound, volley.ErrAlertNotFound)
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
 			writeJSON(w, a)
 		}
 	}

@@ -34,14 +34,20 @@
 //	-max-interval  largest interval in units of Id (default 20)
 //	-window     optional aggregation window (in intervals) over which the
 //	            moving mean is monitored instead of raw values
-//	-listen     optional address to serve the observability endpoints on:
-//	            /metrics (Prometheus text), /healthz (JSON liveness),
-//	            /debug/vars (expvar), /debug/pprof/* and /debug/events
-//	            (recent decision events as JSON)
+//	-listen     address to serve the observability endpoints on — optional
+//	            here, required with -shards and -shard-id, the same set in
+//	            all three: /metrics (Prometheus text), /healthz (JSON
+//	            liveness), /debug/vars (expvar), /debug/events (recent
+//	            decision events as JSON), the /alerts operator API and
+//	            /debug/pprof/* complete (index, cmdline, profile, symbol,
+//	            trace)
 //	-events     also tail decision events (interval grow/reset, violations)
 //	            as JSON lines on stdout, interleaved with the sample log
 //	-duration   optional run duration (default: run forever)
 //	-state      optional file persisting sampler state across restarts
+//
+// -shards N (cluster.go) and -shard-id (shard.go) run the same daemon core
+// (daemon.go) under a task control plane instead of one sampler.
 package main
 
 import (
@@ -53,9 +59,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -97,7 +100,6 @@ func main() {
 		snapshotEvery = flag.Int("snapshot-every", 5, "allowance snapshot replication period in ticks (shard mode)")
 		batchWindow   = flag.Duration("batch-window", 0, "how long the peer writer waits to coalesce more messages into one frame (shard mode; 0 = ship whatever is already queued)")
 		maxBatch      = flag.Int("max-batch", transport.DefaultMaxBatch, "max messages per coalesced frame on the inter-shard fabric (shard mode; 1 disables batching)")
-		gobWire       = flag.Bool("gob-wire", false, "send legacy gob frames on the inter-shard fabric instead of the binary codec (shard mode; for mixed-version fleets)")
 	)
 	flag.Parse()
 
@@ -130,7 +132,6 @@ func main() {
 		snapshotEvery: *snapshotEvery,
 		batchWindow:   *batchWindow,
 		maxBatch:      *maxBatch,
-		gobWire:       *gobWire,
 
 		out: os.Stdout,
 	}); err != nil {
@@ -167,7 +168,6 @@ type options struct {
 	snapshotEvery int
 	batchWindow   time.Duration
 	maxBatch      int
-	gobWire       bool
 
 	out      io.Writer
 	onListen func(addr string) // test hook: reports the bound address
@@ -184,21 +184,26 @@ type event struct {
 }
 
 func run(ctx context.Context, opts options) error {
-	if opts.shardID != "" {
+	switch {
+	case opts.shardID != "":
 		return runShard(ctx, opts)
-	}
-	if opts.shards > 0 {
+	case opts.shards > 0:
 		return runCluster(ctx, opts)
 	}
-	reg := volley.NewMetrics()
-	agents := newAgentPool(reg)
-	defer agents.close()
-	agent, err := buildAgent(opts.source, agents)
+	return runSignal(ctx, opts)
+}
+
+// runSignal is single-signal mode's main: one sampler (or one windowed
+// aggregate) over one agent, with -state persistence; -listen is optional.
+func runSignal(ctx context.Context, opts options) (err error) {
+	d, err := newDaemon(opts, "volleyd")
 	if err != nil {
 		return err
 	}
-	if opts.interval <= 0 {
-		return fmt.Errorf("interval must be positive, got %v", opts.interval)
+	defer func() { err = errors.Join(err, d.close()) }()
+	l := &signalLoop{daemon: d, enc: json.NewEncoder(opts.out), interval: 1}
+	if l.agent, err = buildAgent(opts.source, d.agents); err != nil {
+		return err
 	}
 	dir, err := parseDirection(opts.direction)
 	if err != nil {
@@ -210,15 +215,10 @@ func run(ctx context.Context, opts options) error {
 		Err:         opts.errAllow,
 		MaxInterval: opts.maxInterval,
 	}
-
-	var (
-		sampler *volley.Sampler
-		agg     *volley.AggregateSampler
-	)
 	if opts.window > 0 {
-		agg, err = volley.NewAggregateSampler(cfg, volley.AggregateMean, opts.window)
+		l.agg, err = volley.NewAggregateSampler(cfg, volley.AggregateMean, opts.window)
 	} else {
-		sampler, err = volley.NewSampler(cfg)
+		l.sampler, err = volley.NewSampler(cfg)
 	}
 	if err != nil {
 		return err
@@ -227,9 +227,9 @@ func run(ctx context.Context, opts options) error {
 	// State persistence: resume the learned interval and δ statistics
 	// across daemon restarts. Aggregation windows are not persisted (the
 	// held ring refills within one window).
-	stateSampler := sampler
-	if agg != nil {
-		stateSampler = agg.Inner()
+	stateSampler := l.sampler
+	if l.agg != nil {
+		stateSampler = l.agg.Inner()
 	}
 	if opts.stateFile != "" {
 		if err := restoreState(opts.stateFile, stateSampler); err != nil {
@@ -242,44 +242,14 @@ func run(ctx context.Context, opts options) error {
 		}()
 	}
 
-	// Observability: every run carries a live instrument registry and a
-	// decision-event tracer, whether or not an HTTP listener is attached.
-	// Instruments are atomic, so the HTTP handlers below may read them
-	// while the sampling loop writes.
-	start := time.Now()
-	eventsSink, err := openFileSink(opts.eventsFile)
-	if err != nil {
-		return err
-	}
-	historySink, err := openFileSink(opts.alertHist)
-	if err != nil {
-		return errors.Join(err, eventsSink.Close())
-	}
-	tracerOpts := []volley.TracerOption{
-		volley.WithTraceClock(func() time.Duration { return time.Since(start) }),
-	}
-	if opts.events {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(opts.out))
-	}
-	if eventsSink != nil {
-		tracerOpts = append(tracerOpts, volley.WithTraceJSONL(eventsSink))
-	}
-	tracer := volley.NewTracer(1024, tracerOpts...)
-	volley.RegisterBuildInfo(reg, start)
-	alertReg := newAlertRegistry("volleyd", opts, reg, tracer, historySink)
-	var (
-		samplesTotal   = reg.Counter("volley_sampler_observations_total", "Adaptive sampling operations.", "instance", "volleyd")
-		alertsTotal    = reg.Counter("volleyd_alerts_total", "State alerts raised.")
-		agentErrsTotal = reg.Counter("volleyd_agent_errors_total", "Failed sampling attempts.")
-		intervalGauge  = reg.Gauge("volley_sampler_interval", "Current sampling interval in default intervals.", "instance", "volleyd")
-		boundGauge     = reg.Gauge("volley_sampler_bound", "Last mis-detection bound.", "instance", "volleyd")
-		valueGauge     = reg.Gauge("volleyd_last_value", "Most recently sampled value.")
-	)
-	reg.GaugeFunc("volleyd_uptime_seconds", "Seconds since daemon start.", func() float64 {
-		return time.Since(start).Seconds()
-	})
+	reg := d.reg
+	samplesTotal := reg.Counter("volley_sampler_observations_total", "Adaptive sampling operations.", "instance", "volleyd")
+	intervalGauge := reg.Gauge("volley_sampler_interval", "Current sampling interval in default intervals.", "instance", "volleyd")
+	boundGauge := reg.Gauge("volley_sampler_bound", "Last mis-detection bound.", "instance", "volleyd")
+	l.errs = reg.Counter("volleyd_agent_errors_total", "Failed sampling attempts.")
+	l.value = reg.Gauge("volleyd_last_value", "Most recently sampled value.")
 	stateSampler.Instrument(volley.SamplerObs{
-		Tracer:       tracer,
+		Tracer:       d.tracer,
 		Node:         "volleyd",
 		Task:         opts.source,
 		Observations: samplesTotal,
@@ -289,177 +259,96 @@ func run(ctx context.Context, opts options) error {
 		Bound:        boundGauge,
 		BoundDist:    reg.Histogram("volley_sampler_bound_dist", "Distribution of mis-detection bounds.", volley.DefBoundBuckets, "instance", "volleyd"),
 	})
-	status := func() map[string]any {
+	d.status = func() map[string]any {
 		return map[string]any{
 			"status":         "ok",
 			"source":         opts.source,
-			"uptime_seconds": time.Since(start).Seconds(),
+			"uptime_seconds": time.Since(d.start).Seconds(),
 			"samples":        samplesTotal.Value(),
-			"alerts":         alertsTotal.Value(),
-			"agent_errors":   agentErrsTotal.Value(),
+			"alerts":         d.alerts.Value(),
+			"agent_errors":   l.errs.Value(),
 			"interval":       intervalGauge.Value(),
 			"bound":          boundGauge.Value(),
 		}
 	}
-	publishExpvar(status)
+	// Alert lifecycle operations run on the wall clock since start here.
+	d.now = func() time.Duration { return time.Since(d.start) }
+	return d.serve(ctx, d.routes(), l.tick)
+}
 
-	// The observability endpoints. The listener is created synchronously so
-	// ":0" works in tests (onListen reports the bound address) and a bad
-	// -listen value fails fast instead of dying silently in a goroutine.
-	var (
-		srv      *http.Server
-		serveErr chan error
-	)
-	if opts.listen != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(w)
-			tracer.WritePrometheus(w)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(status())
-		})
-		mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(tracer.Events())
-		})
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		registerAlertRoutes(mux, alertReg, func() time.Duration { return time.Since(start) })
-		ln, err := net.Listen("tcp", opts.listen)
-		if err != nil {
-			return errors.Join(err, closeSinks(eventsSink, historySink))
-		}
-		if opts.onListen != nil {
-			opts.onListen(ln.Addr().String())
-		}
-		srv = &http.Server{Handler: mux}
-		serveErr = make(chan error, 1)
-		go func() { serveErr <- srv.Serve(ln) }()
+// signalLoop is single-signal mode's sampling state between ticks.
+type signalLoop struct {
+	*daemon
+	agent   volley.Agent
+	sampler *volley.Sampler
+	agg     *volley.AggregateSampler
+	errs    *volley.Counter
+	value   *volley.Gauge
+	enc     *json.Encoder
+
+	interval  int // the sampler's current interval, in default intervals
+	untilNext int // ticks to sit out before the next sample
+}
+
+// tick runs once per default interval and samples when the sampler's
+// stretched interval has run out. Only a failing aggregate ends the run.
+func (l *signalLoop) tick() error {
+	// TTL expiry runs on the raw tick clock, not the stretched sampling
+	// clock, so an episode whose signal goes quiet still expires.
+	l.alertReg.Tick(l.now())
+	if l.untilNext > 0 {
+		l.untilNext--
+		return nil
 	}
+	value, sampleErr := l.agent.Sample()
+	now := time.Now()
+	if sampleErr != nil {
+		l.errs.Inc()
+		_ = l.enc.Encode(event{Time: now, Kind: "error", Err: sampleErr.Error()})
+		return nil // retry at the next default interval
+	}
+	l.value.Set(value)
 
-	loopErr := sampleLoop(ctx, opts, loopState{
-		agent:    agent,
-		sampler:  sampler,
-		agg:      agg,
-		tracer:   tracer,
-		alerts:   alertsTotal,
-		alertReg: alertReg,
-		since:    func() time.Duration { return time.Since(start) },
-		errs:     agentErrsTotal,
-		value:    valueGauge,
+	var violating bool
+	var bound float64
+	if l.agg != nil {
+		iv, obsErr := l.agg.Observe(value, l.interval)
+		if obsErr != nil {
+			return obsErr
+		}
+		l.interval = iv
+		violating = l.agg.Violates()
+		bound = l.agg.Bound()
+		value = l.agg.Value()
+	} else {
+		l.interval = l.sampler.Observe(value)
+		violating = l.sampler.Violates(value)
+		bound = l.sampler.Bound()
+	}
+	l.untilNext = l.interval - 1
+
+	kind := "sample"
+	if violating {
+		kind = "alert"
+		l.alerts.Inc()
+		l.tracer.Record(volley.TraceEvent{
+			Type: volley.TraceViolation, Node: "volleyd", Task: l.opts.source,
+			Value: value, Bound: bound, Interval: l.interval,
+		})
+		// A violating sample raises (or dedups into) the task's live
+		// alert; a clean sample ends the episode.
+		l.alertReg.Raise(l.opts.source, l.now(), value)
+	} else {
+		l.alertReg.Clear(l.opts.source, l.now(), value)
+	}
+	_ = l.enc.Encode(event{
+		Time:     now,
+		Kind:     kind,
+		Value:    value,
+		Interval: l.interval,
+		Bound:    bound,
 	})
-
-	// Graceful shutdown: stop accepting, drain in-flight scrapes, flush the
-	// JSONL sinks so the tail of the run is never lost, and surface any
-	// listener failure that would otherwise die silently in the goroutine.
-	if srv != nil {
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return errors.Join(loopErr, err, closeSinks(eventsSink, historySink))
-		}
-	}
-	return errors.Join(loopErr, closeSinks(eventsSink, historySink))
-}
-
-// loopState carries the sampling loop's collaborators.
-type loopState struct {
-	agent    volley.Agent
-	sampler  *volley.Sampler
-	agg      *volley.AggregateSampler
-	tracer   *volley.Tracer
-	alerts   *volley.Counter
-	alertReg *volley.AlertRegistry
-	since    func() time.Duration // the run clock stamping alert lifecycle ops
-	errs     *volley.Counter
-	value    *volley.Gauge
-}
-
-func sampleLoop(ctx context.Context, opts options, st loopState) error {
-	if opts.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.duration)
-		defer cancel()
-	}
-
-	enc := json.NewEncoder(opts.out)
-	ticker := time.NewTicker(opts.interval)
-	defer ticker.Stop()
-
-	interval := 1
-	untilNext := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-		// TTL expiry runs on the raw tick clock, not the stretched sampling
-		// clock, so an episode whose signal goes quiet still expires.
-		st.alertReg.Tick(st.since())
-		if untilNext > 0 {
-			untilNext--
-			continue
-		}
-		value, sampleErr := st.agent.Sample()
-		now := time.Now()
-		if sampleErr != nil {
-			st.errs.Inc()
-			_ = enc.Encode(event{Time: now, Kind: "error", Err: sampleErr.Error()})
-			continue // retry at the next default interval
-		}
-		st.value.Set(value)
-
-		var violating bool
-		var bound float64
-		if st.agg != nil {
-			iv, obsErr := st.agg.Observe(value, interval)
-			if obsErr != nil {
-				return obsErr
-			}
-			interval = iv
-			violating = st.agg.Violates()
-			bound = st.agg.Bound()
-			value = st.agg.Value()
-		} else {
-			interval = st.sampler.Observe(value)
-			violating = st.sampler.Violates(value)
-			bound = st.sampler.Bound()
-		}
-		untilNext = interval - 1
-
-		kind := "sample"
-		if violating {
-			kind = "alert"
-			st.alerts.Inc()
-			st.tracer.Record(volley.TraceEvent{
-				Type: volley.TraceViolation, Node: "volleyd", Task: opts.source,
-				Value: value, Bound: bound, Interval: interval,
-			})
-			// A violating sample raises (or dedups into) the task's live
-			// alert; a clean sample ends the episode.
-			st.alertReg.Raise(opts.source, st.since(), value)
-		} else {
-			st.alertReg.Clear(opts.source, st.since(), value)
-		}
-		_ = enc.Encode(event{
-			Time:     now,
-			Kind:     kind,
-			Value:    value,
-			Interval: interval,
-			Bound:    bound,
-		})
-	}
+	return nil
 }
 
 // currentStatus lets the process-global expvar publication follow the most

@@ -20,22 +20,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"volley/internal/alerts"
+	"volley"
 	"volley/internal/cluster"
-	"volley/internal/core"
-	"volley/internal/monitor"
-	"volley/internal/obs"
 	"volley/internal/transport"
 )
 
@@ -59,7 +51,7 @@ type tcpFabric struct {
 	handler atomic.Pointer[transport.Handler]
 }
 
-func newTCPFabric(listen string, tr *obs.Tracer, name string, opts ...transport.TCPOption) (*tcpFabric, error) {
+func newTCPFabric(listen string, tr *volley.Tracer, name string, opts ...transport.TCPOption) (*tcpFabric, error) {
 	f := &tcpFabric{}
 	opts = append([]transport.TCPOption{transport.WithObserver(tr, name)}, opts...)
 	node, err := transport.ListenTCP(listen, func(msg transport.Message) {
@@ -90,39 +82,13 @@ func (f *tcpFabric) Send(from, to string, msg transport.Message) error {
 
 func (f *tcpFabric) Deregister(addr string) error { return f.node.Deregister(addr) }
 
-// shardDaemon owns the shard-mode runtime: the cluster node, the TCP
-// fabric, the in-process monitor network, and the monitors hosted for
-// owned tasks. It implements cluster.TaskHost — the node calls StartTask
-// and StopTask as ownership moves.
+// shardDaemon is shard mode: the host with a cluster node over a TCP fabric
+// as its control plane. It implements cluster.TaskHost — the node calls
+// StartTask and StopTask as ownership moves.
 type shardDaemon struct {
-	opts     options
-	node     *cluster.Node
-	fabric   *tcpFabric
-	local    *transport.Memory
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	alerts   *obs.Counter
-	alertReg *alerts.Registry
-	agents   *agentPool // the hosted monitors' HTTP agents' connections
-	start    time.Time
-
-	eventsSink, historySink *fileSink
-
-	mu     sync.Mutex
-	hosted hostedSet // the monitors hosted for owned tasks
-	step   uint64
-
-	// plan is the hosted set flattened for tickOnce; it belongs to the
-	// goroutine that ticks.
-	plan tickPlan
-}
-
-// now is the virtual clock position of the last completed tick, stamping
-// alert lifecycle operations from HTTP handlers.
-func (d *shardDaemon) now() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return time.Duration(d.step) * d.opts.interval
+	*monitorHost
+	node   *cluster.Node
+	fabric *tcpFabric
 }
 
 // parsePeerList parses "id=host:port,id=host:port" into members.
@@ -145,16 +111,10 @@ func parsePeerList(s string) ([]cluster.Member, error) {
 	return out, nil
 }
 
-// newShardDaemon builds the shard-mode runtime — sinks, instruments, the
-// TCP fabric and the cluster node — without serving or ticking it. The
-// caller closes it.
+// newShardDaemon builds the shard-mode runtime — the TCP fabric and the
+// cluster node on top of the host — without serving or ticking it. The caller
+// closes it.
 func newShardDaemon(opts options) (_ *shardDaemon, err error) {
-	if opts.interval <= 0 {
-		return nil, fmt.Errorf("interval must be positive, got %v", opts.interval)
-	}
-	if opts.maxInterval < 1 {
-		return nil, fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
-	}
 	if opts.peerListen == "" {
 		return nil, fmt.Errorf("shard mode needs -peer-listen (the inter-shard fabric)")
 	}
@@ -162,52 +122,16 @@ func newShardDaemon(opts options) (_ *shardDaemon, err error) {
 	if err != nil {
 		return nil, err
 	}
-
-	reg := obs.NewRegistry()
-	d := &shardDaemon{
-		opts:   opts,
-		local:  transport.NewMemory(),
-		reg:    reg,
-		agents: newAgentPool(reg),
-		start:  time.Now(),
-		hosted: newHostedSet(),
+	h, err := newMonitorHost(opts, opts.shardID, 1)
+	if err != nil {
+		return nil, err
 	}
+	d := &shardDaemon{monitorHost: h}
 	defer func() {
 		if err != nil {
 			err = errors.Join(err, d.close())
 		}
 	}()
-	if d.eventsSink, err = openFileSink(opts.eventsFile); err != nil {
-		return nil, err
-	}
-	if d.historySink, err = openFileSink(opts.alertHist); err != nil {
-		return nil, err
-	}
-	tracerOpts := []obs.TracerOption{
-		obs.WithNowFunc(func() time.Duration { return time.Since(d.start) }),
-	}
-	if opts.events {
-		tracerOpts = append(tracerOpts, obs.WithJSONLSink(opts.out))
-	}
-	if d.eventsSink != nil {
-		tracerOpts = append(tracerOpts, obs.WithJSONLSink(d.eventsSink))
-	}
-	d.tracer = obs.NewTracer(4096, tracerOpts...)
-	d.alerts = d.reg.Counter("volleyd_alerts_total", "State alerts raised across all owned tasks.")
-	d.reg.GaugeFunc("volleyd_uptime_seconds", "Seconds since daemon start.", func() float64 {
-		return time.Since(d.start).Seconds()
-	})
-	obs.RegisterBuildInfo(d.reg, d.start)
-	alertCfg := alerts.Config{
-		Node:    opts.shardID,
-		TTL:     opts.alertTTL,
-		Metrics: d.reg,
-		Tracer:  d.tracer,
-	}
-	if d.historySink != nil {
-		alertCfg.History = d.historySink
-	}
-	d.alertReg = alerts.New(alertCfg)
 
 	fabricOpts := []transport.TCPOption{}
 	if opts.batchWindow != 0 {
@@ -215,9 +139,6 @@ func newShardDaemon(opts options) (_ *shardDaemon, err error) {
 	}
 	if opts.maxBatch != 0 {
 		fabricOpts = append(fabricOpts, transport.WithMaxBatch(opts.maxBatch))
-	}
-	if opts.gobWire {
-		fabricOpts = append(fabricOpts, transport.WithCodec(transport.CodecGob))
 	}
 	d.fabric, err = newTCPFabric(opts.peerListen, d.tracer, opts.shardID, fabricOpts...)
 	if err != nil {
@@ -227,40 +148,36 @@ func newShardDaemon(opts options) (_ *shardDaemon, err error) {
 	// coalesced, queue depths per peer.
 	d.fabric.node.RegisterMetrics(d.reg)
 
-	printer := newAlertPrinter(opts.out, opts.shardID)
 	d.node, err = cluster.NewNode(cluster.NodeConfig{
 		ID:            opts.shardID,
 		Addr:          d.fabric.node.Addr(),
 		Peers:         peers,
 		Inter:         d.fabric,
-		Local:         d.local,
+		Local:         d.net,
 		Host:          d,
 		BeaconEvery:   opts.beaconEvery,
 		SuspectAfter:  opts.suspectAfter,
 		DeadAfter:     opts.deadAfter,
 		SnapshotEvery: opts.snapshotEvery,
-		OnAlert: func(task string, now time.Duration, total float64) {
-			d.alerts.Inc()
-			printer.print(task, now, total)
-		},
-		Metrics: d.reg,
-		Tracer:  d.tracer,
-		Alerts:  d.alertReg,
+		OnAlert:       newAlertPrinter(opts.out, opts.shardID, d.alerts).print,
+		Metrics:       d.reg,
+		Tracer:        d.tracer,
+		Alerts:        d.alertReg,
 	})
 	if err != nil {
 		return nil, err
 	}
+	d.control = d.node.Tick
+	d.status = d.shardStatus
 	return d, nil
 }
 
-// close stops the fabric, drops the agents' idle connections and flushes the
-// JSONL tails.
+// close stops the fabric before the sinks its tracer writes to are closed.
 func (d *shardDaemon) close() error {
-	d.agents.close()
 	if d.fabric != nil {
 		_ = d.fabric.node.Close()
 	}
-	return closeSinks(d.eventsSink, d.historySink)
+	return d.monitorHost.close()
 }
 
 // runShard is shard-mode main.
@@ -272,76 +189,8 @@ func runShard(ctx context.Context, opts options) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		// On every exit path, including listener setup errors.
-		if err := d.close(); err != nil {
-			fmt.Fprintln(os.Stderr, "volleyd: close sinks:", err)
-		}
-	}()
-	publishExpvar(d.status)
-
-	ln, err := net.Listen("tcp", opts.listen)
-	if err != nil {
-		return err
-	}
-	if opts.onListen != nil {
-		opts.onListen(ln.Addr().String())
-	}
-	srv := &http.Server{Handler: d.mux()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	loopErr := d.loop(ctx)
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return errors.Join(loopErr, err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return errors.Join(loopErr, err)
-	}
-	return loopErr
-}
-
-// loop drives the node and the hosted monitors once per -interval on a
-// virtual clock (tick count × interval), the same time base the other
-// modes use, so liveness and replication horizons configured in ticks
-// never skew with wall-clock jitter.
-func (d *shardDaemon) loop(ctx context.Context) error {
-	if d.opts.duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.opts.duration)
-		defer cancel()
-	}
-	ticker := time.NewTicker(d.opts.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-ticker.C:
-		}
-		d.tickOnce()
-	}
-}
-
-// tickOnce is one tick: the node, then every hosted monitor.
-func (d *shardDaemon) tickOnce() {
-	d.mu.Lock()
-	now := time.Duration(d.step+1) * d.opts.interval
-	d.step++
-	d.mu.Unlock()
-	// Tick the node first: ownership changes (StartTask/StopTask) settle
-	// before the monitor pass looks at the hosted set.
-	d.node.Tick(now)
-	d.mu.Lock()
-	if d.plan.gen != d.hosted.gen {
-		d.plan.refresh(&d.hosted, nil, nil, nil)
-	}
-	d.mu.Unlock()
-	d.plan.tickMonitors(now)
-	d.agents.sweep(time.Now())
+	err = d.serve(ctx, d.mux(), func() error { d.tickOnce(); return nil })
+	return errors.Join(err, d.close())
 }
 
 // StartTask implements cluster.TaskHost: it builds and hosts the task's
@@ -354,56 +203,16 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 	if err := json.Unmarshal(hostSpec, &hs); err != nil {
 		return fmt.Errorf("host spec for %q: %w", spec.Name, err)
 	}
-	dir, err := parseDirection(hs.Direction)
+	agents, err := hs.buildAgents(d.agents)
 	if err != nil {
 		return err
 	}
-	maxInterval := hs.MaxInterval
-	if maxInterval == 0 {
-		maxInterval = d.opts.maxInterval
-	}
-	n := float64(len(hs.Monitors))
-	if n == 0 {
-		return fmt.Errorf("host spec for %q has no monitors", spec.Name)
-	}
-	mons := make([]*monitor.Monitor, len(hs.Monitors))
-	addrs := make([]string, len(hs.Monitors))
-	for i, mreq := range hs.Monitors {
-		agent, err := buildAgent(mreq.Source, d.agents)
-		if err != nil {
-			return err
-		}
-		addrs[i] = spec.Name + "/mon/" + mreq.ID
-		mons[i], err = monitor.New(monitor.Config{
-			ID:    addrs[i],
-			Task:  spec.Name,
-			Agent: agent,
-			Sampler: core.Config{
-				// The local task decomposition: an even split of the global
-				// threshold and allowance; the coordinator re-tunes the
-				// allowance shares from yield reports as the run learns.
-				Threshold:   spec.Threshold / n,
-				Direction:   core.Direction(dir),
-				Err:         spec.Err / n,
-				MaxInterval: maxInterval,
-			},
-			Network:        d.local,
-			Coordinator:    coordAddr,
-			YieldEvery:     100,
-			HeartbeatEvery: 10,
-			Metrics:        d.reg,
-			Tracer:         d.tracer,
-			Alerts:         d.alertReg,
-		})
-		if err != nil {
-			for _, a := range addrs[:i] {
-				_ = d.local.Deregister(a)
-			}
-			return err
-		}
+	mons, err := d.buildMonitors(spec, hs.MaxInterval, agents, coordAddr, nil)
+	if err != nil {
+		return err
 	}
 	d.mu.Lock()
-	d.hosted.put(spec.Name, mons)
+	d.host(spec.Name, hostedTask{mons: mons})
 	d.mu.Unlock()
 	return nil
 }
@@ -412,16 +221,13 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 // and their addresses freed.
 func (d *shardDaemon) StopTask(name string) error {
 	d.mu.Lock()
-	mons := d.hosted.remove(name)
+	d.unhost(name)
 	d.mu.Unlock()
-	for _, m := range mons {
-		_ = d.local.Deregister(m.ID())
-	}
 	return nil
 }
 
-// status is the /healthz (and expvar) payload.
-func (d *shardDaemon) status() map[string]any {
+// shardStatus is the /healthz (and expvar) payload.
+func (d *shardDaemon) shardStatus() map[string]any {
 	st := d.node.Status()
 	return map[string]any{
 		"status":         "ok",
@@ -438,35 +244,11 @@ func (d *shardDaemon) status() map[string]any {
 	}
 }
 
-// mux wires the shard control plane and the observability endpoints.
+// mux adds the shard control plane to the shared routes.
 func (d *shardDaemon) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		d.reg.WritePrometheus(w)
-		d.tracer.WritePrometheus(w)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.status())
-	})
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.node.Status())
-	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.tracer.Events())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	registerAlertRoutes(mux, d.alertReg, d.now)
-
-	mux.HandleFunc("GET /tasks", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(d.node.Catalog())
-	})
+	mux := d.routes()
+	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, d.node.Status()) })
+	mux.HandleFunc("GET /tasks", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, d.node.Catalog()) })
 	mux.HandleFunc("POST /tasks", d.handleShardAdmit)
 	mux.HandleFunc("DELETE /tasks/{name}", d.handleShardRemove)
 	mux.HandleFunc("PATCH /tasks/{name}/allowance", d.handleShardAllowance)
@@ -474,62 +256,25 @@ func (d *shardDaemon) mux() *http.ServeMux {
 }
 
 // handleShardAdmit enters a task into the gossiped catalog. The sources
-// are validated here (every shard runs the same binary, so a source that
+// are checked here (every shard runs the same binary, so a source that
 // builds here builds on the owner); ownership is decided by the ring on
 // the next tick and may land on any shard.
 func (d *shardDaemon) handleShardAdmit(w http.ResponseWriter, r *http.Request) {
-	var req clusterTaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Monitors) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("task %q has no monitors", req.Name))
-		return
-	}
-	dir, err := parseDirection(req.Direction)
+	adm, err := d.decodeAdmission(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	addrs := make([]string, len(req.Monitors))
-	seen := make(map[string]bool, len(req.Monitors))
-	for i, m := range req.Monitors {
-		if m.ID == "" || seen[m.ID] {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("monitor ID %q empty or duplicate", m.ID))
-			return
-		}
-		seen[m.ID] = true
-		if _, err := buildAgent(m.Source, d.agents); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		addrs[i] = req.Name + "/mon/" + m.ID
-	}
-	hostSpec, err := json.Marshal(shardHostSpec{
-		Direction:   req.Direction,
-		MaxInterval: req.MaxInterval,
-		Monitors:    req.Monitors,
-	})
+	hostSpec, err := json.Marshal(adm.host)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := d.node.Admit(cluster.TaskSpec{
-		Name:      req.Name,
-		Threshold: req.Threshold,
-		Direction: core.Direction(dir),
-		Err:       req.Err,
-		Monitors:  addrs,
-	}, hostSpec); err != nil {
+	if err := d.node.Admit(adm.spec, hostSpec); err != nil {
 		httpError(w, http.StatusConflict, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"name": req.Name, "monitors": addrs,
-	})
+	writeJSONStatus(w, http.StatusCreated, map[string]any{"name": adm.spec.Name, "monitors": adm.spec.Monitors})
 }
 
 // handleShardRemove tombstones a task; every shard evicts it as the

@@ -1,50 +1,71 @@
-// The steady-state tick shared by cluster mode and shard mode: the set of
-// hosted monitors the HTTP handlers and the cluster node mutate, and the
-// flat plan the tick loop walks, rebuilt only when that set has changed
-// (DESIGN.md §9, "The steady-state tick").
+// The part of volleyd the two cluster modes share: the tasks a daemon hosts,
+// the builder that makes their monitors, the virtual clock, and the one tick
+// that drives them — over a flat plan rebuilt only when the hosted set has
+// changed (DESIGN.md §9, "The steady-state tick").
 package main
 
 import (
+	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"volley"
 )
 
-// hostedSet is the monitors a daemon hosts, by task, in admission order. The
-// daemon's mu guards it. gen moves whenever the set changes — put and remove
-// are its only writers — which is how the loop's tickPlan learns it is stale.
+// hostedTask is what a daemon keeps for one task it hosts. The slices are
+// per monitor, index-aligned, and never change once the task is hosted.
+type hostedTask struct {
+	mons  []*volley.Monitor
+	sks   []*volley.StreamingThresholds // nil in the mode that keeps no sketches
+	gates []*volley.Gate                // nil unless the task was admitted gated
+	// pred is the hosted task whose local violations arm gates: "" when the
+	// task is not gated, and again once its predictor is evicted — the gates
+	// stay with their monitors, nothing arms them any more.
+	pred string
+}
+
+// hostedSet is the tasks a daemon hosts, in admission order. gen moves
+// whenever the set changes — put and remove are its only writers — which is
+// how the loop's tickPlan learns it is stale.
 type hostedSet struct {
 	gen   uint64
 	order []string // task names, oldest admission first
-	mons  map[string][]*volley.Monitor
+	tasks map[string]hostedTask
 }
 
 func newHostedSet() hostedSet {
-	return hostedSet{mons: make(map[string][]*volley.Monitor)}
+	return hostedSet{tasks: make(map[string]hostedTask)}
 }
 
-// put hosts a task's monitors, at the end of the order unless the task is
-// already hosted.
-func (h *hostedSet) put(name string, mons []*volley.Monitor) {
-	if _, ok := h.mons[name]; !ok {
+// put hosts a task, at the end of the order unless it is already hosted.
+func (h *hostedSet) put(name string, t hostedTask) {
+	if _, ok := h.tasks[name]; !ok {
 		h.order = append(h.order, name)
 	}
-	h.mons[name] = mons
+	h.tasks[name] = t
 	h.gen++
 }
 
-// remove stops hosting a task and returns the monitors it had.
+// remove stops hosting a task, unlinks the tasks gated on it, and returns the
+// monitors it had.
 func (h *hostedSet) remove(name string) []*volley.Monitor {
-	mons, ok := h.mons[name]
+	t, ok := h.tasks[name]
 	if !ok {
 		return nil
 	}
-	delete(h.mons, name)
+	delete(h.tasks, name)
 	i := slices.Index(h.order, name)
 	h.order = slices.Delete(h.order, i, i+1)
+	for dep, dt := range h.tasks {
+		if dt.pred == name {
+			dt.pred = ""
+			h.tasks[dep] = dt
+		}
+	}
 	h.gen++
-	return mons
+	return t.mons
 }
 
 // tickPlan is a hostedSet flattened for the tick loop: one entry per hosted
@@ -60,13 +81,14 @@ type tickPlan struct {
 	origin int    // entry just past the oldest task's monitors
 	ticks  uint32 // ticks since the plan was built, which place the next walk's start
 
-	// Per monitor, index-aligned.
+	// Per monitor, index-aligned. A mode keeps sketches for every hosted
+	// task or for none, so sks is as long as mons or empty.
 	mons   []*volley.Monitor
-	sks    []*volley.StreamingThresholds // empty when the daemon keeps no sketches
-	gates  []*volley.Gate                // nil where ungated; empty when nothing is gated
-	task   []int32                       // index of the monitor's task in hostedSet.order
-	values []float64                     // this tick's sampled values
-	fed    []bool                        // whether values[i] was sampled this tick
+	sks    []*volley.StreamingThresholds
+	gates  []*volley.Gate // nil where ungated; empty when nothing is gated
+	task   []int32        // index of the monitor's task in hostedSet.order
+	values []float64      // this tick's sampled values
+	fed    []bool         // whether values[i] was sampled this tick
 
 	// Per task, index-aligned with hostedSet.order.
 	pred     []int32 // the task's gate predictor, -1 when it has none
@@ -74,17 +96,18 @@ type tickPlan struct {
 	gating   bool    // some task is gated: the tick ends with a fan-out
 }
 
-// refresh rebuilds the plan in place from the hosted set. sketches, gates and
-// gatePred are the cluster daemon's per-task maps; shard mode keeps none and
-// passes nil. The caller holds the locks guarding all four.
-func (p *tickPlan) refresh(h *hostedSet, sketches map[string][]*volley.StreamingThresholds,
-	gates map[string][]*volley.Gate, gatePred map[string]string) {
+// refresh rebuilds the plan in place from the hosted set, whose lock the
+// caller holds.
+func (p *tickPlan) refresh(h *hostedSet) {
 	p.gen = h.gen
 	p.ticks, p.origin = 0, 0
 	if len(h.order) > 0 {
-		p.origin = len(h.mons[h.order[0]])
+		p.origin = len(h.tasks[h.order[0]].mons)
 	}
-	p.gating = len(gatePred) > 0
+	p.gating = false
+	for _, name := range h.order {
+		p.gating = p.gating || h.tasks[name].pred != ""
+	}
 	// Zero before truncating so an evicted task's monitors do not stay
 	// reachable from the tails of the backing arrays.
 	clear(p.mons)
@@ -92,19 +115,17 @@ func (p *tickPlan) refresh(h *hostedSet, sketches map[string][]*volley.Streaming
 	clear(p.gates)
 	p.mons, p.sks, p.gates, p.task, p.pred = p.mons[:0], p.sks[:0], p.gates[:0], p.task[:0], p.pred[:0]
 	for t, name := range h.order {
-		ms := h.mons[name]
-		p.mons = append(p.mons, ms...)
-		for range ms {
+		ht := h.tasks[name]
+		p.mons = append(p.mons, ht.mons...)
+		p.sks = append(p.sks, ht.sks...)
+		for range ht.mons {
 			p.task = append(p.task, int32(t))
 		}
-		if sketches != nil {
-			p.sks = append(p.sks, sketches[name]...)
-		}
 		if p.gating {
-			if gs := gates[name]; gs != nil {
-				p.gates = append(p.gates, gs...)
+			if ht.gates != nil {
+				p.gates = append(p.gates, ht.gates...)
 			} else {
-				p.gates = append(p.gates, make([]*volley.Gate, len(ms))...)
+				p.gates = append(p.gates, make([]*volley.Gate, len(ht.mons))...)
 			}
 		}
 	}
@@ -121,7 +142,7 @@ func (p *tickPlan) refresh(h *hostedSet, sketches map[string][]*volley.Streaming
 	}
 	for _, name := range h.order {
 		pred := int32(-1)
-		if predName, gated := gatePred[name]; gated {
+		if predName := h.tasks[name].pred; predName != "" {
 			// Evicting a predictor unlinks its dependents, so a linked
 			// predictor is always hosted.
 			pred = index[predName]
@@ -190,4 +211,207 @@ func (p *tickPlan) tickMonitor(i int, now time.Duration) {
 	sampled, v, err := p.mons[i].Tick(now)
 	p.fed[i] = sampled && err == nil
 	p.values[i] = v
+}
+
+// virtualClock is the cluster modes' time base: tick count × -interval, the
+// one the simulation harness uses, so horizons configured in ticks never skew
+// with wall-clock jitter. The k-th tick, from 0, happens at
+// (origin+k)×interval; the origin is the mode's, so each mode's alerts carry
+// the stamps they always did.
+type virtualClock struct {
+	interval time.Duration
+	origin   uint64
+	begun    atomic.Uint64 // ticks begun
+}
+
+// advance begins a tick and returns its time.
+func (c *virtualClock) advance() time.Duration {
+	return time.Duration(c.origin+c.begun.Add(1)-1) * c.interval
+}
+
+// last is the time of the latest tick begun, 0 before the first: what alert
+// lifecycle operations arriving over HTTP are stamped with.
+func (c *virtualClock) last() time.Duration {
+	k := c.begun.Load()
+	if k == 0 {
+		return 0
+	}
+	return time.Duration(c.origin+k-1) * c.interval
+}
+
+// monitorHost is the runtime under both cluster modes: the in-process network
+// hosted monitors and their coordinators talk over, the hosted set, the clock
+// and the tick. The mode fills in control.
+type monitorHost struct {
+	*daemon
+	net      *volley.MemoryNetwork
+	control  func(now time.Duration) // the control plane's Tick: Cluster's or Node's
+	gateArms *volley.Counter         // nil in the mode that admits no gated task
+	clock    virtualClock
+
+	// mu guards hosted. Its writers (host, unhost) hold skMu as well, so the
+	// scrape-time sketch instruments can walk the set under skMu alone: a
+	// scrape holds the registry lock and admission takes the registry lock
+	// under mu, so a scrape must not wait for mu. skMu is always innermost.
+	// It also guards the sketches' contents, which the tick feeds and PATCH
+	// /tasks reads thresholds out of.
+	mu     sync.Mutex
+	skMu   sync.Mutex
+	hosted hostedSet
+
+	// plan is the hosted set flattened for tickOnce; it belongs to the
+	// goroutine that ticks.
+	plan tickPlan
+}
+
+// newMonitorHost builds the daemon core and an empty host on top of it; origin
+// is the virtual clock's.
+func newMonitorHost(opts options, node string, origin uint64) (*monitorHost, error) {
+	d, err := newDaemon(opts, node)
+	if err != nil {
+		return nil, err
+	}
+	h := &monitorHost{
+		daemon: d,
+		net:    volley.NewMemoryNetwork(),
+		clock:  virtualClock{interval: opts.interval, origin: origin},
+		hosted: newHostedSet(),
+	}
+	h.now = h.clock.last
+	return h, nil
+}
+
+// host and unhost change the hosted set; the caller holds mu.
+func (h *monitorHost) host(name string, t hostedTask) {
+	h.skMu.Lock()
+	h.hosted.put(name, t)
+	h.skMu.Unlock()
+}
+
+// unhost also frees the monitors' addresses on the network.
+func (h *monitorHost) unhost(name string) {
+	h.skMu.Lock()
+	mons := h.hosted.remove(name)
+	h.skMu.Unlock()
+	for _, m := range mons {
+		_ = h.net.Deregister(m.ID())
+	}
+}
+
+// buildMonitors builds a task's monitors, one per agent, registered on the
+// host's network under spec.Monitors and reporting to coord. gates is nil or
+// holds one gate per monitor; maxInterval 0 means the daemon's -max-interval.
+// On an error nothing stays registered.
+func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int,
+	agents []volley.Agent, coord string, gates []*volley.Gate) ([]*volley.Monitor, error) {
+	if len(agents) == 0 || len(agents) != len(spec.Monitors) {
+		return nil, fmt.Errorf("task %q has %d monitor sources for %d monitors", spec.Name, len(agents), len(spec.Monitors))
+	}
+	n := float64(len(agents))
+	mons := make([]*volley.Monitor, len(agents))
+	for i, addr := range spec.Monitors {
+		cfg := volley.MonitorConfig{
+			ID:    addr,
+			Task:  spec.Name,
+			Agent: agents[i],
+			Sampler: volley.SamplerConfig{
+				// The local task decomposition: an even split of the global
+				// threshold and allowance; the coordinator re-tunes the
+				// allowance shares from yield reports as the run learns.
+				Threshold:   spec.Threshold / n,
+				Direction:   spec.Direction,
+				Err:         spec.Err / n,
+				MaxInterval: h.maxIntervalOr(maxInterval),
+			},
+			Network:        h.net,
+			Coordinator:    coord,
+			YieldEvery:     100,
+			HeartbeatEvery: 10,
+			Metrics:        h.reg,
+			Tracer:         h.tracer,
+			Alerts:         h.alertReg,
+		}
+		if gates != nil {
+			// Assign through the concrete slice only when gated: a nil
+			// *Gate stored in the interface field would be a non-nil
+			// IntervalGate and the monitor would call through it.
+			cfg.Gate = gates[i]
+		}
+		var err error
+		if mons[i], err = volley.NewMonitor(cfg); err != nil {
+			for _, a := range spec.Monitors[:i] {
+				_ = h.net.Deregister(a)
+			}
+			return nil, err
+		}
+	}
+	return mons, nil
+}
+
+// tickOnce is one tick: the control plane, then every hosted monitor, then
+// the sketch feed and the gate fan-out. Where a mode hosts no sketches or no
+// gated task those steps walk nothing. While the hosted set is unchanged a
+// tick takes mu once, compares one integer and allocates nothing.
+func (h *monitorHost) tickOnce() {
+	p := &h.plan
+	now := h.clock.advance()
+	// The control plane first: what it starts and stops (shard mode's
+	// StartTask/StopTask) settles before the monitor pass looks at the set.
+	h.control(now)
+	h.mu.Lock()
+	if p.gen != h.hosted.gen {
+		p.refresh(&h.hosted)
+	}
+	h.mu.Unlock()
+	p.tickMonitors(now)
+	// Feed the sampled values into the monitors' streaming sketches in one
+	// batch, after all (possibly slow) agent reads are done, so the sketch
+	// lock is never held across network I/O.
+	h.skMu.Lock()
+	for i, sk := range p.sks {
+		if p.fed[i] {
+			sk.Observe(p.values[i])
+		}
+	}
+	h.skMu.Unlock()
+	if p.gating {
+		h.fanOutGateSignals(p)
+	}
+	h.agents.sweep(time.Now())
+}
+
+// fanOutGateSignals arms the correlation gates of every task whose
+// predictor observed a local violation this tick: the gates hold down at
+// the adaptive interval and monitors still relaxed are woken so they
+// sample on the very next tick instead of finishing a stretched-out
+// countdown first (the scheduler's predictor-wakes-target semantics,
+// applied across admitted tasks). It works on the plan alone, so a task
+// evicted since the plan was refreshed is still signalled this once; and
+// only here and in Monitor.Tick, both on the tick goroutine, are gates ever
+// touched once built, which is Gate's single-goroutine contract.
+func (h *monitorHost) fanOutGateSignals(p *tickPlan) {
+	fired := false
+	for i, m := range p.mons {
+		if p.fed[i] && m.Violates(p.values[i]) {
+			p.violated[p.task[i]] = true
+			fired = true
+		}
+	}
+	if !fired {
+		return
+	}
+	for i, g := range p.gates {
+		if g == nil {
+			continue
+		}
+		if pred := p.pred[p.task[i]]; pred < 0 || !p.violated[pred] {
+			continue
+		}
+		if !g.Armed() {
+			h.gateArms.Inc()
+			p.mons[i].Wake()
+		}
+		g.Signal(true)
+	}
+	clear(p.violated)
 }

@@ -46,7 +46,7 @@ func runAblationConfigs(name string, p Preset, series [][]float64, k float64, co
 	// so thresholds are derived once (one sort per series) and shared; the
 	// per-series replays of each configuration fan across the pool.
 	eng := p.engine()
-	cache, err := newThresholdCache(eng, series, []float64{k}, p.ExactThresholds)
+	cache, err := newThresholdCache(eng, series, []float64{k})
 	if err != nil {
 		return nil, fmt.Errorf("bench: ablation %s: %w", name, err)
 	}
@@ -186,7 +186,7 @@ func RunAblationCoordPeriod(p Preset) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := newThresholdCache(p.engine(), series, ks, p.ExactThresholds)
+	cache, err := newThresholdCache(p.engine(), series, ks)
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,7 @@ func RunBaselines(p Preset, selectivity, errAllow float64) (*BaselineResult, err
 	}
 	series := w.Rho
 	eng := p.engine()
-	cache, err := newThresholdCache(eng, series, []float64{selectivity}, p.ExactThresholds)
+	cache, err := newThresholdCache(eng, series, []float64{selectivity})
 	if err != nil {
 		return nil, err
 	}

@@ -248,7 +248,11 @@ func TestFig5ShapeClaims(t *testing.T) {
 
 func TestFig7AccuracyNearAllowance(t *testing.T) {
 	p := Quick()
-	s, err := RunFig7(p)
+	series, err := GenSystem(p.SysNodes, p.SysMetricsPerNode, p.SysSteps, p.Seed+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := RunSweep("fig7-system-accuracy", series, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 	"volley/internal/stats"
+	"volley/internal/task"
 )
 
 // TestParallelMatchesSerial is the engine's determinism contract: on the
@@ -76,24 +77,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 	})
 }
 
-// TestCachedThresholdsMatchPerCellSorts pins the threshold cache to the
-// original per-cell derivation: for every (series, k) the cached value
-// must equal ThresholdForSelectivity exactly (same order statistics, same
-// interpolation), so replacing per-cell sorts with the shared sorted copy
-// cannot move any figure.
+// TestCachedThresholdsMatchPerCellSorts pins the exact oracle to the
+// original per-cell derivation: for every (series, k) the value read from
+// the shared sorted copy must equal ThresholdForSelectivity exactly (same
+// order statistics, same interpolation), so what the streaming cache is
+// audited against is the derivation the figures were first drawn with.
 func TestCachedThresholdsMatchPerCellSorts(t *testing.T) {
 	p := Quick()
 	series, err := GenSystem(3, 2, 800, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := newThresholdCache(NewEngine(2), series, p.Ks, true)
+	sorted, err := sortedCopies(NewEngine(2), series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := cache.grid(p.Ks)
-	if err != nil {
-		t.Fatal(err)
+	grid := make([][]float64, len(p.Ks))
+	for ki := range grid {
+		grid[ki] = make([]float64, len(series))
+	}
+	for i, s := range sorted {
+		ts, err := task.Thresholds(s, p.Ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ki := range p.Ks {
+			grid[ki][i] = ts[ki]
+		}
 	}
 	for ki, k := range p.Ks {
 		want, err := ReplayMany(series, k, ReplayConfig{Err: 0.01, MaxInterval: p.MaxInterval, Patience: p.Patience})
@@ -146,11 +156,11 @@ func TestStreamingThresholdsWithinBoundOnPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := newThresholdCache(NewEngine(2), series, p.Ks, true)
+			exact, err := sortedCopies(NewEngine(2), series)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := newThresholdCache(NewEngine(2), series, p.Ks, false)
+			stream, err := newThresholdCache(NewEngine(2), series, p.Ks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +171,7 @@ func TestStreamingThresholdsWithinBoundOnPresets(t *testing.T) {
 			for ki, k := range p.Ks {
 				q := (100 - k) / 100
 				for i := range series {
-					sorted := exact.sorted[i]
+					sorted := exact[i]
 					got := grid[ki][i]
 					lo := sort.SearchFloat64s(sorted, got)
 					hi := sort.Search(len(sorted), func(j int) bool { return sorted[j] > got })

@@ -26,7 +26,7 @@ func RunSweep(name string, series [][]float64, p Preset) (*SweepResult, error) {
 		return nil, fmt.Errorf("bench: %s: no series", name)
 	}
 	eng := p.engine()
-	cache, err := newThresholdCache(eng, series, p.Ks, p.ExactThresholds)
+	cache, err := newThresholdCache(eng, series, p.Ks)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", name, err)
 	}
@@ -144,15 +144,4 @@ func RunFig5c(p Preset) (*SweepResult, error) {
 		return nil, err
 	}
 	return RunSweep("fig5c-application", series, p)
-}
-
-// RunFig7 is the accuracy view of the system-level sweep (the paper shows
-// system-level mis-detection rates; network and application "results are
-// similar").
-func RunFig7(p Preset) (*SweepResult, error) {
-	series, err := GenSystem(p.SysNodes, p.SysMetricsPerNode, p.SysSteps, p.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	return RunSweep("fig7-system-accuracy", series, p)
 }

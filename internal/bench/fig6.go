@@ -33,7 +33,7 @@ func RunFig6(p Preset, selectivity float64) (*Fig6Result, error) {
 	}
 
 	eng := p.engine()
-	cache, err := newThresholdCache(eng, w.Rho, []float64{selectivity}, p.ExactThresholds)
+	cache, err := newThresholdCache(eng, w.Rho, []float64{selectivity})
 	if err != nil {
 		return nil, fmt.Errorf("bench: fig6: %w", err)
 	}

@@ -56,7 +56,7 @@ func RunFig8(p Preset) (*Fig8Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: fig8: %w", err)
 	}
-	cache, err := newThresholdCache(eng, series, union, p.ExactThresholds)
+	cache, err := newThresholdCache(eng, series, union)
 	if err != nil {
 		return nil, fmt.Errorf("bench: fig8: %w", err)
 	}

@@ -61,15 +61,6 @@ type Preset struct {
 	// 1 runs fully serial (no goroutines). Results are bit-identical for
 	// every value — see Engine.
 	Procs int
-
-	// ExactThresholds switches the per-series threshold cache from the
-	// default bounded-memory streaming sketches (O(1) per series, estimates
-	// within stats.SketchRankErrorBound in rank space) to exact sorted
-	// copies (O(n) per series, bit-identical to per-cell percentile
-	// derivation). The exact path is the equivalence/regression baseline;
-	// streaming is what scales to series counts whose sorted copies would
-	// not fit in memory.
-	ExactThresholds bool
 }
 
 // Full is the paper-shaped preset used by cmd/volleybench and

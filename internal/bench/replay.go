@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"volley/internal/core"
 	"volley/internal/task"
@@ -172,57 +171,29 @@ func replayManyThresholds(eng *Engine, series [][]float64, thresholds []float64,
 }
 
 // thresholdCache amortizes threshold derivation across a whole experiment
-// grid. It has two backends:
+// grid: each series is fed once through a task.StreamingThresholds sketch
+// sized for the selectivity grid, after which any k is answered in O(1)
+// from a fixed marker bank. Memory per series is constant in the trace
+// length, which is what lets the engine scale to series counts whose sorted
+// copies would not fit in RAM; the estimates carry the sketch's rank-error
+// contract (stats.SketchRankErrorBound), which the equivalence tests and
+// StreamingErrorCheck hold against exact sorted copies (sortedCopies).
 //
-// Streaming (the default): each series is fed once through a
-// task.StreamingThresholds sketch sized for the selectivity grid, after
-// which any k is answered in O(1) from a fixed marker bank. Memory per
-// series is constant in the trace length, which is what lets the engine
-// scale to series counts whose sorted copies would not fit in RAM; the
-// estimates carry the sketch's rank-error contract
-// (stats.SketchRankErrorBound).
-//
-// Exact (Preset.ExactThresholds): each series is copied and sorted once,
-// after which any k is an O(1) interpolation into the shared sorted copy
-// via task.Thresholds — bit-identical to per-cell ThresholdForSelectivity.
-// Kept as the equivalence/regression baseline and for small runs where the
-// O(n) copies are cheap.
-//
-// Both backends build in parallel across the engine and are deterministic
-// for any worker count (per-series slot writes only). A sweep over
-// |Ks|·|Errs| cells pays one build per series, not one per (cell, series).
+// The cache builds in parallel across the engine and is deterministic for
+// any worker count (per-series slot writes only). A sweep over |Ks|·|Errs|
+// cells pays one build per series, not one per (cell, series).
 type thresholdCache struct {
-	sorted [][]float64
 	stream []*task.StreamingThresholds
 }
 
-// newThresholdCache builds the per-series threshold backends, in parallel.
-// ks is the selectivity grid the cache will be asked (the streaming sketch
-// sizes its marker bank on it; off-grid ks still work, interpolated). The
-// exact backend ignores ks.
-func newThresholdCache(eng *Engine, series [][]float64, ks []float64, exact bool) (*thresholdCache, error) {
+// newThresholdCache builds the per-series sketches, in parallel. ks is the
+// selectivity grid the cache will be asked (the sketch sizes its marker
+// bank on it; off-grid ks still work, interpolated).
+func newThresholdCache(eng *Engine, series [][]float64, ks []float64) (*thresholdCache, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("bench: no series")
 	}
-	c := &thresholdCache{}
-	if exact {
-		c.sorted = make([][]float64, len(series))
-		err := eng.ForEach(len(series), func(i int) error {
-			if len(series[i]) == 0 {
-				return fmt.Errorf("bench: series %d is empty", i)
-			}
-			s := make([]float64, len(series[i]))
-			copy(s, series[i])
-			sort.Float64s(s)
-			c.sorted[i] = s
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c.stream = make([]*task.StreamingThresholds, len(series))
+	c := &thresholdCache{stream: make([]*task.StreamingThresholds, len(series))}
 	err := eng.ForEach(len(series), func(i int) error {
 		if len(series[i]) == 0 {
 			return fmt.Errorf("bench: series %d is empty", i)
@@ -244,19 +215,11 @@ func newThresholdCache(eng *Engine, series [][]float64, ks []float64, exact bool
 }
 
 // n reports how many series the cache covers.
-func (c *thresholdCache) n() int {
-	if c.sorted != nil {
-		return len(c.sorted)
-	}
-	return len(c.stream)
-}
+func (c *thresholdCache) n() int { return len(c.stream) }
 
 // residentBytes estimates the cache's total memory footprint.
 func (c *thresholdCache) residentBytes() int {
 	total := 0
-	for _, s := range c.sorted {
-		total += 8 * cap(s)
-	}
 	for _, st := range c.stream {
 		total += st.ResidentBytes()
 	}
@@ -265,13 +228,6 @@ func (c *thresholdCache) residentBytes() int {
 
 // forSeries derives one series' threshold at selectivity k.
 func (c *thresholdCache) forSeries(i int, k float64) (float64, error) {
-	if c.sorted != nil {
-		t, err := task.Thresholds(c.sorted[i], []float64{k})
-		if err != nil {
-			return 0, fmt.Errorf("bench: series %d: %w", i, err)
-		}
-		return t[0], nil
-	}
 	t, err := c.stream[i].Threshold(k)
 	if err != nil {
 		return 0, fmt.Errorf("bench: series %d: %w", i, err)
@@ -298,18 +254,6 @@ func (c *thresholdCache) grid(ks []float64) ([][]float64, error) {
 	out := make([][]float64, len(ks))
 	for ki := range ks {
 		out[ki] = make([]float64, c.n())
-	}
-	if c.sorted != nil {
-		for i, s := range c.sorted {
-			ts, err := task.Thresholds(s, ks)
-			if err != nil {
-				return nil, fmt.Errorf("bench: series %d: %w", i, err)
-			}
-			for ki := range ks {
-				out[ki][i] = ts[ki]
-			}
-		}
-		return out, nil
 	}
 	for i, st := range c.stream {
 		for ki, k := range ks {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"volley/internal/stats"
@@ -39,18 +40,22 @@ func StreamingMemoryProfile(nSeries int, stepss []int, ks []float64) ([]Streamin
 		if err != nil {
 			return nil, err
 		}
-		stream, err := newThresholdCache(eng, series, ks, false)
+		stream, err := newThresholdCache(eng, series, ks)
 		if err != nil {
 			return nil, err
 		}
-		exact, err := newThresholdCache(eng, series, ks, true)
+		sorted, err := sortedCopies(eng, series)
 		if err != nil {
 			return nil, err
+		}
+		exactBytes := 0
+		for _, s := range sorted {
+			exactBytes += 8 * len(s)
 		}
 		out = append(out, StreamingMemoryPoint{
 			Steps:                   steps,
 			StreamingBytesPerSeries: stream.residentBytes() / stream.n(),
-			ExactBytesPerSeries:     exact.residentBytes() / exact.n(),
+			ExactBytesPerSeries:     exactBytes / len(sorted),
 		})
 	}
 	return out, nil
@@ -195,17 +200,39 @@ type StreamingErrorCheckResult struct {
 	FallbackSeries int     `json:"fallback_series"`
 }
 
-// StreamingErrorCheck builds both cache backends over the given series and
-// reports the worst rank error of any streaming grid threshold against the
-// series' true empirical distribution, plus how many series fell back to
-// the GK summary.
+// sortedCopies is the exact threshold derivation the sketches replaced: one
+// sorted copy per series (O(n) memory each), into which task.Thresholds
+// interpolates any k bit-identically to per-cell ThresholdForSelectivity.
+// It survives as the oracle the streaming cache is audited against — here
+// and in the equivalence tests — and as the memory baseline of
+// StreamingMemoryProfile.
+func sortedCopies(eng *Engine, series [][]float64) ([][]float64, error) {
+	if len(series) == 0 {
+		return nil, fmt.Errorf("bench: no series")
+	}
+	sorted := make([][]float64, len(series))
+	err := eng.ForEach(len(series), func(i int) error {
+		if len(series[i]) == 0 {
+			return fmt.Errorf("bench: series %d is empty", i)
+		}
+		sorted[i] = slices.Clone(series[i])
+		sort.Float64s(sorted[i])
+		return nil
+	})
+	return sorted, err
+}
+
+// StreamingErrorCheck builds the streaming cache and the exact sorted copies
+// over the given series and reports the worst rank error of any streaming
+// grid threshold against the series' true empirical distribution, plus how
+// many series fell back to the GK summary.
 func StreamingErrorCheck(workload string, series [][]float64, ks []float64) (*StreamingErrorCheckResult, error) {
 	eng := NewEngine(0)
-	exact, err := newThresholdCache(eng, series, ks, true)
+	exact, err := sortedCopies(eng, series)
 	if err != nil {
 		return nil, err
 	}
-	stream, err := newThresholdCache(eng, series, ks, false)
+	stream, err := newThresholdCache(eng, series, ks)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +246,7 @@ func StreamingErrorCheck(workload string, series [][]float64, ks []float64) (*St
 		if st.Fallbacks() > 0 {
 			fallbacks++
 		}
-		sorted := exact.sorted[i]
+		sorted := exact[i]
 		for ki, k := range ks {
 			q := (100 - k) / 100
 			got := grid[ki][i]

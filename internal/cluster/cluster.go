@@ -45,17 +45,6 @@ type Config struct {
 	// snapshots), cold starts report alert context lost, and evictions
 	// close the task's alert. Optional.
 	Alerts *alerts.Registry
-	// Snapshots, when set, switches CrashShard to the federated failure
-	// model: a crashed shard's coordinator state is treated as lost with
-	// the process, and each re-placed task resumes from the freshest
-	// replicated snapshot held in the store — or cold-starts with default
-	// allowance when none is held, traced as cluster.cold_start and
-	// counted in volley_cluster_cold_starts_total, so silent allowance
-	// loss is always visible. Graceful moves (AddShard, RemoveShard) still
-	// carry live state. Nil keeps the co-hosted behavior where even crash
-	// handoffs carry live allowance (every shard's coordinator state lives
-	// in this process).
-	Snapshots *SnapshotStore
 	// Metrics registers the cluster's live views (ring epoch, shard and
 	// task counts, per-shard task gauges, lifecycle counters, aggregated
 	// coordinator activity). Optional.
@@ -173,8 +162,6 @@ type Cluster struct {
 	shardJoins   *obs.Counter
 	shardLeaves  *obs.Counter
 	shardCrashes *obs.Counter
-	coldStarts   *obs.Counter
-	recoveries   *obs.Counter
 }
 
 // New validates cfg and builds a cluster with the initial shards on the
@@ -217,9 +204,12 @@ func New(cfg Config) (*Cluster, error) {
 	cl.shardJoins = m.Counter("volley_cluster_shard_joins_total", "Shards that joined the ring.")
 	cl.shardLeaves = m.Counter("volley_cluster_shard_leaves_total", "Shards that left the ring gracefully.")
 	cl.shardCrashes = m.Counter("volley_cluster_shard_crashes_total", "Shards lost without a graceful drain.")
-	cl.coldStarts = m.Counter("volley_cluster_cold_starts_total",
+	// Every shard's coordinator state lives in this process, so a crash
+	// handoff carries it and these stay 0; the families are registered so a
+	// scrape of this runtime has the names a Node's has, where they count.
+	m.Counter("volley_cluster_cold_starts_total",
 		"Tasks re-placed after a crash with no replicated snapshot: learned allowance state was lost.")
-	cl.recoveries = m.Counter("volley_cluster_recoveries_total",
+	m.Counter("volley_cluster_recoveries_total",
 		"Tasks re-placed after a crash warm from a replicated snapshot.")
 	if m != nil {
 		m.GaugeFunc("volley_cluster_ring_epoch", "Placement-ring membership version.",
@@ -471,19 +461,6 @@ func scaleAllowance(st coord.AllowanceState, from, to float64, monitors []string
 // messages, which the protocol already tolerates (polls expire, yield
 // reports repeat). Caller holds cl.mu.
 func (cl *Cluster) replaceCoordinatorLocked(t *task, spec TaskSpec, st coord.AllowanceState) error {
-	if err := cl.rebuildCoordinatorLocked(t, spec); err != nil {
-		return err
-	}
-	if err := t.c.ImportAllowance(st); err != nil {
-		return fmt.Errorf("import allowance: %w", err)
-	}
-	return nil
-}
-
-// rebuildCoordinatorLocked swaps a task's coordinator for a fresh one
-// built from spec without importing any state — the cold-start path, and
-// the shared first half of replaceCoordinatorLocked. Caller holds cl.mu.
-func (cl *Cluster) rebuildCoordinatorLocked(t *task, spec TaskSpec) error {
 	if err := cl.dereg.Deregister(cl.CoordinatorAddr(spec.Name)); err != nil {
 		return err
 	}
@@ -499,6 +476,9 @@ func (cl *Cluster) rebuildCoordinatorLocked(t *task, spec TaskSpec) error {
 	t.spec = spec
 	t.c = c
 	cl.coords = nil
+	if err := c.ImportAllowance(st); err != nil {
+		return fmt.Errorf("import allowance: %w", err)
+	}
 	return nil
 }
 
@@ -517,7 +497,7 @@ func (cl *Cluster) AddShard(id string) error {
 	cl.cfg.Tracer.Record(obs.Event{
 		Type: obs.EventShardJoin, Node: cl.cfg.Name, Time: cl.now, Peer: id,
 	})
-	return cl.rebalanceTasksLocked("")
+	return cl.rebalanceTasksLocked()
 }
 
 // RemoveShard drains a shard gracefully: it leaves the ring and its tasks
@@ -533,14 +513,14 @@ func (cl *Cluster) RemoveShard(id string) error {
 	cl.cfg.Tracer.Record(obs.Event{
 		Type: obs.EventShardLeave, Node: cl.cfg.Name, Time: cl.now, Peer: id,
 	})
-	return cl.rebalanceTasksLocked("")
+	return cl.rebalanceTasksLocked()
 }
 
 // CrashShard records a shard lost without a graceful drain and re-places
-// its tasks. In the process-group deployment the control plane co-hosts
-// every shard's coordinator state, so the handoff still carries the last
-// allowance state; a federated deployment would resume from the control
-// plane's latest snapshot instead (DESIGN.md §11).
+// its tasks. This runtime co-hosts every shard's coordinator state, so the
+// handoff still carries the last allowance state; losing state with a
+// process, and resuming warm from a replicated snapshot or cold without
+// one, is the networked Node's failure model (DESIGN.md §11, §12).
 func (cl *Cluster) CrashShard(id string) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -551,7 +531,7 @@ func (cl *Cluster) CrashShard(id string) error {
 	cl.cfg.Tracer.Record(obs.Event{
 		Type: obs.EventShardCrash, Node: cl.cfg.Name, Time: cl.now, Peer: id,
 	})
-	return cl.rebalanceTasksLocked(id)
+	return cl.rebalanceTasksLocked()
 }
 
 // dropShardLocked removes a shard from the ring after the safety checks
@@ -568,14 +548,10 @@ func (cl *Cluster) dropShardLocked(id string) error {
 }
 
 // rebalanceTasksLocked re-places every task after a ring change, handing
-// off the ones whose owner moved. Tasks are visited in name order so the
-// handoff sequence is deterministic. crashed names the shard whose state
-// died with it (CrashShard passes its ID; graceful moves pass ""): with a
-// snapshot store configured, tasks leaving a crashed shard resume from
-// the store instead of live state — warm from the freshest replicated
-// snapshot, or cold (traced, counted) when the store holds none. Caller
+// off the ones whose owner moved with their live allowance state. Tasks are
+// visited in name order so the handoff sequence is deterministic. Caller
 // holds cl.mu.
-func (cl *Cluster) rebalanceTasksLocked(crashed string) error {
+func (cl *Cluster) rebalanceTasksLocked() error {
 	var moved float64
 	var firstErr error
 	// A failed rebuild drops its task from cl.order, so walk a copy.
@@ -584,13 +560,7 @@ func (cl *Cluster) rebalanceTasksLocked(crashed string) error {
 		if !ok || newShard == t.shard {
 			continue
 		}
-		var err error
-		if crashed != "" && t.shard == crashed && cl.cfg.Snapshots != nil {
-			err = cl.recoverTaskLocked(t, crashed)
-		} else {
-			err = cl.replaceCoordinatorLocked(t, t.spec, t.c.ExportAllowance())
-		}
-		if err != nil {
+		if err := cl.replaceCoordinatorLocked(t, t.spec, t.c.ExportAllowance()); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster %s: handoff %q: %w", cl.cfg.Name, t.spec.Name, err)
 			}
@@ -611,81 +581,6 @@ func (cl *Cluster) rebalanceTasksLocked(crashed string) error {
 		Value: moved, Interval: int(cl.ring.Epoch()),
 	})
 	return firstErr
-}
-
-// recoverTaskLocked rebuilds a task's coordinator after its shard
-// crashed, seeding it from the snapshot store: warm from the freshest
-// replicated snapshot when one is held and importable, cold otherwise —
-// the cold path rebuilds with default (even) allowance and makes the loss
-// loud with a cluster.cold_start trace naming the task plus the
-// volley_cluster_cold_starts_total counter. Caller holds cl.mu.
-func (cl *Cluster) recoverTaskLocked(t *task, crashed string) error {
-	name := t.spec.Name
-	if entry, ok := cl.cfg.Snapshots.Get(name); ok {
-		st, err := entry.State()
-		if err == nil {
-			err = cl.replaceCoordinatorLocked(t, t.spec, st)
-		}
-		if err == nil {
-			cl.recoveries.Inc()
-			cl.cfg.Tracer.Record(obs.Event{
-				Type: obs.EventRecovery, Node: cl.cfg.Name, Task: name,
-				Time: cl.now, Peer: crashed, Value: float64(entry.Epoch),
-			})
-			return nil
-		}
-		// The held snapshot did not import (e.g. a monitor-set change since
-		// it was taken); fall through to a cold start rather than fail the
-		// rebalance. replaceCoordinatorLocked only leaves the task dropped
-		// when the rebuild itself failed, which the cold path would repeat.
-		if _, still := cl.tasks[name]; !still {
-			return fmt.Errorf("rebuild coordinator for %q", name)
-		}
-	}
-	if err := cl.rebuildCoordinatorLocked(t, t.spec); err != nil {
-		return err
-	}
-	cl.coldStarts.Inc()
-	cl.cfg.Tracer.Record(obs.Event{
-		Type: obs.EventColdStart, Node: cl.cfg.Name, Task: name,
-		Time: cl.now, Peer: crashed,
-	})
-	// A cold start also lost whatever alert episode was open at the
-	// crashed owner; the registry makes the loss loud. The successor's
-	// registry may still hold the live alert (co-hosted deployments share
-	// one registry), so only report lost when nothing survived locally.
-	if len(cl.cfg.Alerts.ExportOpen(name)) == 0 {
-		cl.cfg.Alerts.Lost(name, cl.now, crashed)
-	}
-	return nil
-}
-
-// ReplicateTask exports a task's allowance snapshot through the frame
-// codec into the configured snapshot store — the in-process stand-in for
-// the networked replicator's periodic ship, used by tests and by
-// deployments that checkpoint on a timer.
-func (cl *Cluster) ReplicateTask(name string) error {
-	cl.mu.Lock()
-	t, ok := cl.tasks[name]
-	store := cl.cfg.Snapshots
-	now := cl.now
-	shard := ""
-	if ok {
-		shard = t.shard
-	}
-	cl.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster %s: unknown task %q", cl.cfg.Name, name)
-	}
-	if store == nil {
-		return fmt.Errorf("cluster %s: no snapshot store configured", cl.cfg.Name)
-	}
-	frame, err := EncodeSnapshot(t.c.ExportAllowance())
-	if err != nil {
-		return err
-	}
-	_, err = store.Put(name, shard, now, frame)
-	return err
 }
 
 // Tick advances every task coordinator one default interval, in

@@ -1,17 +1,23 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"volley/internal/alerts"
+	"volley/internal/obs"
 	"volley/internal/transport"
 )
 
 // testNodes builds a fully meshed set of nodes over one shared Memory
 // fabric (the inter-shard network) with one private Memory per node as its
 // local monitor network. Sink handlers for the given monitor addresses are
-// registered on every local net so owned coordinators can poll them.
+// registered on every local net so owned coordinators can poll them. Every
+// node has its own alert registry, instruments and tracer, as every shard
+// process has.
 func testNodes(t *testing.T, ids []string, monitors []string) (map[string]*Node, *transport.Memory) {
 	t.Helper()
 	inter := transport.NewMemory()
@@ -29,12 +35,16 @@ func testNodes(t *testing.T, ids []string, monitors []string) (map[string]*Node,
 				peers = append(peers, m)
 			}
 		}
+		reg, tracer := obs.NewRegistry(), obs.NewTracer(256)
 		n, err := NewNode(NodeConfig{
 			ID:            id,
 			Addr:          id,
 			Peers:         peers,
 			Inter:         inter,
 			Local:         local,
+			Metrics:       reg,
+			Tracer:        tracer,
+			Alerts:        alerts.New(alerts.Config{Node: id, Metrics: reg, Tracer: tracer}),
 			BeaconEvery:   1,
 			SuspectAfter:  3,
 			DeadAfter:     6,
@@ -74,6 +84,13 @@ func tickNodes(step *int, rounds int, nodes ...*Node) {
 			n.Tick(now)
 		}
 	}
+}
+
+// scrapeNode renders a node's instruments as Prometheus text.
+func scrapeNode(n *Node) string {
+	var buf bytes.Buffer
+	n.cfg.Metrics.WritePrometheus(&buf)
+	return buf.String()
 }
 
 // singleOwner asserts exactly one of the nodes owns the task and returns it.
@@ -124,6 +141,15 @@ func TestNodeWarmRecoveryAfterCrash(t *testing.T) {
 	want := map[string]float64{"m1": 0.04, "m2": 0.01}
 	if err := owner.SetAllowance("t1", want); err != nil {
 		t.Fatal(err)
+	}
+	// An episode open at the owner, confirmed three times: it must ride
+	// the snapshot to the successor.
+	for i := 0; i < 3; i++ {
+		owner.cfg.Alerts.Raise("t1", time.Duration(step)*time.Second, 170)
+	}
+	episode := owner.cfg.Alerts.ExportOpen("t1")
+	if len(episode) != 1 || episode[0].Occurrences != 3 {
+		t.Fatalf("owner's live episode = %+v, want one with 3 occurrences", episode)
 	}
 	// Let the override replicate (SnapshotEvery 2 plus the ack round trip).
 	tickNodes(&step, 4, all...)
@@ -192,6 +218,26 @@ func TestNodeWarmRecoveryAfterCrash(t *testing.T) {
 	for m, w := range want {
 		if math.Abs(got[m]-w) > 1e-9 {
 			t.Errorf("recovered allowance[%s] = %v, want %v (cold defaults would be even)", m, got[m], w)
+		}
+	}
+
+	// The episode survived the warm recovery: still open at the successor,
+	// same window, its occurrence count carried, nothing counted lost.
+	live := newOwner.cfg.Alerts.ExportOpen("t1")
+	if len(live) != 1 || live[0].Status != alerts.StatusOpen {
+		t.Fatalf("successor's live alerts = %+v, want the predecessor's open episode", live)
+	}
+	if live[0].Window != episode[0].Window || live[0].Occurrences != episode[0].Occurrences {
+		t.Errorf("episode after warm recovery: window %v, %d occurrences; want window %v, %d occurrences",
+			live[0].Window, live[0].Occurrences, episode[0].Window, episode[0].Occurrences)
+	}
+	for _, want := range []string{
+		"volley_cluster_recoveries_total 1",
+		"volley_cluster_cold_starts_total 0",
+		"volley_alerts_lost_total 0",
+	} {
+		if prom := scrapeNode(newOwner); !strings.Contains(prom, want+"\n") {
+			t.Errorf("successor's scrape lacks %q", want)
 		}
 	}
 
@@ -266,6 +312,26 @@ func TestNodeColdStartUnderSnapshotPartition(t *testing.T) {
 	}
 	if rec.PrevOwner != owner.cfg.ID {
 		t.Errorf("cold start prev owner = %q, want %q", rec.PrevOwner, owner.cfg.ID)
+	}
+	// Whatever episode was open at the dead owner is unknowable: the loss
+	// is counted and traced (alerts.TestLost covers the history row).
+	for _, want := range []string{
+		"volley_cluster_cold_starts_total 1",
+		"volley_cluster_recoveries_total 0",
+		"volley_alerts_lost_total 1",
+	} {
+		if prom := scrapeNode(newOwner); !strings.Contains(prom, want+"\n") {
+			t.Errorf("new owner's scrape lacks %q", want)
+		}
+	}
+	lost := false
+	for _, e := range newOwner.cfg.Tracer.Events() {
+		if e.Type == obs.EventAlertsLost && e.Task == "t1" && e.Peer == owner.cfg.ID {
+			lost = true
+		}
+	}
+	if !lost {
+		t.Error("no alerts-lost trace event naming the task and the dead owner")
 	}
 
 	// Degraded, not deadlocked: the healed fabric resumes replication.

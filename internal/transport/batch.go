@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"volley/internal/obs"
@@ -20,22 +17,7 @@ import (
 // single batch frame and one syscall. The receive side unpacks the
 // frame back into individual Messages before deduplication and
 // delivery, so the monitor, coordinator and cluster layers never see a
-// batch. Batching requires the binary codec; a gob writer keeps the
-// legacy one-encode-one-write shape and serves as the benchmark
-// baseline.
-
-// countingWriter counts bytes as they hit the wire (gob path; the
-// binary path counts whole frames directly).
-type countingWriter struct {
-	w io.Writer
-	c *atomic.Uint64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(uint64(n))
-	return n, err
-}
+// batch.
 
 // peerWriter is the state of one peer's writer goroutine: the live
 // connection, the reusable encode buffer and batch scratch (both grow
@@ -46,9 +28,8 @@ type peerWriter struct {
 	p *tcpPeer
 
 	conn net.Conn
-	enc  *gob.Encoder // gob codec only
 
-	buf   []byte    // binary codec: encoded frame
+	buf   []byte    // encoded frame
 	batch []Message // messages of the frame currently being shipped
 
 	timer   *time.Timer // batch-window timer, armed per batch
@@ -82,7 +63,7 @@ func (w *peerWriter) close() {
 func (w *peerWriter) disconnect() {
 	if w.conn != nil {
 		w.conn.Close()
-		w.conn, w.enc = nil, nil
+		w.conn = nil
 	}
 }
 
@@ -106,9 +87,8 @@ func (w *peerWriter) windowWait() bool {
 	return false
 }
 
-// process ships everything the writer drained: gob keeps the legacy
-// one-encode-one-write shape; the binary codec chunks the run into
-// batch frames bounded by maxBatch messages and (estimated)
+// process ships everything the writer drained, chunked into batch
+// frames bounded by maxBatch messages and (estimated)
 // maxBatchBytes, so payload-heavy messages cannot pile into one
 // enormous frame. A message outside the wire vocabulary cannot be
 // binary-encoded; it is dropped and counted here, at collection time,
@@ -116,10 +96,6 @@ func (w *peerWriter) windowWait() bool {
 // Returns false when the node or peer shut down mid-delivery.
 func (w *peerWriter) process(pending []Message) bool {
 	n := w.n
-	if n.codec == CodecGob {
-		w.batch = pending
-		return w.deliverGob()
-	}
 	fresh := 0
 	for i := range pending {
 		if !kindValid(pending[i].Kind) {
@@ -194,18 +170,13 @@ func (w *peerWriter) dial() (ok, alive bool) {
 	if err != nil {
 		return false, w.backoffSleep()
 	}
-	if n.codec == CodecBinary {
-		c.SetWriteDeadline(time.Now().Add(n.sendTimeout))
-		if _, err := c.Write(codecPreamble[:]); err != nil {
-			c.Close()
-			return false, w.backoffSleep()
-		}
-		n.stats.bytesSent.Add(uint64(len(codecPreamble)))
+	c.SetWriteDeadline(time.Now().Add(n.sendTimeout))
+	if _, err := c.Write(codecPreamble[:]); err != nil {
+		c.Close()
+		return false, w.backoffSleep()
 	}
+	n.stats.bytesSent.Add(uint64(len(codecPreamble)))
 	w.conn = c
-	if n.codec == CodecGob {
-		w.enc = gob.NewEncoder(&countingWriter{w: c, c: &n.stats.bytesSent})
-	}
 	if w.everConnected {
 		n.stats.reconnects.Add(1)
 		n.tracer.Record(obs.Event{Type: obs.EventReconnect, Node: n.name, Peer: w.p.addr})
@@ -252,42 +223,6 @@ func (w *peerWriter) writeFrames(msgs, batched int) bool {
 	}
 	n.stats.dropped.Add(uint64(msgs))
 	n.tracer.Record(obs.Event{Type: obs.EventDropped, Node: n.name, Peer: w.p.addr})
-	return true
-}
-
-// deliverGob is the legacy path: one reflective encode and one write
-// per message, with the original per-message retry semantics.
-func (w *peerWriter) deliverGob() bool {
-	n := w.n
-	for i := range w.batch {
-		delivered := false
-		for attempt := 0; attempt < n.retries; attempt++ {
-			if w.conn == nil {
-				ok, alive := w.dial()
-				if !alive {
-					return false
-				}
-				if !ok {
-					continue
-				}
-			}
-			w.conn.SetWriteDeadline(time.Now().Add(n.sendTimeout))
-			if err := w.enc.Encode(w.batch[i]); err != nil {
-				// The write may have partially reached the peer; the
-				// retry on a fresh connection can deliver a duplicate,
-				// which the receive-side dedup window suppresses.
-				w.disconnect()
-				continue
-			}
-			w.backoff = n.backoffMin
-			delivered = true
-			break
-		}
-		if !delivered {
-			n.stats.dropped.Add(1)
-			n.tracer.Record(obs.Event{Type: obs.EventDropped, Node: n.name, Peer: w.p.addr})
-		}
-	}
 	return true
 }
 

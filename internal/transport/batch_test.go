@@ -1,6 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -110,10 +115,12 @@ func TestTCPBatchWindowCoalesces(t *testing.T) {
 	}
 }
 
-// TestTCPGobSenderToBinaryListener: a node pinned to the legacy codec
-// talks to a default (binary-capable) listener — the rolling-upgrade
-// old→new direction. The preamble sniff must route it to the gob path.
-func TestTCPGobSenderToBinaryListener(t *testing.T) {
+// TestTCPRejectsConnectionWithoutPreamble: whatever does not open with the
+// codec preamble is outside input — a gob stream from a build that predates
+// the binary codec, a preamble of another version, one cut short — and is
+// closed and counted, with nothing delivered; the listener goes on serving
+// connections that do.
+func TestTCPRejectsConnectionWithoutPreamble(t *testing.T) {
 	recv := make(chan Message, 8)
 	server, err := ListenTCP("127.0.0.1:0", func(m Message) { recv <- m }, fastOpts()...)
 	if err != nil {
@@ -121,27 +128,57 @@ func TestTCPGobSenderToBinaryListener(t *testing.T) {
 	}
 	defer server.Close()
 
-	legacy, err := ListenTCP("127.0.0.1:0", func(Message) {},
-		fastOpts(WithCodec(CodecGob))...)
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(Message{Kind: KindYieldReport, Task: "cpu", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		name  string
+		bytes []byte
+		hold  bool // keep the write side open: the listener must close first
+	}{
+		{"gob stream", gobStream.Bytes(), true},
+		{"unknown version", []byte{codecPreambleByte, 'V', 'W', codecVersion + 1, 0, 0, 0, 1, 0}, true},
+		{"truncated preamble", codecPreamble[:3], false},
+		{"nothing", nil, false},
+	} {
+		conn, err := net.Dial("tcp", server.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatal(err)
+		}
+		if !tc.hold {
+			_ = conn.(*net.TCPConn).CloseWrite()
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: read %d bytes, err %v; want the listener to close the connection", tc.name, n, err)
+		}
+		conn.Close()
+		waitFor(t, 5*time.Second, func() bool { return server.Stats().Rejected == uint64(i+1) },
+			tc.name+" counted as rejected")
+	}
+
+	client, err := ListenTCP("127.0.0.1:0", func(Message) {}, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-
-	want := Message{Kind: KindYieldReport, Task: "cpu", Reduction: 0.25, Needed: 0.1}
-	if err := legacy.Send(legacy.Addr(), server.Addr(), want); err != nil {
+	defer client.Close()
+	if err := client.Send(client.Addr(), server.Addr(), Message{Kind: KindHeartbeat, Task: "cpu"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-recv:
-		if m.Kind != want.Kind || m.Task != want.Task || m.Reduction != want.Reduction {
-			t.Errorf("gob→binary-listener message corrupted: %+v", m)
+		if m.Kind != KindHeartbeat || m.Task != "cpu" {
+			t.Errorf("delivered %+v, want the client's heartbeat", m)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("legacy gob sender message never arrived")
+		t.Fatal("a connection with the preamble was not served")
 	}
-	if st := legacy.Stats(); st.FramesBatched != 0 {
-		t.Errorf("gob codec reported batched frames: %+v", st)
+	if st := server.Stats(); st.Rejected != 4 || st.Delivered != 1 {
+		t.Errorf("stats %+v, want 4 rejected connections and 1 delivered message", st)
 	}
 }
 

@@ -48,12 +48,9 @@ import (
 // negative zero survive the round trip exactly. There is no per-frame
 // checksum: TCP already checksums the stream, and the one payload that
 // must survive application-level relays — the replicated allowance
-// snapshot — carries its own CRC32 (cluster.EncodeSnapshot). The
-// preamble's first byte (0xB1) can never begin a gob stream (gob's
-// leading length byte is < 0x80 or >= 0xF8), which is what lets a
-// listener sniff one byte and fall back to gob for legacy dialers.
+// snapshot — carries its own CRC32 (cluster.EncodeSnapshot).
 const (
-	// codecPreambleByte is the first byte a binary-codec dialer writes.
+	// codecPreambleByte is the first byte a dialer writes.
 	codecPreambleByte = 0xB1
 	// codecVersion is the frame-format version the preamble declares.
 	codecVersion = 1

@@ -3,8 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -29,7 +27,7 @@ const (
 	DefaultSendRetries = 3
 	DefaultDedupWindow = 1024
 	// DefaultMaxBatch bounds how many queued messages one frame may
-	// coalesce (binary codec only).
+	// coalesce.
 	DefaultMaxBatch      = 128
 	defaultAcceptBackoff = time.Millisecond
 	maxAcceptBackoff     = time.Second
@@ -37,21 +35,6 @@ const (
 	// reaches this, so payload-heavy messages (snapshots) cannot pile
 	// into one enormous frame.
 	maxBatchBytes = 1 << 20
-)
-
-// Codec selects the wire encoding of an outbound connection.
-type Codec int
-
-const (
-	// CodecBinary is the zero-allocation binary codec (codec.go): the
-	// dialer announces it with a 4-byte preamble, and only this codec
-	// coalesces queued messages into batch frames. The default.
-	CodecBinary Codec = iota
-	// CodecGob is the legacy gob stream, wire-compatible with nodes
-	// predating the binary codec. Receivers always accept both: the
-	// listener sniffs the preamble and falls back to gob without it, so
-	// a mixed fleet interoperates during a rolling upgrade.
-	CodecGob
 )
 
 // TCPOption configures a TCPNode.
@@ -101,15 +84,6 @@ func WithObserver(tr *obs.Tracer, node string) TCPOption {
 	return func(n *TCPNode) { n.tracer, n.name = tr, node }
 }
 
-// WithCodec selects the outbound wire encoding. CodecBinary (the
-// default) frames messages with the hand-rolled zero-allocation codec
-// and coalesces per-peer batches; CodecGob keeps the legacy gob stream
-// for peers that predate the binary codec. Inbound connections always
-// auto-detect, so this only shapes what this node sends.
-func WithCodec(c Codec) TCPOption {
-	return func(n *TCPNode) { n.codec = c }
-}
-
 // WithBatchWindow sets how long the per-peer writer waits after the
 // first queued message for more to coalesce into the same frame. Zero
 // (the default) batches opportunistically: whatever is already queued
@@ -128,8 +102,8 @@ func WithMaxBatch(max int) TCPOption {
 
 // TCPNode is one endpoint of a TCP network. Each node listens on its own
 // address and dials peers on demand; messages travel on the binary wire
-// codec (codec.go) with batching, or gob as a negotiated fallback. Unlike
-// Memory there is no central registry: the address *is* the location.
+// codec (codec.go) with batching. Unlike Memory there is no central
+// registry: the address *is* the location.
 //
 // Sending is asynchronous: Send enqueues onto a per-peer outbound queue and
 // returns immediately, so a dead or blackholed peer can never block a
@@ -153,7 +127,6 @@ type TCPNode struct {
 	backoffMax  time.Duration
 	retries     int
 	dedupWin    int
-	codec       Codec
 	batchWindow time.Duration
 	maxBatch    int
 
@@ -355,10 +328,6 @@ func ListenTCP(addr string, h Handler, opts ...TCPOption) (*TCPNode, error) {
 		l.Close()
 		return nil, fmt.Errorf("transport: invalid reconnect backoff [%v, %v]", n.backoffMin, n.backoffMax)
 	}
-	if n.codec != CodecBinary && n.codec != CodecGob {
-		l.Close()
-		return nil, fmt.Errorf("transport: unknown codec %d", int(n.codec))
-	}
 	if n.maxBatch < 1 || n.batchWindow < 0 {
 		l.Close()
 		return nil, fmt.Errorf("transport: invalid batch window %v or max batch %d", n.batchWindow, n.maxBatch)
@@ -449,10 +418,11 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readLoop serves one inbound connection. The first byte decides the
-// codec: a binary-codec dialer leads with the 4-byte preamble, whose
-// first byte (0xB1) can never begin a gob stream, so a legacy gob peer
-// is recognized without any negotiation round trip.
+// readLoop serves one inbound connection. A dialer leads with the 4-byte
+// codec preamble; a connection that opens with anything else — another
+// protocol, a codec version this build does not know, a port scan — is
+// outside input: it is closed and counted, and a peer that was one sees a
+// failed connection rather than silently mis-decoded frames.
 func (n *TCPNode) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -464,54 +434,21 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 	// 256 KiB keeps the read-syscall rate low when a peer ships deep
 	// multi-frame bursts (a saturated batching writer's shape).
 	br := bufio.NewReaderSize(&countingReader{r: conn, c: &n.stats.bytesRecv}, 256<<10)
-	first, err := br.Peek(1)
-	if err != nil {
+	var pre [4]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != codecPreamble {
+		if !n.closedFlag.Load() {
+			n.stats.rejected.Add(1)
+		}
 		return
 	}
-	if first[0] == codecPreambleByte {
-		var pre [4]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			return
-		}
-		// Version byte negotiation: accept exactly the versions this
-		// build knows. A future version drops the connection, which the
-		// sender sees as a failed peer — the operator pins WithCodec
-		// (or upgrades) rather than silently mis-decoding.
-		if pre != codecPreamble {
-			return
-		}
-		n.binaryReadLoop(br)
-		return
-	}
-	n.gobReadLoop(br)
-}
-
-// gobReadLoop is the legacy decode path, kept as the negotiated
-// fallback for peers that predate the binary codec.
-func (n *TCPNode) gobReadLoop(r io.Reader) {
-	dec := gob.NewDecoder(r)
-	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
-			if !errors.Is(err, io.EOF) {
-				select {
-				case <-n.closed:
-				default:
-					// Connection-level corruption: drop the connection. The
-					// peer will redial.
-				}
-			}
-			return
-		}
-		n.deliver(msg)
-	}
+	n.binaryReadLoop(br)
 }
 
 // binaryReadLoop reads length-prefixed frames into a reusable buffer
 // and decodes them with a per-connection decoder (whose string intern
 // table makes steady-state decoding allocation-free). Any decode error
-// drops the connection — the frame boundary is unrecoverable, exactly
-// like a gob stream error — and the peer redials.
+// drops the connection — the frame boundary is unrecoverable — and the
+// peer redials.
 func (n *TCPNode) binaryReadLoop(r io.Reader) {
 	dec := newFrameDecoder()
 	var hdr [frameHeaderLen]byte
@@ -636,12 +573,11 @@ func (n *TCPNode) Send(from, to string, msg Message) error {
 	if n.closedFlag.Load() {
 		return fmt.Errorf("transport: node closed")
 	}
-	// The binary wire has a fixed vocabulary; with it selected, every
-	// outbound connection speaks it (the dialer decides the codec), so an
-	// out-of-vocabulary message can never be encoded. Reject it here,
+	// The wire codec has a fixed vocabulary: an out-of-vocabulary
+	// message can never be encoded. Reject it here,
 	// loudly, rather than counting a silent drop at the writer — and
 	// before stamping, so Sent counts only messages that can ship.
-	if n.codec == CodecBinary && !kindValid(msg.Kind) {
+	if !kindValid(msg.Kind) {
 		return fmt.Errorf("transport: send to %s: kind %d not in the wire vocabulary", to, int(msg.Kind))
 	}
 	msg.From = from
@@ -694,8 +630,7 @@ func (n *TCPNode) Deregister(addr string) error {
 }
 
 // writeLoop drains one peer's outbound queue: dial (with deadline) when
-// disconnected, coalesce whatever is queued into batch frames (binary
-// codec), write them under a deadline, and on any failure reconnect
+// disconnected, coalesce whatever is queued into batch frames, write them under a deadline, and on any failure reconnect
 // with bounded-exponential jittered backoff. A frame gets a fixed
 // number of attempts before its messages are dropped, so a long-dead
 // peer sheds load instead of accumulating it. The batching writer
@@ -720,7 +655,7 @@ func (n *TCPNode) writeLoop(p *tcpPeer) {
 		// A configured batch window trades latency for fuller frames:
 		// when the first drain came up short of a full frame, wait the
 		// window and sweep up the stragglers it bought.
-		if n.codec == CodecBinary && n.batchWindow > 0 && n.maxBatch > 1 && len(pending) < n.maxBatch {
+		if n.batchWindow > 0 && n.maxBatch > 1 && len(pending) < n.maxBatch {
 			if !w.windowWait() {
 				return
 			}

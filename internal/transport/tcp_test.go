@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"testing"
@@ -102,6 +101,22 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
+// writeRawFrames plays a dialer by hand: the preamble, then one frame per
+// message, with whatever From and Seq the test chose.
+func writeRawFrames(t *testing.T, conn net.Conn, msgs ...Message) {
+	t.Helper()
+	buf := append([]byte(nil), codecPreamble[:]...)
+	for i := range msgs {
+		var err error
+		if buf, err = AppendFrame(buf, &msgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTCPReceiveDedup feeds the node two copies of the same (From, Seq)
 // message over a raw connection — what a reconnect retransmission looks
 // like — and verifies only one reaches the handler.
@@ -126,12 +141,7 @@ func TestTCPReceiveDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		enc := gob.NewEncoder(conn)
-		for _, m := range msgs {
-			if err := enc.Encode(m); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeRawFrames(t, conn, msgs...)
 		// Wait for the node to drain this connection.
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
@@ -146,11 +156,14 @@ func TestTCPReceiveDedup(t *testing.T) {
 
 	// Same Seq on one connection, then a "retransmission" on a fresh one:
 	// dedup state must span connections.
-	send(Message{From: "peer", Seq: 7, Value: 1}, Message{From: "peer", Seq: 7, Value: 2})
-	send(Message{From: "peer", Seq: 7, Value: 3})
-	send(Message{From: "peer", Seq: 8, Value: 4})
+	hb := func(from string, seq uint64, v float64) Message {
+		return Message{Kind: KindHeartbeat, From: from, Seq: seq, Value: v}
+	}
+	send(hb("peer", 7, 1), hb("peer", 7, 2))
+	send(hb("peer", 7, 3))
+	send(hb("peer", 8, 4))
 	// A different sender may reuse the same Seq freely.
-	send(Message{From: "other", Seq: 7, Value: 5})
+	send(hb("other", 7, 5))
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -183,12 +196,8 @@ func TestTCPSeqZeroBypassesDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	for i := 0; i < 3; i++ {
-		if err := enc.Encode(Message{From: "raw", Kind: KindHeartbeat}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	hb := Message{From: "raw", Kind: KindHeartbeat}
+	writeRawFrames(t, conn, hb, hb, hb)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		mu.Lock()

@@ -7,8 +7,9 @@
 //   - Memory: a deterministic in-process network used by the simulation
 //     harness, with optional message loss and delivery delay for failure
 //     injection.
-//   - TCP (tcp.go): a gob-over-TCP network for running real distributed
-//     deployments (see examples/tcpcluster).
+//   - TCP (tcp.go): a network over TCP, on the binary wire codec of
+//     codec.go, for running real distributed deployments (see
+//     examples/tcpcluster).
 //
 // Both count traffic, since communication cost is part of what the paper's
 // local-task decomposition minimizes.
@@ -166,9 +167,12 @@ type Stats struct {
 	// BytesRecv counts bytes read off the wire (TCP only).
 	BytesRecv uint64
 	// FramesBatched counts multi-message frames shipped by per-peer
-	// coalescing (TCP binary codec, and Memory with batching enabled);
+	// coalescing (TCP, and Memory with batching enabled);
 	// the wire saving is (messages sent − frames written).
 	FramesBatched uint64
+	// Rejected counts inbound connections closed because they did not
+	// open with the wire codec's preamble (TCP).
+	Rejected uint64
 }
 
 // counters is the live form of Stats: one atomic per field, so hot paths
@@ -186,6 +190,7 @@ type counters struct {
 	bytesSent     atomic.Uint64
 	bytesRecv     atomic.Uint64
 	framesBatched atomic.Uint64
+	rejected      atomic.Uint64
 }
 
 // snapshot copies the counters into the exported Stats form.
@@ -201,6 +206,7 @@ func (c *counters) snapshot() Stats {
 		BytesSent:     c.bytesSent.Load(),
 		BytesRecv:     c.bytesRecv.Load(),
 		FramesBatched: c.framesBatched.Load(),
+		Rejected:      c.rejected.Load(),
 	}
 }
 

@@ -293,7 +293,7 @@ func TestTCPDialFailure(t *testing.T) {
 
 // TestTCPSendRejectsUnknownKind: the binary wire has a fixed vocabulary,
 // so Send fails fast on an out-of-vocabulary kind instead of letting the
-// writer drop it silently. The gob codec has no such restriction.
+// writer drop it silently.
 func TestTCPSendRejectsUnknownKind(t *testing.T) {
 	bin, err := ListenTCP("127.0.0.1:0", func(Message) {})
 	if err != nil {
@@ -308,15 +308,6 @@ func TestTCPSendRejectsUnknownKind(t *testing.T) {
 	}
 	if st := bin.Stats(); st.Sent != 0 {
 		t.Errorf("rejected sends burned sequence numbers: Sent = %d, want 0", st.Sent)
-	}
-
-	gob, err := ListenTCP("127.0.0.1:0", func(Message) {}, WithCodec(CodecGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gob.Close()
-	if err := gob.Send(gob.Addr(), gob.Addr(), Message{}); err != nil {
-		t.Errorf("gob codec: zero-Kind send errored: %v", err)
 	}
 }
 
