@@ -146,8 +146,8 @@ func writeStreamingBenchJSON(path string, out *os.File) error {
 		float64(report.Soak.ResidentBytes)/(1<<20), report.Soak.BytesPerSeries,
 		report.Soak.HypotheticalTrace, float64(report.Soak.HypotheticalExactBytes)/(1<<30))
 	for _, e := range report.ErrorChecks {
-		fmt.Fprintf(out, "error %s/%-11s %3d series: max rank error %.4f (bound %.2f), %d fallback series\n",
-			e.Preset, e.Workload, e.Series, e.MaxRankError, e.Bound, e.FallbackSeries)
+		fmt.Fprintf(out, "error %s/%-11s %3d series: max rank error %.4f (bound %.2f)\n",
+			e.Preset, e.Workload, e.Series, e.MaxRankError, e.Bound)
 	}
 	fmt.Fprintf(out, "wrote BENCH_streaming report to %s (total %s)\n",
 		path, time.Duration(report.TotalWallClockNS).Round(time.Millisecond))

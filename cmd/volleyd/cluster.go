@@ -77,9 +77,8 @@ type clusterUpdateRequest struct {
 	Selectivity float64 `json:"selectivity,omitempty"`
 }
 
-// clusterSelectivityGrid sizes each hosted monitor's streaming sketch: the
-// marker bank tracks these selectivities (percent) exactly, and PATCH may
-// ask any k in (0, 100) with interpolation between grid points.
+// clusterSelectivityGrid is the grid of each hosted monitor's streaming
+// sketch (percent); PATCH may ask any k in (0, 100).
 var clusterSelectivityGrid = []float64{25, 10, 5, 2, 1, 0.5, 0.2, 0.1}
 
 // clusterDaemon is cluster mode: the host with an in-process federation as
@@ -100,25 +99,22 @@ func newClusterDaemon(opts options) (*clusterDaemon, error) {
 	d := &clusterDaemon{monitorHost: h}
 	d.gateArms = d.reg.Counter("volley_cluster_gate_arms_total",
 		"Correlation gates armed by predictor violations (transitions from relaxed to adaptive).")
-	// Bounded-memory threshold instrumentation: the sketches' total
-	// footprint stays O(1) per monitor no matter how long the daemon runs —
-	// this gauge is the live proof — and the mode/fallback counters show
-	// when a stream defeated the P² marker bank.
-	d.reg.GaugeFunc("volley_series_resident_bytes",
-		"Total resident bytes of the live per-monitor streaming threshold sketches.",
-		func() float64 { resident, _, _, _, _ := d.sketchStats(); return float64(resident) })
+	// Bounded-memory threshold instrumentation: every sketch is one object of
+	// constant size, so the footprint is the count times that constant and a
+	// scrape walks nothing.
+	one, err := volley.NewStreamingThresholds(clusterSelectivityGrid)
+	if err != nil {
+		return nil, errors.Join(err, d.close())
+	}
+	sketchBytes := int64(one.ResidentBytes())
+	d.sketchRejected = d.reg.Counter("volley_sketch_rejected_total",
+		"Non-finite sampled values rejected by the streaming sketches.")
 	d.reg.GaugeFunc("volley_sketch_series",
 		"Live streaming threshold sketches (one per hosted monitor).",
-		func() float64 { _, series, _, _, _ := d.sketchStats(); return float64(series) })
-	d.reg.GaugeFunc("volley_sketch_gk_mode_series",
-		"Sketches that permanently fell back from the P2 marker bank to the GK summary.",
-		func() float64 { _, _, gk, _, _ := d.sketchStats(); return float64(gk) })
-	d.reg.CounterFunc("volley_sketch_fallbacks_total",
-		"P2-to-GK fallbacks across all live sketches.",
-		func() float64 { _, _, _, fb, _ := d.sketchStats(); return float64(fb) })
-	d.reg.CounterFunc("volley_sketch_rejected_total",
-		"Non-finite sampled values rejected by the streaming sketches.",
-		func() float64 { _, _, _, _, rej := d.sketchStats(); return float64(rej) })
+		func() float64 { return float64(d.sketches.Load()) })
+	d.reg.GaugeFunc("volley_series_resident_bytes",
+		"Total resident bytes of the live per-monitor streaming threshold sketches.",
+		func() float64 { return float64(d.sketches.Load() * sketchBytes) })
 
 	shards := make([]string, opts.shards)
 	for i := range shards {
@@ -152,26 +148,6 @@ func runCluster(ctx context.Context, opts options) error {
 	}
 	err = d.serve(ctx, d.mux(), func() error { d.tickOnce(); return nil })
 	return errors.Join(err, d.close())
-}
-
-// sketchStats snapshots the live sketches for the scrape-time instruments:
-// total resident bytes, tracker count, trackers in GK-fallback mode, and
-// the fallback/rejection totals.
-func (d *clusterDaemon) sketchStats() (resident int, series, gk int, fallbacks, rejected uint64) {
-	d.skMu.Lock()
-	defer d.skMu.Unlock()
-	for _, t := range d.hosted.tasks {
-		for _, sk := range t.sks {
-			resident += sk.ResidentBytes()
-			series++
-			if sk.Mode() == volley.SketchModeGK {
-				gk++
-			}
-			fallbacks += sk.Fallbacks()
-			rejected += sk.Rejected()
-		}
-	}
-	return resident, series, gk, fallbacks, rejected
 }
 
 // clusterStatus is the /healthz (and expvar) payload: cluster-wide state plus
@@ -343,7 +319,7 @@ func (d *clusterDaemon) updateFromSelectivity(w http.ResponseWriter, name string
 	d.skMu.Lock()
 	locals := make([]float64, len(sks))
 	samples := make([]int, len(sks))
-	var total float64
+	var total, rankErr float64
 	var derr error
 	for i, sk := range sks {
 		locals[i], derr = sk.Threshold(req.Selectivity)
@@ -352,6 +328,7 @@ func (d *clusterDaemon) updateFromSelectivity(w http.ResponseWriter, name string
 		}
 		samples[i] = sk.N()
 		total += locals[i]
+		rankErr = max(rankErr, sk.RankError())
 	}
 	d.skMu.Unlock()
 	if derr != nil {
@@ -372,7 +349,7 @@ func (d *clusterDaemon) updateFromSelectivity(w http.ResponseWriter, name string
 	}
 	writeJSON(w, map[string]any{
 		"name": name, "selectivity": req.Selectivity, "err": req.Err,
-		"threshold": total, "localThresholds": locals, "samples": samples,
+		"threshold": total, "localThresholds": locals, "samples": samples, "rankError": rankErr,
 	})
 }
 

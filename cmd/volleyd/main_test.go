@@ -673,19 +673,20 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	}
 
 	// The streaming-threshold instruments are live: two hosted monitors
-	// mean two sketches with a non-zero bounded footprint, and this
-	// well-behaved source must not have forced a GK fallback or rejected a
-	// value.
+	// mean two sketches of the one constant size, and this well-behaved
+	// source must not have had a value rejected.
 	if v := promValue(t, metrics, "volley_sketch_series"); v != 2 {
 		t.Errorf("volley_sketch_series = %v, want 2", v)
 	}
-	if v := promValue(t, metrics, "volley_series_resident_bytes"); v <= 0 {
-		t.Errorf("volley_series_resident_bytes = %v, want > 0", v)
+	one, err := volley.NewStreamingThresholds(clusterSelectivityGrid)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"volley_sketch_fallbacks_total", "volley_sketch_rejected_total", "volley_sketch_gk_mode_series"} {
-		if v := promValue(t, metrics, name); v != 0 {
-			t.Errorf("%s = %v, want 0", name, v)
-		}
+	if v := promValue(t, metrics, "volley_series_resident_bytes"); v != float64(2*one.ResidentBytes()) {
+		t.Errorf("volley_series_resident_bytes = %v, want %d", v, 2*one.ResidentBytes())
+	}
+	if v := promValue(t, metrics, "volley_sketch_rejected_total"); v != 0 {
+		t.Errorf("volley_sketch_rejected_total = %v, want 0", v)
 	}
 
 	// Crash the owning shard: the task must re-place and keep alerting.
@@ -727,13 +728,13 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	// values. The source alternates between 10 and 100 with ~40% of steps
 	// at 100, so any selectivity k < 40 must resolve near the spike level.
 	// Each PATCH answers with the sample count behind every derived
-	// threshold; retune until both sketches have seen enough of the stream
-	// for the marker bank to settle (the estimate is exact for the first
-	// ~19 values, then transiently rough on a two-point distribution).
+	// threshold and the rank error the sketches guarantee for it; retune
+	// until both sketches have seen a fair stretch of the stream.
 	var retuned struct {
 		Threshold       float64   `json:"threshold"`
 		LocalThresholds []float64 `json:"localThresholds"`
 		Samples         []int     `json:"samples"`
+		RankError       *float64  `json:"rankError"`
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for {
@@ -754,6 +755,9 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	}
 	if len(retuned.LocalThresholds) != 2 || retuned.Threshold <= 0 {
 		t.Errorf("selectivity retune = %+v, want 2 positive local thresholds", retuned)
+	}
+	if retuned.RankError == nil || *retuned.RankError < 0 || *retuned.RankError > volley.SketchRankErrorBound {
+		t.Errorf("selectivity retune reports rankError %v, want one in [0, %v]", retuned.RankError, volley.SketchRankErrorBound)
 	}
 	for i, lt := range retuned.LocalThresholds {
 		if lt < 50 || lt > 110 {

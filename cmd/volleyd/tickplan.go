@@ -247,17 +247,20 @@ type monitorHost struct {
 	net      *volley.MemoryNetwork
 	control  func(now time.Duration) // the control plane's Tick: Cluster's or Node's
 	gateArms *volley.Counter         // nil in the mode that admits no gated task
-	clock    virtualClock
+	// sketchRejected counts the sampled values the sketches refused; nil in
+	// the mode that keeps no sketches.
+	sketchRejected *volley.Counter
+	clock          virtualClock
 
-	// mu guards hosted. Its writers (host, unhost) hold skMu as well, so the
-	// scrape-time sketch instruments can walk the set under skMu alone: a
-	// scrape holds the registry lock and admission takes the registry lock
-	// under mu, so a scrape must not wait for mu. skMu is always innermost.
-	// It also guards the sketches' contents, which the tick feeds and PATCH
-	// /tasks reads thresholds out of.
-	mu     sync.Mutex
-	skMu   sync.Mutex
-	hosted hostedSet
+	// mu guards hosted. skMu guards the sketches' contents, which the tick
+	// feeds and PATCH /tasks reads thresholds out of; it is always innermost.
+	// sketches is the number of them hosted, atomic because a scrape holds
+	// the registry lock and admission takes the registry lock under mu, so the
+	// scrape-time sketch instruments must not wait for mu.
+	mu       sync.Mutex
+	skMu     sync.Mutex
+	hosted   hostedSet
+	sketches atomic.Int64
 
 	// plan is the hosted set flattened for tickOnce; it belongs to the
 	// goroutine that ticks.
@@ -283,16 +286,14 @@ func newMonitorHost(opts options, node string, origin uint64) (*monitorHost, err
 
 // host and unhost change the hosted set; the caller holds mu.
 func (h *monitorHost) host(name string, t hostedTask) {
-	h.skMu.Lock()
 	h.hosted.put(name, t)
-	h.skMu.Unlock()
+	h.sketches.Add(int64(len(t.sks)))
 }
 
 // unhost also frees the monitors' addresses on the network.
 func (h *monitorHost) unhost(name string) {
-	h.skMu.Lock()
+	h.sketches.Add(-int64(len(h.hosted.tasks[name].sks)))
 	mons := h.hosted.remove(name)
-	h.skMu.Unlock()
 	for _, m := range mons {
 		_ = h.net.Deregister(m.ID())
 	}
@@ -367,13 +368,17 @@ func (h *monitorHost) tickOnce() {
 	// Feed the sampled values into the monitors' streaming sketches in one
 	// batch, after all (possibly slow) agent reads are done, so the sketch
 	// lock is never held across network I/O.
+	var rejected uint64
 	h.skMu.Lock()
 	for i, sk := range p.sks {
-		if p.fed[i] {
-			sk.Observe(p.values[i])
+		if p.fed[i] && !sk.Observe(p.values[i]) {
+			rejected++
 		}
 	}
 	h.skMu.Unlock()
+	if rejected > 0 {
+		h.sketchRejected.Add(rejected)
+	}
 	if p.gating {
 		h.fanOutGateSignals(p)
 	}

@@ -185,22 +185,28 @@ func TestClusterModeWorkloadGating(t *testing.T) {
 		t.Fatalf("gate chain admission = %d %s, want bad request", code, body)
 	}
 
-	// Let the cluster run until the ungated arm has a solid sample count,
-	// then compare arms: the gated half must sample measurably less.
+	// Let the cluster run until the ungated arm has a solid sample count and
+	// a predictor has burst (the earliest aggregate violation is ~140 ms into
+	// the workload's cycle, and a fast host admits everything sooner), then
+	// compare arms: the gated half must sample measurably less.
 	var metrics string
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		_, metrics = httpGet(t, base+"/metrics")
-		if promLabeledSum(t, metrics, "volley_sampler_observations_total", `instance="tu-`) >= 3000 {
+		if promLabeledSum(t, metrics, "volley_sampler_observations_total", `instance="tu-`) >= 3000 &&
+			promValue(t, metrics, "volley_cluster_gate_arms_total") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("ungated tenants never reached 3000 observations")
+			break // the assertions below say which of the two is missing
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	ungated := promLabeledSum(t, metrics, "volley_sampler_observations_total", `instance="tu-`)
 	gated := promLabeledSum(t, metrics, "volley_sampler_observations_total", `instance="tg-`)
+	if ungated < 3000 {
+		t.Fatalf("ungated tenants reached only %v of 3000 observations", ungated)
+	}
 	if gated <= 0 {
 		t.Fatal("gated tenants never sampled")
 	}

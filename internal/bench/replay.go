@@ -171,9 +171,9 @@ func replayManyThresholds(eng *Engine, series [][]float64, thresholds []float64,
 }
 
 // thresholdCache amortizes threshold derivation across a whole experiment
-// grid: each series is fed once through a task.StreamingThresholds sketch
-// sized for the selectivity grid, after which any k is answered in O(1)
-// from a fixed marker bank. Memory per series is constant in the trace
+// grid: each series is fed once through a task.StreamingThresholds sketch,
+// after which any k is answered from a summary of fixed size. Memory per
+// series is constant in the trace
 // length, which is what lets the engine scale to series counts whose sorted
 // copies would not fit in RAM; the estimates carry the sketch's rank-error
 // contract (stats.SketchRankErrorBound), which the equivalence tests and
@@ -187,8 +187,8 @@ type thresholdCache struct {
 }
 
 // newThresholdCache builds the per-series sketches, in parallel. ks is the
-// selectivity grid the cache will be asked (the sketch sizes its marker
-// bank on it; off-grid ks still work, interpolated).
+// selectivity grid the cache will be asked; off-grid ks are answered just as
+// well.
 func newThresholdCache(eng *Engine, series [][]float64, ks []float64) (*thresholdCache, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("bench: no series")

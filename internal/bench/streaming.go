@@ -69,7 +69,6 @@ type StreamingSoakResult struct {
 	StepsPerSeries int     `json:"steps_per_series"`
 	ResidentBytes  int64   `json:"resident_bytes"`
 	BytesPerSeries float64 `json:"bytes_per_series"`
-	FallbackSeries int     `json:"fallback_series"`
 	// HypotheticalExactBytes is what sorted copies would cost for the same
 	// series count at fullTrace steps (8 bytes per retained value) — the
 	// configuration the streaming path makes feasible.
@@ -87,7 +86,6 @@ func StreamingSoak(nSeries, steps, fullTrace int, ks []float64) (*StreamingSoakR
 	}
 	trackers := make([]*task.StreamingThresholds, nSeries)
 	var resident int64
-	fallbacks := 0
 	for i := range trackers {
 		st, err := task.NewStreamingThresholds(ks)
 		if err != nil {
@@ -99,16 +97,12 @@ func StreamingSoak(nSeries, steps, fullTrace int, ks []float64) (*StreamingSoakR
 		}
 		trackers[i] = st
 		resident += int64(st.ResidentBytes())
-		if st.Fallbacks() > 0 {
-			fallbacks++
-		}
 	}
 	return &StreamingSoakResult{
 		Series:                 nSeries,
 		StepsPerSeries:         steps,
 		ResidentBytes:          resident,
 		BytesPerSeries:         float64(resident) / float64(nSeries),
-		FallbackSeries:         fallbacks,
 		HypotheticalExactBytes: int64(nSeries) * int64(fullTrace) * 8,
 		HypotheticalTrace:      fullTrace,
 	}, nil
@@ -193,11 +187,10 @@ func (h *MaintenanceHarness) StreamingRefresh() ([]float64, error) {
 // StreamingErrorCheckResult is one workload's sketch-versus-exact accuracy
 // audit for BENCH_streaming.json.
 type StreamingErrorCheckResult struct {
-	Workload       string  `json:"workload"`
-	Series         int     `json:"series"`
-	MaxRankError   float64 `json:"max_rank_error"`
-	Bound          float64 `json:"bound"`
-	FallbackSeries int     `json:"fallback_series"`
+	Workload     string  `json:"workload"`
+	Series       int     `json:"series"`
+	MaxRankError float64 `json:"max_rank_error"`
+	Bound        float64 `json:"bound"`
 }
 
 // sortedCopies is the exact threshold derivation the sketches replaced: one
@@ -224,8 +217,7 @@ func sortedCopies(eng *Engine, series [][]float64) ([][]float64, error) {
 
 // StreamingErrorCheck builds the streaming cache and the exact sorted copies
 // over the given series and reports the worst rank error of any streaming
-// grid threshold against the series' true empirical distribution, plus how
-// many series fell back to the GK summary.
+// grid threshold against the series' true empirical distribution.
 func StreamingErrorCheck(workload string, series [][]float64, ks []float64) (*StreamingErrorCheckResult, error) {
 	eng := NewEngine(0)
 	exact, err := sortedCopies(eng, series)
@@ -241,12 +233,7 @@ func StreamingErrorCheck(workload string, series [][]float64, ks []float64) (*St
 		return nil, err
 	}
 	maxErr := 0.0
-	fallbacks := 0
-	for i, st := range stream.stream {
-		if st.Fallbacks() > 0 {
-			fallbacks++
-		}
-		sorted := exact[i]
+	for i, sorted := range exact {
 		for ki, k := range ks {
 			q := (100 - k) / 100
 			got := grid[ki][i]
@@ -259,11 +246,10 @@ func StreamingErrorCheck(workload string, series [][]float64, ks []float64) (*St
 		}
 	}
 	return &StreamingErrorCheckResult{
-		Workload:       workload,
-		Series:         len(series),
-		MaxRankError:   maxErr,
-		Bound:          stats.SketchRankErrorBound,
-		FallbackSeries: fallbacks,
+		Workload:     workload,
+		Series:       len(series),
+		MaxRankError: maxErr,
+		Bound:        stats.SketchRankErrorBound,
 	}, nil
 }
 

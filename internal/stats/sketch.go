@@ -3,170 +3,89 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"unsafe"
 )
 
-// SketchMode identifies which estimator a Sketch is currently running.
-type SketchMode uint8
-
+// The sketch's sizes and its accuracy contract. The sizes are not
+// configurable: every committed error-bound test and the documented
+// guarantee (DESIGN.md §15) is calibrated against them, and with the fixed
+// fields they make a task.StreamingThresholds 2040 bytes — with the header
+// the allocator puts before an object that holds pointers, the 2048-byte
+// size class exactly.
 const (
-	// SketchP2 is the default mode: an extended-P² marker bank
-	// (Raatikainen's multi-quantile generalization of the Jain–Chlamtac
-	// piecewise-parabolic algorithm) tracking every target quantile in
-	// O(1) memory.
-	SketchP2 SketchMode = iota
-	// SketchGK is the fallback for adversarial streams: a fixed-capacity
-	// Greenwald–Khanna-style summary of (value, gap, uncertainty) tuples
-	// whose rank error stays bounded under sorted or drifting input,
-	// where the P² markers would lag arbitrarily far behind.
-	SketchGK
-)
-
-// String implements fmt.Stringer.
-func (m SketchMode) String() string {
-	switch m {
-	case SketchP2:
-		return "p2"
-	case SketchGK:
-		return "gk"
-	default:
-		return fmt.Sprintf("sketchmode(%d)", uint8(m))
-	}
-}
-
-// Tuning constants for the sketch. They trade memory for accuracy and are
-// deliberately not configurable: every committed error-bound test and the
-// documented guarantee (DESIGN.md §15) is calibrated against these values.
-const (
-	// sketchDetectWindow is how many post-warmup observations are grouped
-	// into one adversarial-stream detection window.
-	sketchDetectWindow = 128
-	// sketchDetectFrac is the fraction of a detection window that must be
-	// strict running extremes (new minima or new maxima) to trigger the GK
-	// fallback. Stationary streams produce new extremes at rate ~1/n;
-	// sorted or strongly drifting streams produce them every step.
-	sketchDetectFrac = 0.5
-	// sketchImbalanceTV is the total-variation distance between a
-	// detection window's observed inter-marker cell occupancy and the cell
-	// probabilities the marker bank claims, above which the window counts
-	// as miscalibrated. Sampling noise at the window size keeps a healthy
-	// bank well under this; a bank whose markers have lost the distribution
-	// (heavy burst tails are the classic case) misallocates a large,
-	// persistent fraction of its mass.
-	sketchImbalanceTV = 0.2
-	// sketchImbalanceRuns is how many consecutive miscalibrated windows
-	// trigger the GK fallback: noise is independent across windows, real
-	// miscalibration is not.
-	sketchImbalanceRuns = 2
-	// sketchGKCap is the fixed bar capacity of the fallback summary: two
-	// float64 arrays of this length (≈4 KiB), allocated only when a sketch
-	// actually falls back. Compression merges bars up to 4n/sketchGKCap
-	// observations wide, so the steady-state rank error is
-	// ≈4/sketchGKCap (~1.6%).
-	sketchGKCap = 257
+	// sketchCap is the length of the tuple array.
+	sketchCap = 77
+	// sketchBuf is how many observations wait unsorted for one flush.
+	sketchBuf = 15
+	// sketchRoom is how many tuples the summary keeps between flushes; the
+	// rest of the array is room for the buffer's values to become tuples.
+	sketchRoom = sketchCap - sketchBuf
 	// SketchRankErrorBound is the documented accuracy contract, as rank
-	// error (|F̂(estimate) − q|): it holds for the P² bank on continuous
-	// streams and for the GK fallback on arbitrary (including sorted)
-	// streams. The error-bound property tests and the bench-streaming
-	// preset cross-check gate it.
+	// error: an answer for q is the exact quantile of some rank within
+	// q ± SketchRankErrorBound. RankError reports the bound a sketch holds:
+	// sound on any stream, and about half of this on the shapes of
+	// TestSketchErrorBound.
 	SketchRankErrorBound = 0.05
 )
 
-// Sketch estimates a fixed grid of quantiles of an unbounded stream in O(1)
-// memory with zero allocations per Observe. It replaces the per-series
-// sorted copies previously used for threshold derivation: where a sorted
-// copy costs 8n bytes and a re-sort per refresh, the sketch holds a few
-// hundred bytes regardless of trace length and absorbs each observation in
-// constant time.
-//
-// The primary estimator is an extended-P² marker bank over the target
-// grid plus midpoints and extremes (2m+3 markers for m targets). P² is
-// known to degrade on sorted or monotonically drifting streams — the
-// markers chase a moving extreme and never catch up — so the sketch
-// watches the rate of strict running extremes and, when a detection window
-// is dominated by them, switches permanently to a fixed-capacity
-// Greenwald–Khanna-style summary seeded from the marker bank. Both modes
-// answer arbitrary quantiles by piecewise-linear interpolation and keep
-// estimates monotone in q.
-//
-// Sketch is not safe for concurrent use. The zero value is not usable;
-// construct with NewSketch.
-type Sketch struct {
-	targets []float64 // sorted, deduplicated target quantiles
-	prob    []float64 // marker probabilities: 0, t0/2, t0, (t0+t1)/2, …, (1+tm)/2, 1
-	heights []float64 // marker value estimates (sorted warmup buffer first)
-	pos     []float64 // actual marker positions (1-based ranks)
-	desired []float64 // desired marker positions
-
-	n        int
-	warm     int // observations absorbed during warmup (< len(heights))
-	rejected uint64
-
-	// Adversarial-stream detection (P² mode only).
-	winObs        int      // observations in the current detection window
-	winExtremes   int      // strict new minima/maxima in the current window
-	cellCount     []uint32 // per-cell occupancy in the current window
-	winCells      int      // occupancy total (ties with marker heights are not counted)
-	winImbalanced int      // consecutive windows with occupancy TV above threshold
-
-	mode      SketchMode
-	fallbacks uint64 // mode switches (0 or 1)
-
-	// GK-style fallback state, allocated on first fallback.
-	gkV   []float64 // tuple values, ascending
-	gkG   []float64 // gap: observations covered in (previous value, this value]
-	gkLen int
+// sketchTuple is one Greenwald–Khanna tuple: an observed value, the number
+// of observations it stands for (itself and those folded into it, all in
+// (previous tuple's value, v]), and the uncertainty of its rank. With
+// rmin(i) = g[0]+…+g[i], the value's rank in the stream lies in
+// [rmin(i), rmin(i)+d]. The counts are 64-bit: TestSketchCountsDoNotWrap.
+type sketchTuple struct {
+	v    float64
+	g, d uint64
 }
 
-// NewSketch returns a sketch for the given target quantiles, each in the
-// open interval (0, 1). Targets are sorted and deduplicated; at least one
-// is required. The single-target form NewSketch([]float64{q}) is the
-// streaming replacement for a one-off percentile estimate.
+// Sketch estimates any quantile of an unbounded stream in fixed memory — one
+// object with no pointer in it but the target grid's — and with no allocation
+// per Observe. It is a Greenwald–Khanna summary of fixed capacity: instead of
+// fixing the error and letting the summary grow, it folds as many of the
+// cheapest tuples as it takes to fit, and RankError reports the rank error
+// that has cost: the width of the widest tuple. While it still holds every
+// observation — sketchRoom of them at least — answers are exact.
+//
+// Sketch is not safe for concurrent use, and queries flush the buffer, so
+// they count as writes. The zero value is not usable: use NewSketch.
+type Sketch struct {
+	targets  []float64 // sorted, deduplicated target quantiles
+	n        int       // accepted observations, buffered ones included
+	rejected uint64
+	nt, nb   int32              // tuples and buffered observations in use
+	buf      [sketchBuf]float64 // next to the counts: all that most calls of Observe touch
+	t        [sketchCap]sketchTuple
+}
+
+// NewSketch returns a sketch for the given target quantiles, each in (0, 1),
+// sorted and deduplicated; at least one is required. Any quantile can be asked
+// for at the same accuracy: the targets only name GridQuantile's grid.
 func NewSketch(targets []float64) (*Sketch, error) {
+	s, err := MakeSketch(slices.Clone(targets))
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
+// MakeSketch is NewSketch for a caller that embeds the sketch by value. It
+// adopts targets, sorting and deduplicating the slice in place.
+func MakeSketch(targets []float64) (Sketch, error) {
 	if len(targets) == 0 {
-		return nil, fmt.Errorf("stats: sketch needs at least one target quantile")
+		return Sketch{}, fmt.Errorf("stats: sketch needs at least one target quantile")
 	}
-	qs := append([]float64(nil), targets...)
-	sort.Float64s(qs)
-	dedup := qs[:0]
-	for i, q := range qs {
-		if q <= 0 || q >= 1 || math.IsNaN(q) {
-			return nil, fmt.Errorf("stats: sketch quantile %v outside (0, 1)", q)
-		}
-		if i == 0 || q != qs[i-1] {
-			dedup = append(dedup, q)
+	for _, q := range targets {
+		if !(q > 0 && q < 1) {
+			return Sketch{}, fmt.Errorf("stats: sketch quantile %v outside (0, 1)", q)
 		}
 	}
-	qs = dedup
-
-	// Marker probabilities: extremes, every target, and every midpoint
-	// between consecutive probabilities — the grid Raatikainen's extended
-	// P² maintains so each target has well-positioned neighbors to
-	// interpolate against.
-	m := len(qs)
-	prob := make([]float64, 0, 2*m+3)
-	prob = append(prob, 0, qs[0]/2)
-	for i, q := range qs {
-		prob = append(prob, q)
-		if i+1 < m {
-			prob = append(prob, (q+qs[i+1])/2)
-		}
-	}
-	prob = append(prob, (1+qs[m-1])/2, 1)
-
-	mk := len(prob)
-	return &Sketch{
-		targets:   qs,
-		prob:      prob,
-		heights:   make([]float64, mk),
-		pos:       make([]float64, mk),
-		desired:   make([]float64, mk),
-		cellCount: make([]uint32, mk-1),
-	}, nil
+	slices.Sort(targets)
+	return Sketch{targets: slices.Compact(targets)}, nil
 }
 
 // Targets reports the sketch's target quantile grid (a copy, ascending).
-func (s *Sketch) Targets() []float64 { return append([]float64(nil), s.targets...) }
+func (s *Sketch) Targets() []float64 { return slices.Clone(s.targets) }
 
 // N reports the number of accepted observations.
 func (s *Sketch) N() int { return s.n }
@@ -174,304 +93,189 @@ func (s *Sketch) N() int { return s.n }
 // Rejected reports how many observations were refused (NaN or ±Inf).
 func (s *Sketch) Rejected() uint64 { return s.rejected }
 
-// Mode reports the current estimator mode.
-func (s *Sketch) Mode() SketchMode { return s.mode }
-
-// Fallbacks reports how many times the sketch switched to the GK fallback
-// (0 or 1; the switch is permanent).
-func (s *Sketch) Fallbacks() uint64 { return s.fallbacks }
-
-// ResidentBytes estimates the sketch's resident memory: struct header plus
-// every backing array. This is the figure the volley_series_resident_bytes
-// gauge aggregates and BENCH_streaming.json tracks against trace length.
+// ResidentBytes reports the sketch's resident memory: the one object and
+// the target grid it points to. It is constant from construction on.
 func (s *Sketch) ResidentBytes() int {
-	b := int(sketchStructBytes)
-	b += 8 * (cap(s.targets) + cap(s.prob) + cap(s.heights) + cap(s.pos) + cap(s.desired))
-	b += 4 * cap(s.cellCount)
-	b += 8 * (cap(s.gkV) + cap(s.gkG))
-	return b
+	return int(unsafe.Sizeof(*s)) + 8*cap(s.targets)
 }
 
-// sketchStructBytes approximates unsafe.Sizeof(Sketch{}) without importing
-// unsafe: 9 slice headers (24 B each) plus the scalar fields.
-const sketchStructBytes = 9*24 + 88
-
-// Observe absorbs one observation in O(1) memory and, in P² mode, O(m)
-// time. NaN and ±Inf are rejected (counted in Rejected) and the method
-// reports whether the observation was accepted. Observe never allocates
-// except for the one-time arrays of a mode switch.
+// Observe absorbs one observation in amortized constant time and never
+// allocates. It reports whether the observation was accepted: NaN and ±Inf
+// are rejected, and counted in Rejected.
 func (s *Sketch) Observe(x float64) bool {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		s.rejected++
 		return false
 	}
+	if s.nb == sketchBuf {
+		s.flush()
+	}
+	s.buf[s.nb] = x
+	s.nb++
 	s.n++
-	if s.mode == SketchGK {
-		s.gkInsert(x)
-		return true
-	}
-	if s.warm < len(s.heights) {
-		s.warmupInsert(x)
-		return true
-	}
-	s.p2Insert(x)
 	return true
 }
 
-// warmupInsert keeps the first len(heights) observations exactly, sorted in
-// place; the last one initializes the marker positions.
-func (s *Sketch) warmupInsert(x float64) {
-	i := sort.SearchFloat64s(s.heights[:s.warm], x)
-	copy(s.heights[i+1:s.warm+1], s.heights[i:s.warm])
-	s.heights[i] = x
-	s.warm++
-	if s.warm == len(s.heights) {
-		for j := range s.pos {
-			s.pos[j] = float64(j + 1)
-			s.desired[j] = 1 + float64(s.warm-1)*s.prob[j]
-		}
-	}
-}
-
-// p2Insert is one extended-P² update: locate the cell, shift positions,
-// and nudge every interior marker toward its desired position with the
-// piecewise-parabolic (or linear) formula.
-func (s *Sketch) p2Insert(x float64) {
-	h := s.heights
-	last := len(h) - 1
-
-	var k int
-	extreme := false
-	tie := false
-	switch {
-	case x < h[0]:
-		h[0] = x
-		k = 0
-		extreme = true
-	case x >= h[last]:
-		extreme = x > h[last]
-		if extreme {
-			h[last] = x
-		}
-		// A repeat of the current maximum is a tie, not evidence of cell
-		// imbalance — constant streams must not look miscalibrated.
-		tie = !extreme
-		k = last - 1
-	default:
-		// Largest k with h[k] <= x; the branches above guarantee
-		// h[0] <= x < h[last], so k lands in [0, last-1].
-		k = sort.Search(len(h), func(i int) bool { return h[i] > x }) - 1
-		tie = x == h[k]
-	}
-	if !tie {
-		s.cellCount[k]++
-		s.winCells++
-	}
-
-	for i := k + 1; i <= last; i++ {
-		s.pos[i]++
-	}
-	for i := range s.desired {
-		s.desired[i] += s.prob[i]
-	}
-
-	for i := 1; i < last; i++ {
-		d := s.desired[i] - s.pos[i]
-		if (d >= 1 && s.pos[i+1]-s.pos[i] > 1) || (d <= -1 && s.pos[i-1]-s.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			hh := s.parabolic(i, sign)
-			if h[i-1] < hh && hh < h[i+1] {
-				h[i] = hh
-			} else {
-				h[i] = s.linear(i, sign)
-			}
-			s.pos[i] += sign
-		}
-	}
-
-	// Adversarial-stream detection, two triggers per window:
-	//
-	// Extremes: a stationary stream produces strict running extremes at
-	// rate ~1/n, a sorted or strongly drifting one at every step. When a
-	// window is dominated by them, the marker bank is chasing a moving
-	// extreme and its estimates lag arbitrarily.
-	//
-	// Cell imbalance: when the marker heights have lost the distribution —
-	// heavy burst tails are the classic case, the bank's parabolic steps
-	// cannot cross a 100× gap — observations stop landing in cells at the
-	// probabilities the bank claims. Persistent total-variation distance
-	// between observed occupancy and the claimed cell probabilities is
-	// direct evidence the estimates are off.
-	//
-	// Either way, switch permanently to the rank-bounded GK summary,
-	// seeded from the markers.
-	s.winObs++
-	if extreme {
-		s.winExtremes++
-	}
-	if s.winObs >= sketchDetectWindow {
-		if float64(s.winExtremes) > sketchDetectFrac*float64(s.winObs) || s.imbalanced() {
-			s.fallbackToGK()
-			return
-		}
-		s.winObs, s.winExtremes, s.winCells = 0, 0, 0
-		for i := range s.cellCount {
-			s.cellCount[i] = 0
-		}
-	}
-}
-
-// imbalanced evaluates the cell-occupancy trigger at the end of a detection
-// window: it reports whether the observed occupancy has now diverged from
-// the marker bank's claimed cell probabilities for sketchImbalanceRuns
-// consecutive windows. Windows dominated by ties (discrete streams whose
-// values collide with marker heights) are skipped — occupancy of the
-// non-tied remainder is a biased sample, so it is not evidence either way.
-func (s *Sketch) imbalanced() bool {
-	if s.winCells < sketchDetectWindow/2 {
-		return false
-	}
-	total := float64(s.winCells)
-	tv := 0.0
-	for i, c := range s.cellCount {
-		d := float64(c)/total - (s.prob[i+1] - s.prob[i])
-		tv += math.Abs(d)
-	}
-	if tv/2 <= sketchImbalanceTV {
-		s.winImbalanced = 0
-		return false
-	}
-	s.winImbalanced++
-	return s.winImbalanced >= sketchImbalanceRuns
-}
-
-func (s *Sketch) parabolic(i int, d float64) float64 {
-	h, p := s.heights, s.pos
-	return h[i] + d/(p[i+1]-p[i-1])*((p[i]-p[i-1]+d)*(h[i+1]-h[i])/(p[i+1]-p[i])+
-		(p[i+1]-p[i]-d)*(h[i]-h[i-1])/(p[i]-p[i-1]))
-}
-
-func (s *Sketch) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return s.heights[i] + d*(s.heights[j]-s.heights[i])/(s.pos[j]-s.pos[i])
-}
-
-// fallbackToGK switches the sketch to the fixed-capacity summary, seeding
-// it with the marker bank: each marker becomes a tuple whose gap is the
-// rank distance to its predecessor, i.e. the bank's claim that that many
-// observations fell in (previous height, this height]. The inherited P²
-// estimation error at the moment of the switch is part of the documented
-// bound — it dilutes as 1/n from there — and every later observation is
-// accounted exactly; from the switch on, query error is governed by the
-// summary's widest bar.
-func (s *Sketch) fallbackToGK() {
-	s.gkV = make([]float64, sketchGKCap)
-	s.gkG = make([]float64, sketchGKCap)
-	prev := 0.0
-	for i, h := range s.heights {
-		s.gkV[i] = h
-		s.gkG[i] = s.pos[i] - prev
-		prev = s.pos[i]
-	}
-	s.gkLen = len(s.heights)
-	s.mode = SketchGK
-	s.fallbacks++
-}
-
-// gkInsert adds one observation to the summary, compressing in place when
-// the fixed capacity is reached. The summary is a weighted histogram of
-// bars: bar i covers gkG[i] observations in (gkV[i-1], gkV[i]]. An
-// observation equal to a bar boundary increments that bar; a new extreme
-// becomes its own exact bar; an interior observation splits its containing
-// bar at x, dividing the bar's mass proportionally to value — the
-// sub-claims partition the bar's span, so the coarse claim (and with it
-// every cumulative rank at a surviving boundary) stays exact, and the
-// proportionality assumption only redistributes rank within one bar,
-// which is already the query error's granularity. (A naive unit-bar
-// insert instead silently promotes the successor's whole mass above x —
-// phantom tail mass that compounds into unbounded rank error.)
-func (s *Sketch) gkInsert(x float64) {
-	if s.gkLen == len(s.gkV) {
-		s.gkCompress()
-	}
-	i := sort.SearchFloat64s(s.gkV[:s.gkLen], x)
-	if i < s.gkLen && s.gkV[i] == x {
-		s.gkG[i]++
+// flush sorts the buffered observations and places them among the tuples,
+// then, while that leaves more tuples than the next buffer has room beside,
+// folds tuples into their successors: every pair within the budget new values
+// join under, in one pass, when there is such a pair, and otherwise the one
+// pair whose joint width is smallest.
+//
+// That budget is a function of the observation count alone — half again the
+// width sketchRoom equal tuples would have — and has no memory. Beyond it only
+// the cheapest pair folds, just as many times as needed, so a stretch of the
+// stream that needs a wide tuple somewhere gets it there and nowhere else, and
+// what it leaves behind shrinks relative to n as n grows. Nothing a flush
+// decides is carried to the next but the tuples themselves (DESIGN.md §15 has
+// the measurements against budgets that ratchet, rise for every tuple at once,
+// or take every pair near the cheapest).
+func (s *Sketch) flush() {
+	if s.nb == 0 {
 		return
 	}
-	split := 1.0 // new extremes are exact unit bars
-	if i > 0 && i < s.gkLen {
-		frac := (x - s.gkV[i-1]) / (s.gkV[i] - s.gkV[i-1])
-		// Clamp the division away from the edges: a pure value-proportional
-		// split lets a bar spanning a density cliff keep ~its whole claim
-		// on every split (frac ≈ 0 for inserts at the dense edge), so a
-		// misclaimed tail never corrects. Forcing each split to move at
-		// least a quarter of the claim makes misclaims decay geometrically
-		// as real observations land in the bar.
-		if frac < 0.25 {
-			frac = 0.25
-		} else if frac > 0.75 {
-			frac = 0.75
+	buf := s.buf[:s.nb]
+	for i := 1; i < len(buf); i++ { // insertion sort: the buffer is small and holds no NaN
+		x, j := buf[i], i
+		for ; j > 0 && buf[j-1] > x; j-- {
+			buf[j] = buf[j-1]
 		}
-		split = s.gkG[i] * frac
-		s.gkG[i] -= split
-		split++
+		buf[j] = x
 	}
-	copy(s.gkV[i+1:s.gkLen+1], s.gkV[i:s.gkLen])
-	copy(s.gkG[i+1:s.gkLen+1], s.gkG[i:s.gkLen])
-	s.gkV[i], s.gkG[i] = x, split
-	s.gkLen++
+	full := 3 * uint64(s.n) / (2 * sketchRoom)
+	budget := full
+	if s.nt >= sketchRoom {
+		// No room for another tuple: a value that became one would have the
+		// cheapest pair folded for it, and if that pair is no cheaper than
+		// joining the tuple above, it may as well join.
+		_, width := s.cheapest(full)
+		budget = max(full, width)
+	}
+	s.place(buf, budget)
+	s.nb = 0
+	for s.nt > sketchRoom {
+		r, width := s.cheapest(full)
+		if width <= full {
+			s.fold(full) // every pair the budget allows, in one pass
+			continue
+		}
+		s.t[r+1].g += s.t[r].g
+		s.nt = int32(r + copy(s.t[r:], s.t[r+1:s.nt]))
+	}
 }
 
-// gkCompress merges adjacent histogram bars until the summary is at most
-// 3/4 full. The merge threshold starts at 4n/capacity — wide enough that a
-// pass always finds mergeable pairs among the sub-average bars — and
-// doubles only if a pass falls short, so the widest bar (the query error
-// bound) stays proportional to n/capacity. Merging the bar before r into r
-// keeps r's value and absorbs the gap: the merged observations still lie
-// in (new previous value, gkV[r]], preserving the invariant. The first and
-// last bars (running min/max) are never merged away.
-func (s *Sketch) gkCompress() {
-	target := len(s.gkV) * 3 / 4
-	t := 4 * float64(s.n) / float64(len(s.gkV))
-	if t < 2 {
-		t = 2
-	}
-	for s.gkLen > target {
-		w := 1 // write index; tuple 0 (the running min) is always kept
-		for r := 1; r < s.gkLen; r++ {
-			if w > 1 && r < s.gkLen-1 && s.gkG[w-1]+s.gkG[r] <= t {
-				s.gkG[r] += s.gkG[w-1]
-				w--
+// place puts the sorted values among the tuples, largest first. A value
+// joins the tuple above it when the two stay within the budget. Otherwise it
+// becomes a tuple with g = 1 whose rank is uncertain by what the tuple above
+// it stands for, d = g'+d'−1: 0 next to an exact neighbour, and 0 for a new
+// maximum or minimum — which always become tuples: the minimum never joins
+// and the maximum is never joined, so both stay exact. A value that is
+// already there is counted, not inserted: its repeats go to a second tuple
+// of the same value right after the first, which is therefore all ties — it
+// stands for no other value and its width is not uncertainty (RankError) —
+// and has the first one's d.
+func (s *Sketch) place(buf []float64, budget uint64) {
+	t := &s.t
+	i := int(s.nt) - 1 // the largest tuple not above the value in hand
+	for j := len(buf) - 1; j >= 0; {
+		x, run := buf[j], 1
+		for j-run >= 0 && buf[j-run] == x {
+			run++
+		}
+		j -= run
+		for i >= 0 && t[i].v > x {
+			i--
+		}
+		at, c := i+1, sketchTuple{v: x, g: uint64(run)}
+		split := false
+		switch {
+		case i >= 1 && t[i].v == x && t[i-1].v == x: // its ties tuple is there
+			t[i].g += c.g
+			continue
+		case i >= 0 && t[i].v == x: // becomes the ties tuple of an old value
+			c.d = t[i].d
+		case at < int(s.nt):
+			above := &t[at]
+			if i >= 0 && at < int(s.nt)-1 && c.g+above.g+above.d <= budget {
+				above.g += c.g
+				continue
 			}
-			s.gkV[w], s.gkG[w] = s.gkV[r], s.gkG[r]
-			w++
+			c.d = above.g + above.d - 1
+			fallthrough
+		default:
+			// The repeats of a new value with an exact rank get the ties
+			// tuple at once, so answers stay exact while nothing has been
+			// folded; with an uncertain rank they are simply counted.
+			split = run > 1 && c.d == 0
 		}
-		s.gkLen = w
-		t *= 2
+		n := 1
+		if split {
+			n, c.g = 2, 1
+		}
+		copy(t[at+n:], t[at:s.nt])
+		t[at] = c
+		if split {
+			t[at+1] = sketchTuple{v: x, g: uint64(run - 1)}
+		}
+		s.nt += int32(n)
 	}
 }
 
-// RankError reports the sketch's current worst-case rank uncertainty: 0 in
-// P² mode (the bank has no tracked bound; the documented empirical bound
-// applies) and the widest histogram bar as a rank fraction, max(g)/n, in
-// GK mode — a query interpolated inside a bar cannot be further than the
-// bar's whole width from its true rank. Rank mass inherited from the P²
-// seed at fallback time is counted as claimed.
+// fold is one backward pass over the tuples in which each in turn joins its
+// successor — which keeps its value and uncertainty and adds the counts —
+// when the pair stays within the budget, g+g'+d' ≤ budget, or is kept below
+// it. The minimum never joins and the maximum is never joined.
+func (s *Sketch) fold(budget uint64) {
+	t, top := &s.t, int(s.nt)-1
+	w := top
+	for r := top - 1; r >= 0; r-- {
+		if r > 0 && w < top && t[r].g+t[w].g+t[w].d <= budget {
+			t[w].g += t[r].g
+			continue
+		}
+		w--
+		t[w] = t[r]
+	}
+	s.nt = int32(copy(t[:], t[w:top+1]))
+}
+
+// cheapest finds the adjacent pair of tuples whose joint width g+g'+d' is
+// smallest among those that may fold — the minimum never joins, the maximum
+// is never joined — and reports the lower one's index and the width. A tuple
+// whose own count has reached full never joins either: it stays a boundary,
+// or a run of exact tuples would fold, cheaply each time, into one that
+// follows the moving edge of a drifting stream and hands its whole count to
+// every value that lands under it. There is always a pair left: too many
+// tuples to fit cannot all be full.
+func (s *Sketch) cheapest(full uint64) (at int, width uint64) {
+	width = math.MaxUint64
+	for r := 1; r < int(s.nt)-2; r++ {
+		if c := s.t[r].g + s.t[r+1].g + s.t[r+1].d; c < width && s.t[r].g <= full {
+			at, width = r, c
+		}
+	}
+	return at, width
+}
+
+// RankError reports the rank error the summary currently guarantees: no
+// more than this share of the observations lies strictly between an answer
+// of Quantile and the exact answer. It is the widest tuple, max(g+d)/N, less
+// the one observation a tuple always stands for — so 0 while the summary
+// holds every observation — and 0 for an empty sketch.
 func (s *Sketch) RankError() float64 {
-	if s.mode != SketchGK || s.n == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	maxSpan := 0.0
-	for i := 1; i < s.gkLen; i++ {
-		if sp := s.gkG[i]; sp > maxSpan {
-			maxSpan = sp
+	s.flush()
+	var widest uint64
+	for i, t := range s.t[:s.nt] {
+		if i > 0 && t.v == s.t[i-1].v {
+			widest = max(widest, t.d) // all ties
+		} else {
+			widest = max(widest, t.g+t.d-1)
 		}
 	}
-	return maxSpan / float64(s.n)
+	return float64(widest) / float64(s.n)
 }
 
 // Min reports the exact running minimum (NaN on an empty sketch).
@@ -479,99 +283,61 @@ func (s *Sketch) Min() float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	if s.mode == SketchGK {
-		return s.gkV[0]
-	}
-	return s.heights[0]
+	s.flush()
+	return s.t[0].v
 }
 
 // Max reports the exact running maximum (NaN on an empty sketch).
 func (s *Sketch) Max() float64 {
-	switch {
-	case s.n == 0:
+	if s.n == 0 {
 		return math.NaN()
-	case s.mode == SketchGK:
-		return s.gkV[s.gkLen-1]
-	case s.warm < len(s.heights):
-		return s.heights[s.warm-1]
-	default:
-		return s.heights[len(s.heights)-1]
 	}
+	s.flush()
+	return s.t[s.nt-1].v
 }
 
-// Quantile estimates the q-quantile of everything observed so far. Any q
-// in [0, 1] is answered — accuracy is best at the target grid — by
-// piecewise-linear interpolation over the marker bank (P² mode) or the
-// rank summary (GK mode). It returns NaN for an empty sketch or q outside
-// [0, 1]; while fewer observations than markers have arrived the answer is
-// exact.
+// Quantile estimates the q-quantile of everything observed so far, for any
+// q in [0, 1]: the rank q(N−1) is looked up among the tuples, each placed at
+// the middle of its rank interval, and the value interpolated between the two
+// around it — which is the exact sample quantile, as the package's Quantile
+// computes it on a sorted copy, while no tuple has been folded. It returns
+// NaN for an empty sketch or q outside [0, 1].
 func (s *Sketch) Quantile(q float64) float64 {
-	if s.n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
+	if s.n == 0 || !(q >= 0 && q <= 1) {
 		return math.NaN()
 	}
-	if s.mode == SketchGK {
-		return s.gkQuantile(q)
+	s.flush()
+	pos := q * float64(s.n-1) // 0-based, as quantileSorted has it
+	var rmin uint64
+	prev := 0.0
+	for i, t := range s.t[:s.nt] {
+		rmin += t.g
+		at := float64(rmin-1) + float64(t.d)/2
+		if at < pos {
+			prev = at
+			continue
+		}
+		if i == 0 || at == pos {
+			return t.v
+		}
+		return lerpClamped(s.t[i-1].v, t.v, (pos-prev)/(at-prev))
 	}
-	if s.warm > 0 && s.warm < len(s.heights) {
-		return quantileSorted(s.heights[:s.warm], q)
-	}
-	// Find the bracketing markers by probability and interpolate their
-	// height estimates. prob is strictly increasing from 0 to 1, so the
-	// search lands in [0, len) for every q in [0, 1].
-	i := sort.SearchFloat64s(s.prob, q)
-	if i == 0 || s.prob[i] == q {
-		return s.heights[i]
-	}
-	frac := (q - s.prob[i-1]) / (s.prob[i] - s.prob[i-1])
-	return lerpClamped(s.heights[i-1], s.heights[i], frac)
+	return s.t[s.nt-1].v
 }
 
 // GridQuantile reports the estimate for the i-th target quantile (as
-// ordered by Targets) without interpolation error.
+// ordered by Targets), NaN when there is no such target.
 func (s *Sketch) GridQuantile(i int) float64 {
 	if i < 0 || i >= len(s.targets) {
 		return math.NaN()
 	}
-	if s.n == 0 {
-		return math.NaN()
-	}
-	if s.mode == SketchGK {
-		return s.gkQuantile(s.targets[i])
-	}
-	if s.warm < len(s.heights) {
-		return quantileSorted(s.heights[:s.warm], s.targets[i])
-	}
-	// Target i sits at marker 2 + 2i: markers are 0, t0/2, t0, mid, t1, …
-	return s.heights[2+2*i]
-}
-
-// gkQuantile answers a quantile from the summary: find the tuples whose
-// minimum ranks bracket the target rank and interpolate values by rank.
-func (s *Sketch) gkQuantile(q float64) float64 {
-	r := 1 + q*float64(s.n-1)
-	rmin := 0.0
-	for i := 0; i < s.gkLen; i++ {
-		next := rmin + s.gkG[i]
-		if r <= next || i == s.gkLen-1 {
-			if i == 0 {
-				return s.gkV[0]
-			}
-			// Interpolate between tuple i-1 (rank rmin) and i (rank next).
-			if next == rmin {
-				return s.gkV[i]
-			}
-			return lerpClamped(s.gkV[i-1], s.gkV[i], (r-rmin)/(next-rmin))
-		}
-		rmin = next
-	}
-	return s.gkV[s.gkLen-1]
+	return s.Quantile(s.targets[i])
 }
 
 // lerpClamped interpolates a…b by frac, clamped to [a, b]. The clamp is
 // load-bearing for monotone quantiles: at extreme magnitudes the fused
-// a+frac·(b−a) can overshoot b by an ulp, and since segment endpoints are
-// shared, an overshoot at the end of one segment would exceed the start of
-// the next (found by FuzzSketch).
+// a+frac·(b−a) can overshoot b by an ulp, and segment endpoints are shared,
+// so one segment's end would exceed the next one's start (FuzzSketch).
 func lerpClamped(a, b, frac float64) float64 {
 	v := a + frac*(b-a)
 	if v < a {

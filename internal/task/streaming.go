@@ -2,50 +2,54 @@ package task
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 
 	"volley/internal/stats"
 )
 
 // StreamingThresholds answers the selectivity-to-threshold mapping of
-// ThresholdForSelectivity without retaining the observed series: a
-// multi-quantile sketch (stats.Sketch) tracks the (100−k)-th percentile for
-// every selectivity k in the grid online, in O(1) memory and with no
-// allocation per observation. Where Thresholds needs a sorted copy of the
-// full trace — O(n) bytes per series — a StreamingThresholds holds a fixed
-// marker bank regardless of how long the series runs, which is what makes
+// ThresholdForSelectivity without retaining the observed series: a quantile
+// sketch (stats.Sketch) summarizes everything observed in fixed memory and
+// with no allocation per observation, and answers the (100−k)-th percentile
+// for any selectivity k. Where Thresholds needs a sorted copy of the full
+// trace — O(n) bytes per series — a StreamingThresholds is one object of
+// constant size however long the series runs, which is what makes
 // million-series deployments and runtime re-tuning (answering a new k
 // mid-stream without replaying history) feasible.
 //
 // Estimates carry the sketch's rank-error contract: a returned threshold is
-// the exact threshold of a selectivity within ±100·stats.SketchRankErrorBound
-// percentage points of the requested k (and is exact while fewer
-// observations than the marker bank have arrived).
+// the exact threshold of a selectivity within ±100·RankError() percentage
+// points of the requested k, RankError() ≤ stats.SketchRankErrorBound, and
+// it is the exact threshold while the sketch still holds every observation.
 type StreamingThresholds struct {
 	ks []float64
-	sk *stats.Sketch
+	sk stats.Sketch
 }
 
 // NewStreamingThresholds builds a streaming threshold tracker for the given
-// selectivity grid (percent, each in (0, 100)). The grid fixes the sketch's
-// marker bank; Threshold may still be asked for any k in (0, 100), with best
-// accuracy at and between grid points.
+// selectivity grid (percent, each in (0, 100)). The grid is what Thresholds
+// answers; Threshold may be asked for any k in (0, 100), at the same
+// accuracy.
 func NewStreamingThresholds(ks []float64) (*StreamingThresholds, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("task: no selectivities")
 	}
-	targets := make([]float64, len(ks))
+	// One array holds the grid both ways: the selectivities as given, and
+	// the sketch's target quantiles behind them.
+	grid := make([]float64, 2*len(ks))
+	targets := grid[len(ks):]
 	for i, k := range ks {
-		if k <= 0 || k >= 100 || math.IsNaN(k) {
+		if !(k > 0 && k < 100) {
 			return nil, fmt.Errorf("task: selectivity %v outside (0, 100)", k)
 		}
+		grid[i] = k
 		targets[i] = (100 - k) / 100
 	}
-	sk, err := stats.NewSketch(targets)
+	sk, err := stats.MakeSketch(targets)
 	if err != nil {
 		return nil, fmt.Errorf("task: %v", err)
 	}
-	return &StreamingThresholds{ks: append([]float64(nil), ks...), sk: sk}, nil
+	return &StreamingThresholds{ks: grid[:len(ks):len(ks)], sk: sk}, nil
 }
 
 // Observe feeds one value of the monitored series into the sketch. It
@@ -58,7 +62,7 @@ func (s *StreamingThresholds) Observe(x float64) bool { return s.sk.Observe(x) }
 // far. k need not be a grid point. It returns an error for k outside
 // (0, 100) or before any value has been observed.
 func (s *StreamingThresholds) Threshold(k float64) (float64, error) {
-	if k <= 0 || k >= 100 || math.IsNaN(k) {
+	if !(k > 0 && k < 100) {
 		return 0, fmt.Errorf("task: selectivity %v outside (0, 100)", k)
 	}
 	if s.sk.N() == 0 {
@@ -82,7 +86,6 @@ func (s *StreamingThresholds) AppendThresholds(dst []float64) ([]float64, error)
 		return nil, fmt.Errorf("task: no values to derive thresholds from")
 	}
 	for _, k := range s.ks {
-		// Grid selectivities hit their marker exactly in the sketch.
 		dst = append(dst, s.sk.Quantile((100-k)/100))
 	}
 	return dst, nil
@@ -97,15 +100,12 @@ func (s *StreamingThresholds) N() int { return s.sk.N() }
 // Rejected reports how many non-finite values were dropped.
 func (s *StreamingThresholds) Rejected() uint64 { return s.sk.Rejected() }
 
-// Mode reports which sketch algorithm currently backs the estimates.
-func (s *StreamingThresholds) Mode() stats.SketchMode { return s.sk.Mode() }
+// RankError reports the rank error the sketch currently guarantees for any
+// threshold it answers, as a fraction of N (stats.Sketch.RankError).
+func (s *StreamingThresholds) RankError() float64 { return s.sk.RankError() }
 
-// Fallbacks reports how many times the sketch fell back from the P² marker
-// bank to the GK summary (0 or 1 per tracker; fallback is permanent).
-func (s *StreamingThresholds) Fallbacks() uint64 { return s.sk.Fallbacks() }
-
-// ResidentBytes estimates the tracker's memory footprint. It is constant in
-// the number of observations — the point of the streaming path.
+// ResidentBytes reports the tracker's memory footprint: the one object that
+// holds the sketch, and the grid array. It is constant from construction on.
 func (s *StreamingThresholds) ResidentBytes() int {
-	return s.sk.ResidentBytes() + 8*cap(s.ks) + 24
+	return int(unsafe.Sizeof(*s)) + 2*8*cap(s.ks)
 }

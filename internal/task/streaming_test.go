@@ -3,6 +3,7 @@ package task
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -33,9 +34,9 @@ func TestStreamingThresholdsEmpty(t *testing.T) {
 	}
 }
 
-// Before the marker bank fills, the sketch answers exactly — so for short
-// series the streaming path must agree with ThresholdForSelectivity
-// bit-for-bit.
+// While the sketch still holds every observation it answers exactly — so
+// for short series the streaming path must agree with
+// ThresholdForSelectivity bit-for-bit.
 func TestStreamingThresholdsExactWhileSmall(t *testing.T) {
 	ks := []float64{6.4, 0.8}
 	st, err := NewStreamingThresholds(ks)
@@ -134,6 +135,40 @@ func TestStreamingThresholdsResidentBytesConstant(t *testing.T) {
 	}
 }
 
+// ResidentBytes is what the heap holds: two objects per tracker — the one
+// with the sketch in it and the grid array — each filling its allocation
+// size class, so ten thousand trackers move HeapAlloc by ten thousand times
+// the figure (the slice that keeps them reachable is allocated first).
+func TestStreamingThresholdsResidentBytesIsTheHeap(t *testing.T) {
+	ks := []float64{25, 10, 5, 2, 1, 0.5, 0.2, 0.1}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := NewStreamingThresholds(ks); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Errorf("NewStreamingThresholds allocates %v objects, want 2", got)
+	}
+	const n = 10000
+	trackers := make([]*StreamingThresholds, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range trackers {
+		trackers[i], _ = NewStreamingThresholds(ks)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	claimed := n * trackers[0].ResidentBytes()
+	held := int(after.HeapAlloc) - int(before.HeapAlloc)
+	if diff := held - claimed; diff < -claimed/100 || diff > claimed/100 {
+		t.Errorf("%d trackers hold %d heap bytes, ResidentBytes claims %d (%d each)", n, held, claimed, claimed/n)
+	}
+	if got := trackers[0].ResidentBytes(); got > 2304 {
+		t.Errorf("ResidentBytes() = %d, want at most 2304", got)
+	}
+	runtime.KeepAlive(trackers)
+}
+
 func TestStreamingThresholdsObserveZeroAlloc(t *testing.T) {
 	st, err := NewStreamingThresholds([]float64{6.4, 0.8, 0.1})
 	if err != nil {
@@ -172,7 +207,7 @@ func TestStreamingThresholdsGridAccessors(t *testing.T) {
 	if st.Ks()[0] != 6.4 {
 		t.Error("Ks() returned internal slice")
 	}
-	if st.Mode() != stats.SketchP2 || st.Fallbacks() != 0 {
-		t.Errorf("fresh tracker mode/fallbacks = %v/%d", st.Mode(), st.Fallbacks())
+	if st.N() != 0 || st.RankError() != 0 {
+		t.Errorf("fresh tracker N/RankError = %d/%v", st.N(), st.RankError())
 	}
 }

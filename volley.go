@@ -131,12 +131,12 @@ func ThresholdForSelectivity(values []float64, k float64) (float64, error) {
 
 // StreamingThresholds answers the selectivity-to-threshold mapping of
 // ThresholdForSelectivity online, without retaining the observed series: a
-// bounded-memory multi-quantile sketch tracks the (100−k)-th percentile
-// for every selectivity k of a fixed grid in O(1) memory with no
-// allocation per observation. Thresholds for any k in (0, 100) can then be
-// answered mid-stream — which is what lets a long-running deployment
-// retune a task's threshold from live data without replaying history.
-// Estimates carry the sketch's rank-error contract (SketchRankErrorBound).
+// quantile sketch summarizes everything observed in one fixed-size object,
+// with no allocation per observation, and answers the (100−k)-th percentile
+// for any selectivity k in (0, 100) mid-stream — which is what lets a
+// long-running deployment retune a task's threshold from live data without
+// replaying history. Estimates carry the sketch's rank-error contract:
+// RankError reports the bound a tracker currently holds, on any stream.
 type StreamingThresholds = task.StreamingThresholds
 
 // NewStreamingThresholds builds a streaming threshold tracker for the
@@ -145,33 +145,23 @@ func NewStreamingThresholds(ks []float64) (*StreamingThresholds, error) {
 	return task.NewStreamingThresholds(ks)
 }
 
-// QuantileSketch is the underlying bounded-memory multi-quantile estimator:
-// an extended-P² marker bank over the target quantiles, with an automatic
-// fallback to a capped weighted histogram (GK-style summary) on streams the
-// marker bank cannot track (sorted drifts, heavy burst tails).
+// QuantileSketch is the underlying bounded-memory quantile estimator: a
+// Greenwald–Khanna summary of fixed capacity that answers any quantile,
+// exactly while it still holds every observation and within RankError of
+// the requested rank afterwards.
 type QuantileSketch = stats.Sketch
 
-// NewQuantileSketch builds a sketch tracking the given target quantiles
+// NewQuantileSketch builds a sketch with the given target quantile grid
 // (each in (0, 1)).
 func NewQuantileSketch(targets []float64) (*QuantileSketch, error) {
 	return stats.NewSketch(targets)
 }
 
-// SketchMode identifies which algorithm currently backs a sketch's
-// estimates.
-type SketchMode = stats.SketchMode
-
-// Sketch modes: the default extended-P² marker bank, and the GK-style
-// capped histogram the sketch permanently falls back to on adversarial
-// streams.
-const (
-	SketchModeP2 = stats.SketchP2
-	SketchModeGK = stats.SketchGK
-)
-
 // SketchRankErrorBound is the documented accuracy contract of the
 // streaming quantile estimates, in rank space: a sketch quantile at target
-// q is the exact quantile of some rank within q ± SketchRankErrorBound.
+// q is the exact quantile of some rank within q ± SketchRankErrorBound on
+// every committed workload and test stream shape; a sketch's RankError
+// reports the bound it actually holds.
 const SketchRankErrorBound = stats.SketchRankErrorBound
 
 // SplitThresholdEven divides a global threshold evenly across n monitors
