@@ -290,19 +290,19 @@ func (h *monitorHost) host(name string, t hostedTask) {
 	h.sketches.Add(int64(len(t.sks)))
 }
 
-// unhost also frees the monitors' addresses on the network.
+// unhost also closes the monitors: their addresses on the network are freed
+// and their series leave /metrics.
 func (h *monitorHost) unhost(name string) {
 	h.sketches.Add(-int64(len(h.hosted.tasks[name].sks)))
-	mons := h.hosted.remove(name)
-	for _, m := range mons {
-		_ = h.net.Deregister(m.ID())
+	for _, m := range h.hosted.remove(name) {
+		m.Close()
 	}
 }
 
 // buildMonitors builds a task's monitors, one per agent, registered on the
 // host's network under spec.Monitors and reporting to coord. gates is nil or
 // holds one gate per monitor; maxInterval 0 means the daemon's -max-interval.
-// On an error nothing stays registered.
+// On an error nothing stays registered, on the network or in the metrics.
 func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int,
 	agents []volley.Agent, coord string, gates []*volley.Gate) ([]*volley.Monitor, error) {
 	if len(agents) == 0 || len(agents) != len(spec.Monitors) {
@@ -340,8 +340,8 @@ func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int
 		}
 		var err error
 		if mons[i], err = volley.NewMonitor(cfg); err != nil {
-			for _, a := range spec.Monitors[:i] {
-				_ = h.net.Deregister(a)
+			for _, m := range mons[:i] {
+				m.Close()
 			}
 			return nil, err
 		}

@@ -47,7 +47,8 @@ func workloadNow() time.Duration {
 
 // workloadSet generates (or returns the cached) assembled set for one
 // family configuration, so a thousand agents over the same family pay for
-// generation once.
+// generation once: the first admission to name the family does, with its
+// series fanned over GOMAXPROCS workers (volley.GenerateWorkload).
 func workloadSet(key string, gen func() (*volley.WorkloadSet, error)) (*volley.WorkloadSet, error) {
 	workloadCacheMu.Lock()
 	defer workloadCacheMu.Unlock()

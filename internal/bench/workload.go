@@ -86,24 +86,6 @@ func (p Preset) tenantFamily() workload.TenantColo {
 	return workload.DefaultTenantColo(p.WloadTenants, p.WloadTenantGroups, p.WloadTenantWindows, p.Seed+9100)
 }
 
-// generateSet generates a family's series across the engine (slot writes
-// only, so the set is bit-identical for any worker count) and assembles it.
-func generateSet(eng *Engine, f workload.Family) (*workload.Set, error) {
-	series := make([]workload.Series, f.Size())
-	err := eng.ForEach(f.Size(), func(i int) error {
-		s, err := f.GenSeries(i)
-		if err != nil {
-			return err
-		}
-		series[i] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f.Assemble(series)
-}
-
 // RunWorkloadEntropy evaluates the entropy-of-flow family end to end: the
 // global signal is reconstructed from each monitor's last-sampled value
 // (sample-and-hold, what a coordinator aggregating asynchronous reports
@@ -115,7 +97,7 @@ func RunWorkloadEntropy(p Preset) (*WorkloadResult, error) {
 		return nil, err
 	}
 	eng := p.engine()
-	set, err := generateSet(eng, p.entropyFamily())
+	set, err := workload.Generate(p.entropyFamily())
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +250,7 @@ func RunWorkloadTenant(p Preset) (*WorkloadResult, error) {
 		return nil, err
 	}
 	eng := p.engine()
-	set, err := generateSet(eng, p.tenantFamily())
+	set, err := workload.Generate(p.tenantFamily())
 	if err != nil {
 		return nil, err
 	}

@@ -81,8 +81,9 @@ func TestRunWorkloadTenantGating(t *testing.T) {
 
 // TestRunWorkloadFamilyProcsEquivalence pins the engine determinism
 // contract on the new sweeps: serial and parallel runs must be
-// bit-identical (generation fans GenSeries across workers; every cell
-// writes only its own slot).
+// bit-identical (workload.Generate fans GenSeries across GOMAXPROCS workers
+// whatever Procs says, the sweeps across Procs; every cell writes only its
+// own slot).
 func TestRunWorkloadFamilyProcsEquivalence(t *testing.T) {
 	serial := wloadPreset()
 	serial.Procs = 1

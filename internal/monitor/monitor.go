@@ -169,25 +169,45 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{cfg: cfg, sampler: sampler}
 	m.prefetch, _ = cfg.Agent.(Prefetcher)
-	if cfg.Metrics != nil || cfg.Tracer != nil {
-		sampler.Instrument(core.SamplerObs{
-			Tracer:       cfg.Tracer,
-			Node:         cfg.ID,
-			Task:         cfg.Task,
-			Observations: cfg.Metrics.Counter("volley_sampler_observations_total", "Adaptive sampling operations performed.", "instance", cfg.ID),
-			Grows:        cfg.Metrics.Counter("volley_sampler_interval_grows_total", "Interval increases after a comfortable-bound streak.", "instance", cfg.ID),
-			Resets:       cfg.Metrics.Counter("volley_sampler_interval_resets_total", "Falls back to the default interval.", "instance", cfg.ID),
-			Interval:     cfg.Metrics.Gauge("volley_sampler_interval", "Current sampling interval in default intervals.", "instance", cfg.ID),
-			Bound:        cfg.Metrics.Gauge("volley_sampler_bound", "Last misdetection bound.", "instance", cfg.ID),
-			BoundDist:    cfg.Metrics.Histogram("volley_sampler_bound_dist", "Distribution of misdetection bounds.", obs.DefBoundBuckets, "instance", cfg.ID),
-		})
-	}
+	// The address first: where the network refuses it, no series has been
+	// registered that would have to be taken back (and could be the series of
+	// the live monitor the address belongs to).
 	if cfg.Network != nil {
 		if err := cfg.Network.Register(cfg.ID, m.handle); err != nil {
 			return nil, fmt.Errorf("monitor %s: %w", cfg.ID, err)
 		}
 	}
+	if cfg.Metrics != nil || cfg.Tracer != nil {
+		// One label string for the six series, rendered here once.
+		reg := cfg.Metrics.With("instance", cfg.ID)
+		o := core.SamplerObs{
+			Tracer:       cfg.Tracer,
+			Node:         cfg.ID,
+			Task:         cfg.Task,
+			Observations: reg.Counter("volley_sampler_observations_total", "Adaptive sampling operations performed."),
+			Grows:        reg.Counter("volley_sampler_interval_grows_total", "Interval increases after a comfortable-bound streak."),
+			Resets:       reg.Counter("volley_sampler_interval_resets_total", "Falls back to the default interval."),
+			Interval:     reg.Gauge("volley_sampler_interval", "Current sampling interval in default intervals."),
+			Bound:        reg.Gauge("volley_sampler_bound", "Last misdetection bound."),
+			BoundDist:    reg.Histogram("volley_sampler_bound_dist", "Distribution of misdetection bounds.", obs.DefBoundBuckets),
+		}
+		// Under the lock handle takes: a message may already be on its way.
+		m.mu.Lock()
+		sampler.Instrument(o)
+		m.mu.Unlock()
+	}
 	return m, nil
+}
+
+// Close undoes New: the monitor's address is freed, where the network can
+// free one, and its series leave the metrics registry, so that a monitor
+// built later under the same ID counts from zero. A closed monitor is not
+// ticked again.
+func (m *Monitor) Close() {
+	if d, ok := m.cfg.Network.(transport.Deregisterer); ok {
+		_ = d.Deregister(m.cfg.ID)
+	}
+	m.cfg.Metrics.With("instance", m.cfg.ID).Remove()
 }
 
 // ID reports the monitor's address.

@@ -3,10 +3,12 @@ package monitor
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"volley/internal/core"
+	"volley/internal/obs"
 	"volley/internal/transport"
 )
 
@@ -506,4 +508,71 @@ func TestPrefetchedReadAnswersAPoll(t *testing.T) {
 	if agent.started != 2 || agent.early != 1 || agent.out {
 		t.Errorf("%d reads started, %d early, one still started = %v; want 2, 1, false", agent.started, agent.early, agent.out)
 	}
+}
+
+// TestCloseUndoesNew: Close frees the monitor's address and takes its six
+// series out of the registry, so a monitor built again under the same ID
+// registers afresh and counts from zero; and a New the network refuses
+// registers nothing — in particular it leaves the series of the live monitor
+// that holds the address alone.
+func TestCloseUndoesNew(t *testing.T) {
+	net := transport.NewMemory()
+	if err := net.Register("coord", func(transport.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	reg.Counter("unrelated_total", "Somebody else's.").Inc()
+	page := func() string {
+		var b strings.Builder
+		reg.WritePrometheus(&b)
+		return b.String()
+	}
+	empty := page()
+	cfg := Config{
+		ID: "task/mon/m0", Task: "task", Agent: quietAgent(), Sampler: samplerCfg(1000, 0.1),
+		Network: net, Coordinator: "coord", Metrics: reg,
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := m.Tick(time.Duration(i) * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	observed := func() uint64 {
+		return reg.Counter("volley_sampler_observations_total", "", "instance", cfg.ID).Value()
+	}
+	live := page()
+	if observed() == 0 || strings.Count(live, `instance="task/mon/m0"`) != 5+13 {
+		t.Fatalf("the monitor's series are not on the page:\n%s", live)
+	}
+
+	if _, err := New(cfg); err == nil {
+		t.Fatal("a second monitor on a taken address was accepted")
+	}
+	if got := page(); got != live {
+		t.Fatalf("a refused New changed the page:\n%s\nwant\n%s", got, live)
+	}
+
+	m.Close()
+	if got := page(); got != empty {
+		t.Fatalf("page after Close:\n%s\nwant the page before New:\n%s", got, empty)
+	}
+	again, err := New(cfg)
+	if err != nil {
+		t.Fatalf("the address was not freed: %v", err)
+	}
+	if got := observed(); got != 0 {
+		t.Fatalf("the monitor built again starts at %d observations, want 0", got)
+	}
+	again.Close()
+
+	// Without a registry or a network Close has nothing to undo.
+	bare, err := New(Config{ID: "bare", Agent: quietAgent(), Sampler: samplerCfg(1000, 0.1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.Close()
 }

@@ -21,6 +21,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -216,30 +217,44 @@ const (
 // series is one labeled instance of a metric family.
 type series struct {
 	labels string // pre-rendered `key="value",...` without braces; "" if unlabeled
-	c      *Counter
-	g      *Gauge
-	fn     func() float64
-	h      *Histogram
+	seq    uint64 // registration order, registry-wide
+	inst   any    // *Counter, *Gauge, func() float64 or *Histogram, as the family's kind says; nil once removed
 }
 
 // family groups the series sharing one metric name.
 type family struct {
 	name, help string
 	kind       int
-	series     []*series
+	seq        uint64             // registration order, registry-wide
+	series     []*series          // ascending seq, which is exposition order; may hold removed ones
+	removed    int                // how many of series are removed and wait to be dropped
+	index      map[string]*series // the live series by label string; a key is its series' own string, never a copy
 	vecLabel   string
 	vecFn      func() map[string]float64
+	// Histogram families: the `le="…"` label of each of leBounds, rendered
+	// when the first series arrives. A series over other bounds renders its
+	// own at scrape time.
+	leBounds []float64
+	le       [][]byte
 }
 
 // Registry collects metric families for exposition. Registration takes a
-// lock and may allocate; the instruments it hands out are the atomic types
-// above, so the observe path never touches the registry again. All methods
-// are nil-safe: registering on a nil *Registry returns a detached (but
-// fully usable) instrument, so components can instrument themselves
+// lock and may allocate, but costs the same however many series a family
+// already holds; the instruments it hands out are the atomic types above,
+// so the observe path never touches the registry again. All methods are
+// nil-safe: registering on a nil *Registry returns a detached (but fully
+// usable) instrument, so components can instrument themselves
 // unconditionally.
+//
+// A series lives from its registration to the Remove of a Scope with its
+// labels. Families and series carry the sequence number of their
+// registration and are kept in that order, which is what lets a scrape give
+// the lock up between chunks and find its place again (prom.go).
 type Registry struct {
 	mu     sync.Mutex
-	order  []*family
+	seq    uint64    // the last sequence number handed out
+	probes uint64    // index lookups made: the tests' witness that finding a series is one of them
+	order  []*family // ascending seq
 	byName map[string]*family
 }
 
@@ -248,7 +263,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-// family returns the family for name, creating it with the given help and
+// familyFor returns the family for name, creating it with the given help and
 // kind. A name registered before with a different kind yields nil (the
 // caller then hands out a detached instrument).
 func (r *Registry) familyFor(name, help string, kind int) *family {
@@ -258,10 +273,17 @@ func (r *Registry) familyFor(name, help string, kind int) *family {
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind}
+	r.seq++
+	f := &family{name: name, help: help, kind: kind, seq: r.seq, index: make(map[string]*series)}
 	r.byName[name] = f
 	r.order = append(r.order, f)
 	return f
+}
+
+// lookup returns f's series with the given label string, if any.
+func (r *Registry) lookup(f *family, labels string) *series {
+	r.probes++
+	return f.index[labels]
 }
 
 // renderLabels turns ("k1", "v1", "k2", "v2") pairs into `k1="v1",k2="v2"`.
@@ -282,75 +304,143 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-// findSeries returns the series with the given label string, if any.
-func (f *family) findSeries(labels string) *series {
-	for _, s := range f.series {
-		if s.labels == labels {
-			return s
-		}
-	}
-	return nil
+// Scope is a registry seen through one fixed set of label pairs: everything
+// registered through it carries those labels, rendered once and shared by
+// the series however many follow, and Remove takes them out again. A
+// component that owns several series under one identity (a monitor's six
+// under its instance) holds no Scope; it makes one at each end of its life.
+// The zero Scope, and any made from a nil registry, hands out detached
+// instruments.
+type Scope struct {
+	r      *Registry
+	labels string
 }
 
-// Counter registers (or retrieves) a counter with the given name and label
-// pairs. Kind conflicts and nil registries yield a detached counter that
-// works but is not exposed.
-func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
+// With returns the scope of the given label pairs (none: the unlabeled
+// series).
+func (r *Registry) With(labelPairs ...string) Scope {
 	if r == nil {
-		return &Counter{}
+		return Scope{}
+	}
+	return Scope{r: r, labels: renderLabels(labelPairs)}
+}
+
+// register returns the instrument of the named family's series that carries
+// the scope's labels, making the family and the series — its instrument
+// built by fresh — where they do not exist. The first registration wins: an
+// instrument found is returned as it is. A kind conflict yields nil.
+func (sc Scope) register(name, help string, kind int, fresh func() any) any {
+	r := sc.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.familyFor(name, help, kind)
+	if f == nil {
+		return nil
+	}
+	if s := r.lookup(f, sc.labels); s != nil {
+		return s.inst
+	}
+	r.seq++
+	s := &series{labels: sc.labels, seq: r.seq, inst: fresh()}
+	f.series = append(f.series, s)
+	f.index[s.labels] = s
+	if h, ok := s.inst.(*Histogram); ok && f.le == nil {
+		f.leBounds, f.le = h.bounds, renderLe(h.bounds)
+	}
+	return s.inst
+}
+
+// Counter registers (or retrieves) the scope's counter of the given name.
+// Kind conflicts and nil registries yield a detached counter that works but
+// is not exposed.
+func (sc Scope) Counter(name, help string) *Counter {
+	if sc.r != nil {
+		if c, ok := sc.register(name, help, kindCounter, func() any { return &Counter{} }).(*Counter); ok {
+			return c
+		}
+	}
+	return &Counter{}
+}
+
+// Gauge registers (or retrieves) the scope's gauge; same conventions as
+// Counter.
+func (sc Scope) Gauge(name, help string) *Gauge {
+	if sc.r != nil {
+		if g, ok := sc.register(name, help, kindGauge, func() any { return &Gauge{} }).(*Gauge); ok {
+			return g
+		}
+	}
+	return &Gauge{}
+}
+
+// Histogram registers (or retrieves) the scope's fixed-bucket histogram over
+// the given ascending upper bounds; same conventions as Counter.
+func (sc Scope) Histogram(name, help string, bounds []float64) *Histogram {
+	if sc.r != nil {
+		if h, ok := sc.register(name, help, kindHistogram, func() any { return NewHistogram(bounds) }).(*Histogram); ok {
+			return h
+		}
+	}
+	return NewHistogram(bounds)
+}
+
+// Remove takes every series that carries exactly the scope's labels out of
+// the registry, whichever call registered it, and with its last series a
+// family: the page is what it was before they came. The instruments stay
+// usable, detached, and a later registration under the same labels starts
+// from zero. It costs a lookup per family, whatever the families hold: a
+// removed series is only marked, and a family drops its marked series
+// together once they are half of what it holds.
+func (sc Scope) Remove() {
+	r := sc.r
+	if r == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindCounter)
-	if f == nil {
-		return &Counter{}
+	kept := r.order[:0]
+	for _, f := range r.order {
+		if s := r.lookup(f, sc.labels); s != nil {
+			delete(f.index, sc.labels)
+			s.inst = nil
+			if len(f.index) == 0 {
+				delete(r.byName, f.name)
+				continue
+			}
+			if f.removed++; 2*f.removed > len(f.series) {
+				f.series = slices.DeleteFunc(f.series, func(s *series) bool { return s.inst == nil })
+				f.removed = 0
+			}
+		}
+		kept = append(kept, f)
 	}
-	ls := renderLabels(labelPairs)
-	if s := f.findSeries(ls); s != nil {
-		return s.c
-	}
-	c := &Counter{}
-	f.series = append(f.series, &series{labels: ls, c: c})
-	return c
+	clear(r.order[len(kept):])
+	r.order = kept
+}
+
+// Counter registers (or retrieves) a counter with the given name and label
+// pairs: With(labelPairs...).Counter(name, help).
+func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
+	return r.With(labelPairs...).Counter(name, help)
 }
 
 // Gauge registers (or retrieves) a gauge; same conventions as Counter.
 func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindGauge)
-	if f == nil {
-		return &Gauge{}
-	}
-	ls := renderLabels(labelPairs)
-	if s := f.findSeries(ls); s != nil {
-		return s.g
-	}
-	g := &Gauge{}
-	f.series = append(f.series, &series{labels: ls, g: g})
-	return g
+	return r.With(labelPairs...).Gauge(name, help)
+}
+
+// Histogram registers (or retrieves) a fixed-bucket histogram over the
+// given ascending upper bounds; same conventions as Counter.
+func (r *Registry) Histogram(name, help string, bounds []float64, labelPairs ...string) *Histogram {
+	return r.With(labelPairs...).Histogram(name, help, bounds)
 }
 
 // GaugeFunc registers a gauge evaluated at scrape time. fn must not call
-// back into the registry (the registry lock is held during rendering).
+// back into the registry (the registry lock is held while it runs).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {
-	if r == nil || fn == nil {
-		return
+	if r != nil && fn != nil {
+		r.With(labelPairs...).register(name, help, kindGaugeFunc, func() any { return fn })
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindGaugeFunc)
-	if f == nil {
-		return
-	}
-	ls := renderLabels(labelPairs)
-	if f.findSeries(ls) != nil {
-		return
-	}
-	f.series = append(f.series, &series{labels: ls, fn: fn})
 }
 
 // CounterFunc registers a counter evaluated at scrape time — for
@@ -359,20 +449,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ..
 // be monotonic to honor counter semantics, and must not call back into
 // the registry.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labelPairs ...string) {
-	if r == nil || fn == nil {
-		return
+	if r != nil && fn != nil {
+		r.With(labelPairs...).register(name, help, kindCounterFunc, func() any { return fn })
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindCounterFunc)
-	if f == nil {
-		return
-	}
-	ls := renderLabels(labelPairs)
-	if f.findSeries(ls) != nil {
-		return
-	}
-	f.series = append(f.series, &series{labels: ls, fn: fn})
 }
 
 // GaugeVecFunc registers a dynamically labeled gauge family: at scrape time
@@ -392,25 +471,4 @@ func (r *Registry) GaugeVecFunc(name, help, labelKey string, fn func() map[strin
 	}
 	f.vecLabel = labelKey
 	f.vecFn = fn
-}
-
-// Histogram registers (or retrieves) a fixed-bucket histogram over the
-// given ascending upper bounds; same conventions as Counter.
-func (r *Registry) Histogram(name, help string, bounds []float64, labelPairs ...string) *Histogram {
-	if r == nil {
-		return NewHistogram(bounds)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindHistogram)
-	if f == nil {
-		return NewHistogram(bounds)
-	}
-	ls := renderLabels(labelPairs)
-	if s := f.findSeries(ls); s != nil {
-		return s.h
-	}
-	h := NewHistogram(bounds)
-	f.series = append(f.series, &series{labels: ls, h: h})
-	return h
 }

@@ -2,9 +2,13 @@ package obs
 
 import (
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -243,5 +247,210 @@ func TestCounterFunc(t *testing.T) {
 	r.WritePrometheus(&b)
 	if strings.Contains(b.String(), " 7\n") {
 		t.Errorf("conflicting gauge leaked into exposition:\n%s", b.String())
+	}
+}
+
+// registerMonitor registers what monitor.New registers for one monitor.
+func registerMonitor(r *Registry, id string) {
+	sc := r.With("instance", id)
+	sc.Counter("volley_sampler_observations_total", "h")
+	sc.Counter("volley_sampler_interval_grows_total", "h")
+	sc.Counter("volley_sampler_interval_resets_total", "h")
+	sc.Gauge("volley_sampler_interval", "h")
+	sc.Gauge("volley_sampler_bound", "h")
+	sc.Histogram("volley_sampler_bound_dist", "h", DefBoundBuckets)
+}
+
+// liveSeries counts the registry's series, by the slices and by the
+// indexes, which must agree; and no family holds more removed series than
+// live ones.
+func liveSeries(t *testing.T, r *Registry) int {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, f := range r.order {
+		live := 0
+		for i, s := range f.series {
+			if i > 0 && s.seq <= f.series[i-1].seq {
+				t.Fatalf("family %s: series out of registration order at %d", f.name, i)
+			}
+			if s.inst != nil {
+				live++
+			}
+		}
+		if len(f.index) != live || f.removed != len(f.series)-live || f.removed > live {
+			t.Fatalf("family %s: %d series of which %d live, %d indexed, %d counted removed",
+				f.name, len(f.series), live, len(f.index), f.removed)
+		}
+		n += live
+	}
+	if len(r.byName) != len(r.order) {
+		t.Fatalf("%d families by name, %d in order", len(r.byName), len(r.order))
+	}
+	return n
+}
+
+// TestRegistrationProbesTheIndexOnce is the deterministic side of
+// TestRegistrationCostIsFlat: whatever a family already holds, registering
+// a series and finding it again is one index probe each, and the index
+// holds the series' own label string, not a second copy of it.
+func TestRegistrationProbesTheIndexOnce(t *testing.T) {
+	r := NewRegistry()
+	for _, size := range []int{1, 1000, 20000} {
+		for n := liveSeries(t, r) / 6; n < size; n++ {
+			registerMonitor(r, "wide/m"+strconv.Itoa(n))
+		}
+		before := r.probes
+		registerMonitor(r, "probe-"+strconv.Itoa(size))
+		if got := r.probes - before; got != 6 {
+			t.Errorf("at %d monitors: registering six series probed %d times, want 6", size, got)
+		}
+		before = r.probes
+		c := r.Counter("volley_sampler_observations_total", "h", "instance", "wide/m0")
+		if got := r.probes - before; got != 1 {
+			t.Errorf("at %d monitors: finding a series probed %d times, want 1", size, got)
+		}
+		if c != r.With("instance", "wide/m0").Counter("volley_sampler_observations_total", "h") {
+			t.Errorf("at %d monitors: the same name and labels found two counters", size)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var first string
+	for _, f := range r.order {
+		for k, s := range f.index {
+			if unsafe.StringData(k) != unsafe.StringData(s.labels) {
+				t.Fatalf("family %s keeps its own copy of %s as the key", f.name, k)
+			}
+		}
+		s := f.index[`instance="wide/m7"`]
+		if first == "" {
+			first = s.labels
+		}
+		if unsafe.StringData(s.labels) != unsafe.StringData(first) {
+			t.Fatalf("family %s: a scope's series do not share its label string", f.name)
+		}
+	}
+}
+
+// TestRegistrationCostIsFlat: registering a monitor's series costs the same
+// next to 64 k series as next to 1 k (a scan of the family made it 40 times
+// dearer).
+func TestRegistrationCostIsFlat(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a timing comparison: not under -short or -race")
+	}
+	// per-monitor registration time while the registry grows from lo to hi
+	// monitors (six series each).
+	grow := func(r *Registry, lo, hi int) time.Duration {
+		ids := make([]string, hi-lo)
+		for i := range ids {
+			ids[i] = "wide-" + strconv.Itoa((lo+i)%8) + "/m" + strconv.Itoa(lo+i)
+		}
+		start := time.Now()
+		for _, id := range ids {
+			registerMonitor(r, id)
+		}
+		return time.Since(start) / time.Duration(len(ids))
+	}
+	best := func(lo, hi int) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for try := 0; try < 3; try++ {
+			r := NewRegistry()
+			grow(r, 0, lo)
+			d = min(d, grow(r, lo, hi))
+		}
+		return d
+	}
+	small := best(1000/6, 1000/6+500)   // at 1 k series
+	large := best(64000/6, 64000/6+500) // at 64 k series
+	t.Logf("per monitor: %v at 1 k series, %v at 64 k", small, large)
+	if large > 3*small {
+		t.Errorf("registering a monitor costs %v at 64 k series, %v at 1 k: more than 3 times", large, small)
+	}
+}
+
+// TestRemoveRestoresThePage: once a scope's series are removed the page is
+// byte for byte what it was before they were registered, families that came
+// with them included; a registration under the same labels afterwards
+// starts from zero; and the instruments handed out before still work.
+func TestRemoveRestoresThePage(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("volleyd_alerts_total", "h").Add(3)
+	registerMonitor(r, "canary/m0")
+	r.Counter("volley_sampler_observations_total", "h", "instance", "canary/m0").Add(5)
+	r.GaugeVecFunc("vec", "h", "k", func() map[string]float64 { return map[string]float64{"a": 1} })
+	page := func() string {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		return b.String()
+	}
+	before, series := page(), liveSeries(t, r)
+
+	registerMonitor(r, "tenant-7/m0")
+	sc := r.With("instance", "tenant-7/m0")
+	late := sc.Gauge("only_this_monitor", "A family that arrives with the monitor.")
+	obsv := sc.Counter("volley_sampler_observations_total", "h")
+	obsv.Add(41)
+	if during := page(); !strings.Contains(during, `volley_sampler_observations_total{instance="tenant-7/m0"} 41`) ||
+		!strings.Contains(during, "only_this_monitor") {
+		t.Fatalf("the admitted monitor is not on the page:\n%s", during)
+	}
+	sc.Remove()
+	if after := page(); after != before {
+		t.Fatalf("page after admit and evict differs from the page before.\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if got := liveSeries(t, r); got != series {
+		t.Fatalf("%d series after admit and evict, %d before", got, series)
+	}
+	obsv.Inc()
+	late.Set(2) // detached, still usable
+	if obsv.Value() != 42 || late.Value() != 2 {
+		t.Fatal("instruments stopped working once removed")
+	}
+	if again := sc.Counter("volley_sampler_observations_total", "h"); again == obsv || again.Value() != 0 {
+		t.Fatalf("re-registration continues the removed counter (value %d)", again.Value())
+	}
+	sc.Remove()
+	sc.Remove() // nothing left: a no-op
+	Scope{}.Remove()
+	if after := page(); after != before {
+		t.Fatal("page after a second admit and evict differs from the page before")
+	}
+}
+
+// TestAdmitEvictRoundsLeaveNothing: ten thousand admissions and evictions
+// leave the series count where it started and the heap flat.
+func TestAdmitEvictRoundsLeaveNothing(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 64; i++ {
+		registerMonitor(r, "resident/m"+strconv.Itoa(i))
+	}
+	round := func(i int) {
+		id := "tenant-" + strconv.Itoa(i) + "/m0"
+		registerMonitor(r, id)
+		r.With("instance", id).Remove()
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	for i := 0; i < 1000; i++ {
+		round(i) // lets maps and slices reach their working size
+	}
+	series, before := liveSeries(t, r), heap()
+	for i := 1000; i < 11000; i++ {
+		round(i)
+	}
+	if got := liveSeries(t, r); got != series {
+		t.Errorf("%d series after 10 000 admit/evict rounds, %d before", got, series)
+	}
+	// Each round registers ~900 B; leaking even one series a round would
+	// show as half a megabyte.
+	if after := heap(); after > before+256<<10 {
+		t.Errorf("HeapInuse grew from %d to %d over 10 000 admit/evict rounds", before, after)
 	}
 }

@@ -39,9 +39,10 @@ type TenantTier struct {
 // expensive per-tenant tasks — the correlation-gated monitoring shape of
 // the multi-task level.
 //
-// Group burst schedules are derived from (seed, group) and each member
-// re-derives its group's schedule independently, keeping GenSeries(i)
-// index-independent.
+// Group burst schedules are derived from (seed, group) alone, so
+// GenSeries(i) is index-independent: called on its own it derives its
+// group's schedule, and under Generate every member reads the one schedule
+// derived for its group beforehand.
 type TenantColo struct {
 	// Tenants is the number of tenant series; Groups the number of
 	// colocation groups (tenant i belongs to group i mod Groups); WindowsN
@@ -170,6 +171,38 @@ func (f TenantColo) groupEvents(g int) []groupEvent {
 // GenSeries implements Family: tenant i's CPU-requirement series with its
 // tier-drawn (T, err) target.
 func (f TenantColo) GenSeries(i int) (Series, error) {
+	return f.genSeries(i, nil)
+}
+
+// tenantColoTimelines is a TenantColo with every group's burst timeline
+// already derived: what Generate runs, so that a timeline is derived once
+// and not once by each of the group's members.
+type tenantColoTimelines struct {
+	TenantColo
+	events [][]groupEvent // by group; nil where the config is invalid
+}
+
+// withTimelines derives every group's timeline. The family it returns
+// generates, index for index, the series f does.
+func (f TenantColo) withTimelines() tenantColoTimelines {
+	p := tenantColoTimelines{TenantColo: f}
+	if f.validate() == nil {
+		p.events = make([][]groupEvent, f.Groups)
+		for g := range p.events {
+			p.events[g] = f.groupEvents(g)
+		}
+	}
+	return p
+}
+
+// GenSeries implements Family with the group's timeline read, not derived.
+func (f tenantColoTimelines) GenSeries(i int) (Series, error) {
+	return f.genSeries(i, f.events)
+}
+
+// genSeries generates tenant i, whose group bursts on timelines[group], or
+// on the timeline derived here when there are none.
+func (f TenantColo) genSeries(i int, timelines [][]groupEvent) (Series, error) {
 	if err := f.validate(); err != nil {
 		return Series{}, err
 	}
@@ -177,7 +210,12 @@ func (f TenantColo) GenSeries(i int) (Series, error) {
 		return Series{}, err
 	}
 	g := i % f.Groups
-	events := f.groupEvents(g)
+	var events []groupEvent
+	if timelines != nil {
+		events = timelines[g]
+	} else {
+		events = f.groupEvents(g)
+	}
 	rng := newRNG(f.Seed, tenantStreamTenant+uint64(i))
 
 	// Fixed draw order (tier, shape, schedules, responses, then noise) so

@@ -5,12 +5,11 @@
 // global signal, and ground-truth violation labels.
 //
 // A Family generates each monitor's series independently from (config
-// seed, series index), which is what lets the benchmark engine fan
-// generation across workers while keeping the output bit-identical to a
-// serial run (the engine's determinism contract: slot writes only, no
-// cross-index state). Assemble then derives the cross-series artifacts —
-// aggregates, the global signal, ground truth — from the finished series
-// in index order.
+// seed, series index), which is what lets Generate fan generation across
+// workers while keeping the output bit-identical at any worker count (slot
+// writes only, no cross-index state). Assemble then derives the
+// cross-series artifacts — aggregates, the global signal, ground truth —
+// from the finished series in index order.
 //
 // Two families are provided (DESIGN.md §16):
 //
@@ -29,6 +28,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Series is one monitor's generated series plus its task parameters.
@@ -107,17 +109,46 @@ type Family interface {
 	Assemble(series []Series) (*Set, error)
 }
 
-// Generate runs a family serially: GenSeries for every index in order,
-// then Assemble. The benchmark engine's parallel generation must be
-// bit-identical to this (the equivalence tests gate it).
+// Generate runs a family: GenSeries for every index, fanned over GOMAXPROCS
+// workers that each write only the slots of the indices they claim, then
+// Assemble. The set is bit-identical at any worker count, and an error is
+// the one a walk in index order would have met first.
 func Generate(f Family) (*Set, error) {
-	out := make([]Series, f.Size())
-	for i := range out {
-		s, err := f.GenSeries(i)
+	if tc, ok := f.(TenantColo); ok {
+		// Every member of a group bursts on the group's timeline: derived
+		// here once, it is read by all of them instead of derived by each.
+		f = tc.withTimelines()
+	}
+	n := f.Size()
+	out := make([]Series, n)
+	errs := make([]error, n)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Indices are claimed densely from 0 and a claimed index always
+			// runs, so every index below a failing one reports too.
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if out[i], errs[i] = f.GenSeries(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = s
 	}
 	return f.Assemble(out)
 }

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -30,8 +32,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenSeriesIndexIndependent gates the parallel-generation contract:
 // generating series out of order (here: reverse) assembles to the same set
-// as the serial in-order Generate, so the engine can fan indices across
-// workers.
+// as Generate, which is what lets Generate fan indices across workers.
 func TestGenSeriesIndexIndependent(t *testing.T) {
 	for _, f := range []Family{quickEntropy(), quickTenant()} {
 		want, err := Generate(f)
@@ -215,5 +216,147 @@ func TestValidation(t *testing.T) {
 	ef := quickEntropy()
 	if _, err := ef.Assemble(make([]Series, 1)); err == nil {
 		t.Error("entropy assemble with wrong series count accepted")
+	}
+}
+
+// generateSerially is Generate as it was before it fanned out: GenSeries on
+// the family itself for every index in order, then Assemble. It is the
+// reference the parallel Generate and the shared group timelines must match.
+func generateSerially(f Family) (*Set, error) {
+	out := make([]Series, f.Size())
+	for i := range out {
+		s, err := f.GenSeries(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return f.Assemble(out)
+}
+
+// sameSeries compares two series field by field, values by their bits.
+func sameSeries(t *testing.T, what string, got, want Series) {
+	t.Helper()
+	if got.ID != want.ID || got.Group != want.Group || got.Tier != want.Tier {
+		t.Fatalf("%s: identity %q/%q/%q, want %q/%q/%q", what, got.ID, got.Group, got.Tier, want.ID, want.Group, want.Tier)
+	}
+	if math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) ||
+		math.Float64bits(got.Err) != math.Float64bits(want.Err) ||
+		math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+		t.Fatalf("%s: target (%v, %v, %v), want (%v, %v, %v)", what,
+			got.Threshold, got.Err, got.Cost, want.Threshold, want.Err, want.Cost)
+	}
+	sameFloats(t, what+" values", got.Values, want.Values)
+}
+
+func sameFloats(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for w := range want {
+		if math.Float64bits(got[w]) != math.Float64bits(want[w]) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, w, got[w], want[w])
+		}
+	}
+}
+
+// TestGenerateIsBitIdenticalAtAnyParallelism: with one, two or eight
+// workers Generate assembles exactly the set a serial walk does, for both
+// families, every field of every series.
+func TestGenerateIsBitIdenticalAtAnyParallelism(t *testing.T) {
+	for _, f := range []Family{quickEntropy(), quickTenant()} {
+		want, err := generateSerially(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, err := Generate(f)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s at %d procs: %v", f.Name(), procs, err)
+			}
+			what := fmt.Sprintf("%s at %d procs", f.Name(), procs)
+			if got.Family != want.Family || got.Signal != want.Signal ||
+				math.Float64bits(got.GlobalThreshold) != math.Float64bits(want.GlobalThreshold) ||
+				math.Float64bits(got.GlobalErr) != math.Float64bits(want.GlobalErr) ||
+				len(got.Series) != len(want.Series) || len(got.Aggregates) != len(want.Aggregates) {
+				t.Fatalf("%s: set header differs: %+v", what, got)
+			}
+			for i := range want.Series {
+				sameSeries(t, fmt.Sprintf("%s series %d", what, i), got.Series[i], want.Series[i])
+			}
+			for g := range want.Aggregates {
+				sameSeries(t, fmt.Sprintf("%s aggregate %d", what, g), got.Aggregates[g], want.Aggregates[g])
+			}
+			sameFloats(t, what+" global", got.Global, want.Global)
+			if !reflect.DeepEqual(got.Truth, want.Truth) {
+				t.Fatalf("%s: ground truth differs", what)
+			}
+		}
+	}
+}
+
+// TestGenerateReportsTheFirstError: whatever the fan-out, a failing family
+// reports the error a walk in index order meets first.
+func TestGenerateReportsTheFirstError(t *testing.T) {
+	f := quickTenant()
+	f.BurstMag = -1
+	_, want := generateSerially(f)
+	for _, procs := range []int{1, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := Generate(f)
+		runtime.GOMAXPROCS(prev)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("at %d procs: err = %v, want %v", procs, err, want)
+		}
+	}
+	if _, err := Generate(failsAt{quickEntropy(), 5}); err == nil || err.Error() != "series 5" {
+		t.Errorf("err = %v, want the lowest failing index", err)
+	}
+}
+
+// failsAt is a family whose series from index from on fail, each with its
+// own error.
+type failsAt struct {
+	EntropyFlow
+	from int
+}
+
+func (f failsAt) GenSeries(i int) (Series, error) {
+	if i >= f.from {
+		return Series{}, fmt.Errorf("series %d", i)
+	}
+	return f.EntropyFlow.GenSeries(i)
+}
+
+// TestGroupTimelineSharedNotChanged: the timeline Generate derives once per
+// group is the one each member derives for itself — a member's series out
+// of Generate equals GenSeries(i) called alone.
+func TestGroupTimelineSharedNotChanged(t *testing.T) {
+	f := quickTenant()
+	set, err := Generate(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, f.Groups - 1, f.Groups, f.Groups + 1, 2*f.Groups + 3, f.Tenants - 1} {
+		alone, err := f.GenSeries(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSeries(t, fmt.Sprintf("tenant %d", i), set.Series[i], alone)
+	}
+	// And the timelines themselves: every group's, as its members see it.
+	shared := f.withTimelines()
+	for g := 0; g < f.Groups; g++ {
+		if !reflect.DeepEqual(shared.events[g], f.groupEvents(g)) {
+			t.Fatalf("group %d: the shared timeline is not the derived one", g)
+		}
+	}
+	// An invalid family still fails in GenSeries, not in withTimelines.
+	f.Groups = 0
+	if _, err := Generate(f); err == nil {
+		t.Fatal("an invalid tenant family generated")
 	}
 }

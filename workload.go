@@ -30,9 +30,10 @@ type TenantColoWorkload = workload.TenantColo
 // WorkloadTenantTier is one SLO class of the tenant-colocation family.
 type WorkloadTenantTier = workload.TenantTier
 
-// GenerateWorkload generates and assembles a family serially. The bench
-// engine fans generation across workers instead; both produce bit-identical
-// sets (Family.GenSeries is index-independent by contract).
+// GenerateWorkload generates and assembles a family, its series fanned over
+// GOMAXPROCS workers. The set is bit-identical at any worker count
+// (Family.GenSeries is index-independent by contract, and every worker
+// writes only the slots of the indices it claims).
 func GenerateWorkload(f WorkloadFamily) (*WorkloadSet, error) {
 	return workload.Generate(f)
 }
