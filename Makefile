@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check soak bench bench-json bench-coord bench-cluster bench-transport bench-alerts bench-streaming bench-workloads bench-e2e bench-e2e-test examples
+.PHONY: build vet test race check soak bench bench-json bench-workloads bench-e2e bench-e2e-test bench-gate examples
 
 build:
 	$(GO) build ./...
@@ -30,49 +30,21 @@ soak:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Regenerate the committed headline-metrics snapshot: sampling ratios,
-# mis-detection rates and per-figure wall clock on the quick preset.
+# Regenerate the committed figure contract: sampling ratios and
+# mis-detection rates of every headline figure on the quick preset. The file
+# is a pure function of the source (no clock, no host, no worker count);
+# TestCommittedContractsRegenerate compares it byte for byte in `make check`.
 bench-json:
 	$(GO) run ./cmd/volleybench -preset quick -json BENCH_quick.json
-
-# Benchmark the coordinator rebalance hot path at 100/1k/10k monitors and
-# snapshot ns/op + allocs/op (must be 0) to BENCH_coord.json.
-bench-coord:
-	$(GO) run ./cmd/volleybench -coordjson BENCH_coord.json
-
-# Benchmark consistent-hash task placement at 4/16/64 shards and snapshot
-# ns/op, allocs/op (must be 0) and the one-shard-removal movement fraction
-# to BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/volleybench -clusterjson BENCH_cluster.json
-
-# Benchmark the wire codec (hand-rolled binary against stdlib gob, encode
-# ns/msg and allocs/op — must be 0) and end-to-end loopback TCP throughput,
-# unbatched and batched, to BENCH_transport.json.
-bench-transport:
-	$(GO) run ./cmd/volleybench -transportjson BENCH_transport.json
-
-# Benchmark the alert registry hot paths (dedup raise and local observe —
-# allocs/op must be 0 — plus the full open/resolve lifecycle and snapshot
-# export) to BENCH_alerts.json.
-bench-alerts:
-	$(GO) run ./cmd/volleybench -alertsjson BENCH_alerts.json
-
-# Benchmark the bounded-memory streaming threshold stack: resident bytes
-# per series at 3k/30k/300k-step traces (streaming must plateau while
-# exact grows 10x per decade), steady-state ns/Observe (0 allocs/op),
-# grid-refresh cost vs the sorted-copy baseline on a 100k-step trace, a
-# million-series soak, and the sketch-vs-exact rank-error audit on both
-# presets. Snapshots to BENCH_streaming.json.
-bench-streaming:
-	$(GO) run ./cmd/volleybench -streamingjson BENCH_streaming.json
 
 # Run the workload families (entropy-of-flow DDoS detection and the
 # multi-tenant SLO colocation with correlation-gated monitoring) end to
 # end on the quick preset and snapshot the savings-vs-misdetection curves
-# to BENCH_workloads.json. The headline gates: Volley beats the uniform
-# baseline at equal misdetection on every entropy point, and the gated
-# tenant run keeps episode recall >= 0.7 while cutting sampling cost.
+# to BENCH_workloads.json, the second committed contract (byte-compared like
+# BENCH_quick.json). The headline gates, held by TestWriteWorkloadBenchJSON:
+# Volley beats the uniform baseline at equal misdetection on every entropy
+# point, and the gated tenant run keeps episode recall >= 0.7 while cutting
+# sampling cost.
 bench-workloads:
 	$(GO) run ./cmd/volleybench -preset quick -workloadjson BENCH_workloads.json
 
@@ -82,6 +54,23 @@ bench-workloads:
 # the flags its README lists.
 bench-e2e:
 	bash benchmark/run.sh
+
+# The benchmark as a gate: run all four workloads three times from a clean
+# export of BASE and three times from this tree (each builds its own volleyd
+# with the harness in its own checkout, which a gated change leaves alone),
+# then compare. run.sh -compare exits 1 when any end-to-end metric is WORSE
+# than BASE by more than its bound in BENCHMARK.json; a metric whose runs
+# spread wider than the difference reads "unresolved" and does not fail.
+# The export is removed once it has run; both result files stay in
+# .bench_build/ for CI to upload.
+BASE ?= HEAD^
+bench-gate:
+	rm -rf .bench_build/base && mkdir -p .bench_build/base
+	git archive $(BASE) | tar -x -C .bench_build/base
+	cd .bench_build/base && bash benchmark/run.sh -repeat 3 -out $(CURDIR)/.bench_build/gate_base.json >/dev/null
+	rm -rf .bench_build/base
+	bash benchmark/run.sh -repeat 3 -out .bench_build/gate_head.json >/dev/null
+	bash benchmark/run.sh -compare .bench_build/gate_base.json .bench_build/gate_head.json
 
 # The benchmark harness is a module of its own, so `go test ./...` at the
 # root does not reach its tests.

@@ -7,22 +7,20 @@
 //
 // Usage:
 //
-//	volleybench [-fig all|1|5a|5b|5c|6|7|8|ablations] [-preset full|quick]
-//	            [-procs N] [-csv dir] [-json file] [-coordjson file]
+//	volleybench [-fig all|1|5a|5b|5c|6|7|8|baselines|ablations|workloads]
+//	            [-preset full|quick] [-procs N] [-csv dir]
+//	            [-json file] [-workloadjson file]
 //
 // -procs sizes the experiment engine's worker pool (0 = all cores, 1 =
 // fully serial); the figures are bit-identical for every value. -json
-// runs the figure suite once and writes headline metrics (sampling
-// ratios, mis-detection rates, per-figure wall clock) to the given file —
-// `make bench-json` uses it to track the performance trajectory in
-// BENCH_quick.json. -coordjson skips the figures and instead benchmarks
-// the coordinator rebalance hot path at 100/1k/10k monitors, writing
-// ns/op and allocs/op to the given file — `make bench-coord` uses it to
-// track BENCH_coord.json. -streamingjson benchmarks the bounded-memory
-// streaming threshold sketches (resident bytes per series vs trace length,
-// ns per observation, grid-refresh cost against the sorted-copy baseline,
-// a million-series soak, and the sketch-vs-exact rank-error audit on both
-// presets) — `make bench-streaming` uses it to track BENCH_streaming.json.
+// runs the figure suite once and writes its headline metrics (sampling
+// ratios, mis-detection rates) to the given file; -workloadjson does the
+// same for the two workload families' savings-vs-misdetection curves and
+// the correlation-gated tenant run. `make bench-json bench-workloads`
+// regenerates the two committed contract files, BENCH_quick.json and
+// BENCH_workloads.json, with them; both are pure functions of the source,
+// and TestCommittedContractsRegenerate compares them byte for byte.
+// Timings live in benchmark/ (BENCHMARK.json), not here.
 //
 // Absolute numbers come from the synthetic workloads documented in
 // DESIGN.md §2; the shapes are what reproduce the paper (see
@@ -45,12 +43,7 @@ func main() {
 	preset := flag.String("preset", "full", "experiment sizes: full or quick")
 	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
 	procs := flag.Int("procs", 0, "experiment-engine workers: 0 = all cores, 1 = serial")
-	jsonPath := flag.String("json", "", "write headline metrics (ratios, misdetect rates, wall clock) as JSON to this file instead of printing tables")
-	coordJSONPath := flag.String("coordjson", "", "benchmark the coordinator rebalance hot path at 100/1k/10k monitors and write ns/op and allocs/op as JSON to this file")
-	clusterJSONPath := flag.String("clusterjson", "", "benchmark consistent-hash task placement at 4/16/64 shards and write ns/op, allocs/op and movement fractions as JSON to this file")
-	transportJSONPath := flag.String("transportjson", "", "benchmark the wire codec (encode cost against stdlib gob) and the TCP transport (batched vs not) over loopback and write throughput and bytes/msg as JSON to this file")
-	alertsJSONPath := flag.String("alertsjson", "", "benchmark the alert registry hot paths (dedup raise, local observe, lifecycle, snapshot export) and write ns/op and allocs/op as JSON to this file")
-	streamingJSONPath := flag.String("streamingjson", "", "benchmark the streaming threshold sketches (resident bytes vs trace length, ns/observe, refresh cost vs sorted-copy baseline, million-series soak, per-preset rank error) and write the results as JSON to this file")
+	jsonPath := flag.String("json", "", "write headline metrics (sampling ratios, misdetect rates) as JSON to this file instead of printing tables")
 	workloadJSONPath := flag.String("workloadjson", "", "run the workload families (entropy-flow, tenant-colo) end to end and write their savings-vs-misdetection curves and the correlation-gated tenant run as JSON to this file")
 	flag.Parse()
 
@@ -62,51 +55,12 @@ func main() {
 	p.Procs = *procs
 
 	start := time.Now()
-	if *coordJSONPath != "" {
-		if err := writeCoordBenchJSON(*coordJSONPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "volleybench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterJSONPath != "" {
-		if err := writeClusterBenchJSON(*clusterJSONPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "volleybench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *transportJSONPath != "" {
-		if err := writeTransportBenchJSON(*transportJSONPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "volleybench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *alertsJSONPath != "" {
-		if err := writeAlertsBenchJSON(*alertsJSONPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "volleybench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamingJSONPath != "" {
-		if err := writeStreamingBenchJSON(*streamingJSONPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "volleybench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *workloadJSONPath != "" {
-		if err := writeWorkloadBenchJSON(p, *preset, *workloadJSONPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "volleybench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" {
+	switch {
+	case *workloadJSONPath != "":
+		err = writeWorkloadBenchJSON(p, *preset, *workloadJSONPath, os.Stdout)
+	case *jsonPath != "":
 		err = writeBenchJSON(p, *preset, *jsonPath, os.Stdout)
-	} else {
+	default:
 		err = runFigures(*fig, p, csvWriter(*csvDir), os.Stdout)
 	}
 	if err != nil {
@@ -144,12 +98,9 @@ func csvWriter(csvDir string) func(name, data string) error {
 	}
 }
 
-// run keeps the original signature for tests; run2 adds CSV output.
-func run(fig, preset string, out *os.File) error {
-	return run2(fig, preset, "", out)
-}
-
-func run2(fig, preset, csvDir string, out *os.File) error {
+// run is main without the process: one figure of one preset, tables to out
+// and, with a csvDir, each figure's data beside them.
+func run(fig, preset, csvDir string, out *os.File) error {
 	p, err := presetByName(preset)
 	if err != nil {
 		return err
@@ -157,21 +108,23 @@ func run2(fig, preset, csvDir string, out *os.File) error {
 	return runFigures(fig, p, csvWriter(csvDir), out)
 }
 
-// runFig7 is the accuracy view of the system-level sweep (the paper shows
-// system-level mis-detection rates; network and application "results are
-// similar").
-func runFig7(p bench.Preset) (*bench.SweepResult, error) {
-	series, err := bench.GenSystem(p.SysNodes, p.SysMetricsPerNode, p.SysSteps, p.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	return bench.RunSweep("fig7-system-accuracy", series, p)
-}
-
 func runFigures(fig string, p bench.Preset, writeCSV func(name, data string) error, out *os.File) error {
 	want := func(name string) bool { return fig == "all" || fig == name }
 	ran := false
 	ablationIdx := 1
+
+	// Fig. 5b and Fig. 7 are the cost and the accuracy view of one sweep of
+	// the system workload (the paper shows system-level mis-detection rates;
+	// network and application "results are similar"): run it once.
+	var system *bench.SweepResult
+	systemSweep := func() (*bench.SweepResult, error) {
+		if system != nil {
+			return system, nil
+		}
+		var err error
+		system, err = bench.RunFig5b(p)
+		return system, err
+	}
 
 	if want("1") {
 		ran = true
@@ -198,7 +151,7 @@ func runFigures(fig string, p bench.Preset, writeCSV func(name, data string) err
 	}
 	if want("5b") {
 		ran = true
-		r, err := bench.RunFig5b(p)
+		r, err := systemSweep()
 		if err != nil {
 			return err
 		}
@@ -236,11 +189,13 @@ func runFigures(fig string, p bench.Preset, writeCSV func(name, data string) err
 	}
 	if want("7") {
 		ran = true
-		r, err := runFig7(p)
+		r, err := systemSweep()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, r.MisdetectTable())
+		accuracy := *r
+		accuracy.Name = "fig7-system-accuracy"
+		fmt.Fprintln(out, accuracy.MisdetectTable())
 		if err := writeCSV("fig7.csv", r.CSV()); err != nil {
 			return err
 		}

@@ -14,7 +14,7 @@ func captureRun(t *testing.T, fig, preset string) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runErr := run(fig, preset, f)
+	runErr := run(fig, preset, "", f)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunCSVOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	if err := run2("5b", "quick", filepath.Join(dir, "csv"), out); err != nil {
+	if err := run("5b", "quick", filepath.Join(dir, "csv"), out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "csv", "fig5b.csv"))

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"volley/internal/bench"
 )
@@ -42,7 +39,6 @@ type workloadFamilyJSON struct {
 	Signal              string              `json:"signal"`
 	Monitors            int                 `json:"monitors"`
 	Windows             int                 `json:"windows"`
-	WallClockNS         int64               `json:"wall_clock_ns"`
 	Volley              []workloadPointJSON `json:"volley"`
 	Baseline            []workloadPointJSON `json:"baseline"`
 	Advantage           []float64           `json:"advantage"`
@@ -52,13 +48,11 @@ type workloadFamilyJSON struct {
 
 // workloadReport is the schema of BENCH_workloads.json: the two workload
 // families' savings-vs-misdetection curves plus the correlation-gated
-// tenant run, tracked across commits like the figure headline metrics.
+// tenant run. Like BENCH_quick.json it holds nothing that depends on the
+// host or the worker count.
 type workloadReport struct {
-	Preset           string               `json:"preset"`
-	Procs            int                  `json:"procs"`
-	GoMaxProcs       int                  `json:"gomaxprocs"`
-	Families         []workloadFamilyJSON `json:"families"`
-	TotalWallClockNS int64                `json:"total_wall_clock_ns"`
+	Preset   string               `json:"preset"`
+	Families []workloadFamilyJSON `json:"families"`
 }
 
 func workloadPointsJSON(points []bench.WorkloadPoint) []workloadPointJSON {
@@ -75,13 +69,12 @@ func workloadPointsJSON(points []bench.WorkloadPoint) []workloadPointJSON {
 	return out
 }
 
-func workloadFamilyJSONOf(r *bench.WorkloadResult, ns int64) workloadFamilyJSON {
+func workloadFamilyJSONOf(r *bench.WorkloadResult) workloadFamilyJSON {
 	f := workloadFamilyJSON{
 		Family:              r.Family,
 		Signal:              r.Signal,
 		Monitors:            r.Monitors,
 		Windows:             r.Windows,
-		WallClockNS:         ns,
 		Volley:              workloadPointsJSON(r.Volley),
 		Baseline:            workloadPointsJSON(r.Baseline),
 		Advantage:           r.Advantage,
@@ -107,11 +100,7 @@ func workloadFamilyJSONOf(r *bench.WorkloadResult, ns int64) workloadFamilyJSON 
 // writeWorkloadBenchJSON runs both workload families end to end under
 // preset p and writes their savings/misdetection curves to path.
 func writeWorkloadBenchJSON(p bench.Preset, presetName, path string, out *os.File) error {
-	report := workloadReport{
-		Preset:     presetName,
-		Procs:      p.Procs,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
+	report := workloadReport{Preset: presetName}
 	for _, fam := range []struct {
 		name string
 		run  func(bench.Preset) (*bench.WorkloadResult, error)
@@ -119,25 +108,16 @@ func writeWorkloadBenchJSON(p bench.Preset, presetName, path string, out *os.Fil
 		{"entropy-flow", bench.RunWorkloadEntropy},
 		{"tenant-colo", bench.RunWorkloadTenant},
 	} {
-		start := time.Now()
 		r, err := fam.run(p)
 		if err != nil {
 			return fmt.Errorf("%s: %w", fam.name, err)
 		}
-		ns := time.Since(start).Nanoseconds()
 		fmt.Fprint(out, r.Table())
-		report.Families = append(report.Families, workloadFamilyJSONOf(r, ns))
-		report.TotalWallClockNS += ns
+		report.Families = append(report.Families, workloadFamilyJSONOf(r))
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	if err := writeJSONFile(path, report); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %d families to %s (total %s)\n",
-		len(report.Families), path, time.Duration(report.TotalWallClockNS))
+	fmt.Fprintf(out, "wrote %d families to %s\n", len(report.Families), path)
 	return nil
 }

@@ -217,15 +217,6 @@ func newThresholdCache(eng *Engine, series [][]float64, ks []float64) (*threshol
 // n reports how many series the cache covers.
 func (c *thresholdCache) n() int { return len(c.stream) }
 
-// residentBytes estimates the cache's total memory footprint.
-func (c *thresholdCache) residentBytes() int {
-	total := 0
-	for _, st := range c.stream {
-		total += st.ResidentBytes()
-	}
-	return total
-}
-
 // forSeries derives one series' threshold at selectivity k.
 func (c *thresholdCache) forSeries(i int, k float64) (float64, error) {
 	t, err := c.stream[i].Threshold(k)

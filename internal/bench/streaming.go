@@ -11,102 +11,10 @@ import (
 	"volley/internal/task"
 )
 
-// This file is the measurement harness behind `make bench-streaming` /
-// BENCH_streaming.json: it quantifies what the sketch-backed threshold path
-// buys over the sorted-copy baseline — constant resident bytes per series
-// as traces grow, cheap per-window threshold maintenance, feasibility of a
-// million concurrent series, and the rank-error contract on the committed
-// workload presets.
-
-// StreamingMemoryPoint compares the per-series resident footprint of the
-// two threshold-cache backends at one trace length.
-type StreamingMemoryPoint struct {
-	Steps                   int `json:"steps"`
-	StreamingBytesPerSeries int `json:"streaming_bytes_per_series"`
-	ExactBytesPerSeries     int `json:"exact_bytes_per_series"`
-}
-
-// StreamingMemoryProfile builds both cache backends over the system
-// workload at each trace length and reports resident bytes per series —
-// the O(1)-versus-O(n) comparison BENCH_streaming.json tracks.
-func StreamingMemoryProfile(nSeries int, stepss []int, ks []float64) ([]StreamingMemoryPoint, error) {
-	if nSeries < 1 {
-		return nil, fmt.Errorf("bench: memory profile needs at least one series")
-	}
-	out := make([]StreamingMemoryPoint, 0, len(stepss))
-	eng := serialEngine
-	for _, steps := range stepss {
-		series, err := GenSystem(nSeries, 1, steps, 1)
-		if err != nil {
-			return nil, err
-		}
-		stream, err := newThresholdCache(eng, series, ks)
-		if err != nil {
-			return nil, err
-		}
-		sorted, err := sortedCopies(eng, series)
-		if err != nil {
-			return nil, err
-		}
-		exactBytes := 0
-		for _, s := range sorted {
-			exactBytes += 8 * len(s)
-		}
-		out = append(out, StreamingMemoryPoint{
-			Steps:                   steps,
-			StreamingBytesPerSeries: stream.residentBytes() / stream.n(),
-			ExactBytesPerSeries:     exactBytes / len(sorted),
-		})
-	}
-	return out, nil
-}
-
-// StreamingSoakResult summarizes a many-series soak: every series holds a
-// live streaming tracker at once, the configuration whose sorted-copy
-// equivalent would not fit in memory.
-type StreamingSoakResult struct {
-	Series         int     `json:"series"`
-	StepsPerSeries int     `json:"steps_per_series"`
-	ResidentBytes  int64   `json:"resident_bytes"`
-	BytesPerSeries float64 `json:"bytes_per_series"`
-	// HypotheticalExactBytes is what sorted copies would cost for the same
-	// series count at fullTrace steps (8 bytes per retained value) — the
-	// configuration the streaming path makes feasible.
-	HypotheticalExactBytes int64 `json:"hypothetical_exact_bytes"`
-	HypotheticalTrace      int   `json:"hypothetical_trace_steps"`
-}
-
-// StreamingSoak keeps nSeries streaming trackers alive simultaneously,
-// feeds each a synthetic diurnal series of steps observations generated on
-// the fly (nothing is retained but the trackers), and reports the resident
-// footprint.
-func StreamingSoak(nSeries, steps, fullTrace int, ks []float64) (*StreamingSoakResult, error) {
-	if nSeries < 1 || steps < 1 {
-		return nil, fmt.Errorf("bench: soak needs at least one series and one step")
-	}
-	trackers := make([]*task.StreamingThresholds, nSeries)
-	var resident int64
-	for i := range trackers {
-		st, err := task.NewStreamingThresholds(ks)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(int64(i) + 1))
-		for j := 0; j < steps; j++ {
-			st.Observe(20 + 5*math.Sin(float64(j)/200) + rng.NormFloat64())
-		}
-		trackers[i] = st
-		resident += int64(st.ResidentBytes())
-	}
-	return &StreamingSoakResult{
-		Series:                 nSeries,
-		StepsPerSeries:         steps,
-		ResidentBytes:          resident,
-		BytesPerSeries:         float64(resident) / float64(nSeries),
-		HypotheticalExactBytes: int64(nSeries) * int64(fullTrace) * 8,
-		HypotheticalTrace:      fullTrace,
-	}, nil
-}
+// This file holds what audits the sketch-backed threshold path against the
+// sorted-copy derivation it replaced: the refresh harness whose streaming
+// side must not allocate, and the rank-error check the committed workload
+// presets are held to.
 
 // MaintenanceHarness measures the cost of keeping a series' threshold grid
 // current as a window of new observations arrives — the periodic refresh a
@@ -153,12 +61,6 @@ func NewMaintenanceHarness(steps, window int, ks []float64, seed int64) (*Mainte
 	}, nil
 }
 
-// Steps reports the retained trace length of the exact path.
-func (h *MaintenanceHarness) Steps() int { return len(h.trace) }
-
-// Window reports the refresh window size.
-func (h *MaintenanceHarness) Window() int { return len(h.window) }
-
 // ExactRefresh performs one sorted-copy refresh: copy trace+window, sort,
 // derive the grid. Returns the thresholds (valid until the next call).
 func (h *MaintenanceHarness) ExactRefresh() ([]float64, error) {
@@ -185,7 +87,7 @@ func (h *MaintenanceHarness) StreamingRefresh() ([]float64, error) {
 }
 
 // StreamingErrorCheckResult is one workload's sketch-versus-exact accuracy
-// audit for BENCH_streaming.json.
+// audit.
 type StreamingErrorCheckResult struct {
 	Workload     string  `json:"workload"`
 	Series       int     `json:"series"`
@@ -196,9 +98,8 @@ type StreamingErrorCheckResult struct {
 // sortedCopies is the exact threshold derivation the sketches replaced: one
 // sorted copy per series (O(n) memory each), into which task.Thresholds
 // interpolates any k bit-identically to per-cell ThresholdForSelectivity.
-// It survives as the oracle the streaming cache is audited against — here
-// and in the equivalence tests — and as the memory baseline of
-// StreamingMemoryProfile.
+// It survives as the oracle the streaming cache is audited against, here
+// and in the equivalence tests.
 func sortedCopies(eng *Engine, series [][]float64) ([][]float64, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("bench: no series")
@@ -250,27 +151,5 @@ func StreamingErrorCheck(workload string, series [][]float64, ks []float64) (*St
 		Series:       len(series),
 		MaxRankError: maxErr,
 		Bound:        stats.SketchRankErrorBound,
-	}, nil
-}
-
-// PresetWorkloads generates the named preset's three evaluation workloads,
-// keyed by name — the series StreamingErrorCheck audits.
-func PresetWorkloads(p Preset) (map[string][][]float64, error) {
-	net, err := GenNetwork(p.NetServers, p.NetVMsPerServer, p.NetWindows, p.NetFlowsPerWindow, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := GenSystem(p.SysNodes, p.SysMetricsPerNode, p.SysSteps, p.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	app, err := GenApp(p.AppServers, p.AppObjects, p.AppTopObjects, p.AppSteps, p.Seed+200)
-	if err != nil {
-		return nil, err
-	}
-	return map[string][][]float64{
-		"network":     net.Rho,
-		"system":      sys,
-		"application": app,
 	}, nil
 }

@@ -7,55 +7,6 @@ import (
 	"volley/internal/stats"
 )
 
-// TestStreamingMemoryProfileConstant is the O(1) claim in miniature: the
-// streaming backend's per-series footprint is the same as the trace gets
-// 10×, then 100× longer, while the exact backend's grows linearly.
-func TestStreamingMemoryProfileConstant(t *testing.T) {
-	pts, err := StreamingMemoryProfile(4, []int{1000, 10000, 100000}, Quick().Ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d points, want 3", len(pts))
-	}
-	if pts[2].StreamingBytesPerSeries != pts[0].StreamingBytesPerSeries || pts[1].StreamingBytesPerSeries != pts[0].StreamingBytesPerSeries {
-		t.Errorf("streaming bytes/series moves with the trace: %d at %d steps, %d at %d steps, %d at %d steps",
-			pts[0].StreamingBytesPerSeries, pts[0].Steps, pts[1].StreamingBytesPerSeries, pts[1].Steps, pts[2].StreamingBytesPerSeries, pts[2].Steps)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].ExactBytesPerSeries < 9*pts[i-1].ExactBytesPerSeries {
-			t.Errorf("exact bytes/series should grow ~10x with the trace: %d -> %d",
-				pts[i-1].ExactBytesPerSeries, pts[i].ExactBytesPerSeries)
-		}
-	}
-	if pts[2].StreamingBytesPerSeries >= pts[2].ExactBytesPerSeries/100 {
-		t.Errorf("streaming (%d B) should be orders of magnitude under exact (%d B) at 100k steps",
-			pts[2].StreamingBytesPerSeries, pts[2].ExactBytesPerSeries)
-	}
-}
-
-// TestStreamingSoakSmall exercises the soak harness at a toy scale and
-// checks its accounting.
-func TestStreamingSoakSmall(t *testing.T) {
-	r, err := StreamingSoak(10, 50, 15000, Quick().Ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Series != 10 || r.StepsPerSeries != 50 {
-		t.Errorf("size accounting wrong: %+v", r)
-	}
-	if r.ResidentBytes <= 0 || r.BytesPerSeries <= 0 {
-		t.Errorf("resident accounting wrong: %+v", r)
-	}
-	if want := int64(10) * 15000 * 8; r.HypotheticalExactBytes != want {
-		t.Errorf("hypothetical exact bytes = %d, want %d", r.HypotheticalExactBytes, want)
-	}
-	if float64(r.ResidentBytes) >= float64(r.HypotheticalExactBytes) {
-		t.Errorf("soak footprint %d B should undercut hypothetical exact %d B",
-			r.ResidentBytes, r.HypotheticalExactBytes)
-	}
-}
-
 // TestMaintenanceHarnessAgreement checks the two refresh paths answer the
 // same grid within the sketch's rank-error contract, on the harness's own
 // well-behaved synthetic stream.

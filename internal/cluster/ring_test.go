@@ -86,7 +86,8 @@ func TestRingDeterministicAcrossInsertionOrders(t *testing.T) {
 }
 
 // TestRingMinimalMovement: removing one shard moves only that shard's
-// keys, and adding a shard moves keys only onto the newcomer.
+// keys, adding a shard moves keys only onto the newcomer, and placing a key
+// costs no allocation.
 func TestRingMinimalMovement(t *testing.T) {
 	r := NewRing(128)
 	for i := 0; i < 8; i++ {
@@ -124,6 +125,11 @@ func TestRingMinimalMovement(t *testing.T) {
 		if now != was && now != "shard-new" {
 			t.Fatalf("key %q moved %q→%q on join of shard-new", k, was, now)
 		}
+	}
+
+	// A placement is one hash and one binary search: it allocates nothing.
+	if n := testing.AllocsPerRun(1000, func() { r.Place("task-17") }); n != 0 {
+		t.Errorf("Place allocates %.1f times per call, want 0", n)
 	}
 }
 

@@ -404,6 +404,9 @@ func (c *chunkCounter) Write(p []byte) (int, error) {
 // buffer of chunkSize, so neither what it allocates nor the largest write
 // depends on how many series there are.
 func TestScrapeAllocsDoNotGrowWithThePage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put back, so the pooled buffer is sometimes allocated anew")
+	}
 	var allocs [2]float64
 	for i, wide := range []int{10, 3000} {
 		r := goldenRegistry(wide)

@@ -3,5 +3,5 @@
 package obs
 
 // raceEnabled reports whether the race detector is on; timing assertions
-// are skipped under it.
+// and allocation counts that go through sync.Pool are skipped under it.
 const raceEnabled = true
