@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check soak bench bench-json bench-workloads bench-e2e bench-e2e-test bench-gate examples
+.PHONY: build vet test race race-borrow check soak bench bench-json bench-workloads bench-e2e bench-e2e-test bench-gate examples
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,11 @@ race:
 	$(GO) test -race ./...
 
 check: vet race
+
+# The tests of the fabric's ownership rule (Send and a Handler borrow
+# msg.Payload), twenty times over: a reuse race shows on some schedules only.
+race-borrow:
+	$(GO) test -race -count=20 -run 'Borrow|TestMemorySendMatchesReference' ./internal/transport ./internal/cluster
 
 # The process-level crash/recovery soak: three real volleyd shard
 # processes over TCP, kill -9 the task owner, and require a warm takeover

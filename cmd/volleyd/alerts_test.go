@@ -2,9 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -285,5 +287,145 @@ func TestClusterModeAlertAPI(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("run returned %v", err)
+	}
+}
+
+// alertLine is the stdout alert line as encoding/json renders it — the
+// rendering the printer used until it was written by hand, kept as the oracle
+// appendAlertLine is held to. The fields are declared in the order
+// encoding/json sorts map keys into (TestAlertLineMatchesMapEncoding).
+type alertLine struct {
+	At    string    `json:"at"`
+	Kind  string    `json:"kind"`
+	Shard string    `json:"shard,omitempty"`
+	Task  string    `json:"task"`
+	Time  time.Time `json:"time"`
+	Value float64   `json:"value"`
+}
+
+func encodingJSONAlertLine(shard, task string, now time.Duration, wall time.Time, total float64) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(alertLine{
+		At: now.String(), Kind: "alert", Shard: shard, Task: task, Time: wall, Value: total,
+	})
+	return buf.Bytes(), err
+}
+
+// TestAlertLineMatchesEncodingJSON: the hand-rendered line is, byte for byte,
+// what json.Encoder wrote — every escaping rule, the float format's two
+// cutoffs and its exponent clean-up, time zones and trimmed fractions.
+func TestAlertLineMatchesEncodingJSON(t *testing.T) {
+	names := []string{
+		"cpu", "", `weird "task" \ <&>`, "ctl\x00\x01\b\f\n\r\t\x1f\x7f", "sep\u2028\u2029end",
+		"bad\xffutf8\xc3", "\xe2\x80", "日本語/µs", "a<b>c&d", strings.Repeat("long-", 100),
+	}
+	totals := []float64{
+		0, math.Copysign(0, -1), 1, -1.5, 123.456, 1e-6, 9.99e-7, 1e-7, -1e-7, 1e-9, 1.5e-9, 1e-10, 1e-100,
+		1e20, 1e21, -1e21, 1.25e22, 123456789.123, math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3,
+	}
+	nows := []time.Duration{
+		0, time.Nanosecond, 1500 * time.Nanosecond, time.Millisecond, 1500 * time.Millisecond,
+		3 * time.Second, 90 * time.Minute, -2 * time.Second, math.MaxInt64, math.MinInt64,
+	}
+	walls := []time.Time{
+		time.Date(2026, 3, 4, 5, 6, 7, 123456789, time.FixedZone("", 3600)),
+		time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC),
+		time.Date(1999, 12, 31, 23, 59, 59, 500000000, time.FixedZone("", -(5*3600+30*60))),
+		time.Date(1, 1, 1, 0, 0, 0, 1000, time.UTC),
+		time.Now(),
+	}
+	for i := 0; i < len(names)*len(totals); i++ {
+		shard, task := names[(i+3)%len(names)], names[i%len(names)]
+		now, wall, total := nows[i%len(nows)], walls[i%len(walls)], totals[i/len(names)]
+		want, err := encodingJSONAlertLine(shard, task, now, wall, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendAlertLine(nil, shard, task, now, wall, total); !bytes.Equal(got, want) {
+			t.Errorf("alert line differs:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+func FuzzAlertLineMatchesEncodingJSON(f *testing.F) {
+	f.Add("", "cpu", int64(0), int64(0), uint32(0), int16(0), uint64(0))
+	f.Add("shard-<b>&", `weird "task"`, int64(1500*time.Millisecond), int64(1772600767), uint32(123456789), int16(60), math.Float64bits(123.456))
+	f.Add("s ", "bad\xff", int64(-1), int64(-62135596800), uint32(999999999), int16(-330), math.Float64bits(-1e-7))
+	f.Add("a", "b", int64(math.MaxInt64), int64(253402300799), uint32(1), int16(1439), math.Float64bits(1e21))
+	f.Add("a", "b", int64(1), int64(1), uint32(1), int16(1), math.Float64bits(math.Inf(1)))
+	f.Fuzz(func(t *testing.T, shard, task string, now, sec int64, nsec uint32, zoneMin int16, bits uint64) {
+		total := math.Float64frombits(bits)
+		wall := time.Unix(sec%60e9, int64(nsec%1e9)).In(time.FixedZone("", int(zoneMin)%(24*60)*60))
+		got := appendAlertLine(nil, shard, task, time.Duration(now), wall, total)
+		if math.IsInf(total, 0) || math.IsNaN(total) {
+			// No oracle: encoding/json refuses the value. The line must
+			// carry null and still be a JSON object.
+			var line struct{ Value *float64 }
+			if err := json.Unmarshal(got, &line); err != nil || line.Value != nil || !bytes.HasSuffix(got, []byte(`,"value":null}`+"\n")) {
+				t.Fatalf("non-finite total rendered as %s (%v)", got, err)
+			}
+			return
+		}
+		want, err := encodingJSONAlertLine(shard, task, time.Duration(now), wall, total)
+		if err != nil {
+			t.Skip(err) // a year below 0, which time.Now is not
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("alert line differs:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
+// TestAlertPrintZeroAlloc: a printed line costs its Write and nothing else.
+func TestAlertPrintZeroAlloc(t *testing.T) {
+	p := newAlertPrinter(io.Discard, "shard-a", nil)
+	now := 90 * time.Minute
+	if allocs := testing.AllocsPerRun(200, func() {
+		now += 1500 * time.Microsecond
+		p.print(`tenant-17/slo "p99" <ms>`, now, 1234.5678)
+	}); allocs != 0 {
+		t.Errorf("printing an alert line allocates %v times, want 0", allocs)
+	}
+}
+
+// TestNonFiniteAlertIsPrinted: an agent that answers Inf makes the polled
+// total +Inf, which encoding/json refused to encode — the alert was counted
+// and its line never written. It is written, with a null value, and every
+// counted alert has its line.
+func TestNonFiniteAlertIsPrinted(t *testing.T) {
+	url := newQuietServer(t, "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nInf")
+	var out bytes.Buffer
+	d, err := newClusterDaemon(options{interval: time.Millisecond, maxInterval: 10, shards: 1, out: &out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := d.close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	control(t, d.mux(), http.MethodPost, "/tasks",
+		`{"name":"inf","threshold":10,"err":0.05,"monitors":[{"id":"m0","source":"`+url+`/v"}]}`, http.StatusCreated)
+	for i := 0; i < 50 && d.alerts.Value() == 0; i++ {
+		d.tickOnce()
+	}
+	if d.alerts.Value() == 0 {
+		t.Fatal("an agent answering Inf over a threshold of 10 raised no alert")
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if uint64(len(lines)) != d.alerts.Value() {
+		t.Errorf("%d alerts counted, %d lines printed:\n%s", d.alerts.Value(), len(lines), out.String())
+	}
+	for _, l := range lines {
+		var line struct {
+			Kind, Task string
+			Value      *float64
+		}
+		if err := json.Unmarshal([]byte(l), &line); err != nil || line.Kind != "alert" || line.Task != "inf" || line.Value != nil {
+			t.Errorf("line %q (%v), want an alert for task inf with a null value", l, err)
+		}
+		if !strings.HasSuffix(l, `,"value":null}`) {
+			t.Errorf("line %q does not end in a null value", l)
+		}
 	}
 }

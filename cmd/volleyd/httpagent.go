@@ -51,6 +51,10 @@ var agentTimeout = 10 * time.Second
 // a setting either: tests shorten it to watch the pool let go.
 var agentIdleTimeout = 90 * time.Second
 
+// stageSecondsHelp describes volley_stage_seconds, whichever stage registers
+// it first.
+const stageSecondsHelp = "Time the daemon spent in one stage of its work, per unit of that stage's work."
+
 // agentReadBuckets are the volley_stage_seconds bounds for agent reads: a
 // loopback exchange takes tens of microseconds, a timed-out one agentTimeout.
 var agentReadBuckets = []float64{25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1, 2.5, 5, 10}
@@ -83,9 +87,7 @@ type agentPool struct {
 
 func newAgentPool(reg *volley.Metrics) *agentPool {
 	p := &agentPool{
-		reads: reg.Histogram("volley_stage_seconds",
-			"Time the daemon spent in one stage of its work, per unit of that stage's work.",
-			agentReadBuckets, "stage", "agent_read"),
+		reads:      reg.Histogram("volley_stage_seconds", stageSecondsHelp, agentReadBuckets, "stage", "agent_read"),
 		dials:      reg.Counter("volley_agent_dials_total", "Connections opened by HTTP agents."),
 		retries:    reg.Counter("volley_agent_retries_total", "HTTP agent requests repeated on a fresh connection because a kept one had gone away."),
 		readErrors: reg.Counter("volley_agent_read_errors_total", "HTTP agent reads that produced no value."),

@@ -239,14 +239,24 @@ func (c *virtualClock) last() time.Duration {
 	return time.Duration(c.origin+k-1) * c.interval
 }
 
+// controlPlaneBuckets are the volley_stage_seconds bounds for the control
+// plane's tick: a converged one — coordinators with nothing to poll or
+// rebalance, no beacon or snapshot due — takes a few microseconds, one that
+// rebalances a few thousand tasks or takes over a dead shard's milliseconds,
+// and a tick is late long before a second.
+var controlPlaneBuckets = []float64{1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}
+
 // monitorHost is the runtime under both cluster modes: the in-process network
 // hosted monitors and their coordinators talk over, the hosted set, the clock
 // and the tick. The mode fills in control.
 type monitorHost struct {
 	*daemon
-	net      *volley.MemoryNetwork
-	control  func(now time.Duration) // the control plane's Tick: Cluster's or Node's
-	gateArms *volley.Counter         // nil in the mode that admits no gated task
+	net     *volley.MemoryNetwork
+	control func(now time.Duration) // the control plane's Tick: Cluster's or Node's
+	// controlTime is volley_stage_seconds{stage="control_plane"}: one
+	// observation per tick, the time control took.
+	controlTime *volley.Histogram
+	gateArms    *volley.Counter // nil in the mode that admits no gated task
 	// sketchRejected counts the sampled values the sketches refused; nil in
 	// the mode that keeps no sketches.
 	sketchRejected *volley.Counter
@@ -279,6 +289,8 @@ func newMonitorHost(opts options, node string, origin uint64) (*monitorHost, err
 		net:    volley.NewMemoryNetwork(),
 		clock:  virtualClock{interval: opts.interval, origin: origin},
 		hosted: newHostedSet(),
+
+		controlTime: d.reg.Histogram("volley_stage_seconds", stageSecondsHelp, controlPlaneBuckets, "stage", "control_plane"),
 	}
 	h.now = h.clock.last
 	return h, nil
@@ -358,7 +370,9 @@ func (h *monitorHost) tickOnce() {
 	now := h.clock.advance()
 	// The control plane first: what it starts and stops (shard mode's
 	// StartTask/StopTask) settles before the monitor pass looks at the set.
+	began := time.Now()
 	h.control(now)
+	h.controlTime.Observe(time.Since(began).Seconds())
 	h.mu.Lock()
 	if p.gen != h.hosted.gen {
 		p.refresh(&h.hosted)

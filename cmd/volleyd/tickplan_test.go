@@ -714,3 +714,42 @@ func TestFanOutArmsEachDependentGateOnce(t *testing.T) {
 		t.Errorf("gate arms = %d after both predictors violated, want 12 (5 + 5 again + dep-b's 2)", got)
 	}
 }
+
+// TestControlPlaneStageObservedOncePerTick: in both cluster modes the one
+// tickOnce times the control plane's tick into
+// volley_stage_seconds{stage="control_plane"}, one observation a tick, and
+// the family still carries the agent reads beside it.
+func TestControlPlaneStageObservedOncePerTick(t *testing.T) {
+	cl := testClusterDaemon(t)
+	sh, err := newShardDaemon(options{
+		interval: time.Millisecond, maxInterval: 10, out: io.Discard,
+		shardID: "a", peerListen: "127.0.0.1:0",
+		beaconEvery: 2, suspectAfter: 8, deadAfter: 16, snapshotEvery: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sh.close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	for name, h := range map[string]*monitorHost{"-shards": cl.monitorHost, "-shard-id": sh.monitorHost} {
+		for i := 0; i < 7; i++ {
+			h.tickOnce()
+		}
+		if got := h.controlTime.Count(); got != 7 {
+			t.Errorf("%s: %d control-plane observations in 7 ticks", name, got)
+		}
+		var page bytes.Buffer
+		h.reg.WritePrometheus(&page)
+		for _, want := range []string{
+			`volley_stage_seconds_count{stage="control_plane"} 7`,
+			`volley_stage_seconds_count{stage="agent_read"} 0`,
+		} {
+			if !strings.Contains(page.String(), want+"\n") {
+				t.Errorf("%s: /metrics lacks %q", name, want)
+			}
+		}
+	}
+}

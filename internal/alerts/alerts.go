@@ -142,17 +142,27 @@ type Alert struct {
 	History []Transition `json:"history,omitempty"`
 }
 
-// clone deep-copies an alert for export and read APIs.
+// clone deep-copies an alert for import and the read APIs.
 func (a *Alert) clone() Alert {
-	out := *a
-	if a.Monitors != nil {
-		out.Monitors = make(map[string]float64, len(a.Monitors))
-		for k, v := range a.Monitors {
-			out.Monitors[k] = v
-		}
-	}
-	out.History = append([]Transition(nil), a.History...)
+	var out Alert
+	a.copyInto(&out)
 	return out
+}
+
+// copyInto deep-copies a over *out, reusing the Monitors map and the History
+// array *out already has. A reused map stays, empty, where a has none.
+func (a *Alert) copyInto(out *Alert) {
+	mons, hist := out.Monitors, out.History[:0]
+	*out = *a
+	clear(mons)
+	if mons == nil && a.Monitors != nil {
+		mons = make(map[string]float64, len(a.Monitors))
+	}
+	for k, v := range a.Monitors {
+		mons[k] = v
+	}
+	out.Monitors = mons
+	out.History = append(hist, a.History...)
 }
 
 // Defaults for the bounded retention knobs.
@@ -519,17 +529,29 @@ func (r *Registry) ObserveLocal(task, monitor string, now time.Duration, value f
 
 // ExportOpen deep-copies the task's live alerts for snapshotting (today
 // at most one, but the slice keeps the frame format general).
-func (r *Registry) ExportOpen(task string) []Alert {
+func (r *Registry) ExportOpen(task string) []Alert { return r.ExportOpenInto(task, nil) }
+
+// ExportOpenInto is ExportOpen into a slice the caller owns and reuses: dst
+// is truncated and refilled, and each alert it has room for keeps its
+// Monitors map and History array, cleared and refilled, so a caller that
+// only serializes the result allocates nothing per export.
+func (r *Registry) ExportOpenInto(task string, dst []Alert) []Alert {
+	dst = dst[:0]
 	if r == nil {
-		return nil
+		return dst
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	a := r.open[task]
 	if a == nil {
-		return nil
+		return dst
 	}
-	return []Alert{a.clone()}
+	if cap(dst) == 0 {
+		dst = make([]Alert, 0, 1)
+	}
+	dst = dst[:1]
+	a.copyInto(&dst[0])
+	return dst
 }
 
 // ImportOpen installs alerts recovered from a predecessor's snapshot

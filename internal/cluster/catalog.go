@@ -155,17 +155,21 @@ func (n *Node) beaconLocked(sends []outMsg, due []Member) []outMsg {
 	if len(due) == 0 {
 		return sends
 	}
+	// One scratch holds every payload of the tick, end to end: first the
+	// rowless beacon, shared by every peer that gets one, then for each peer
+	// that gets rows a copy of the head and its rows. The sends borrow their
+	// stretch of it until Tick has made them.
 	b := append(n.beaconBuf[:0], beaconVersion)
 	b = binary.LittleEndian.AppendUint64(b, n.catalogDigest)
 	b = binary.LittleEndian.AppendUint64(b, n.catalogVersion)
 	b = n.membership.AppendTable(b)
 	head := len(b)
-	var quiet []byte // the rowless beacon, shared by every peer that gets one
+	b = append(b, 0)
 	for _, peer := range due {
 		if peer.Addr == "" {
 			continue
 		}
-		payload := quiet
+		payload := b[: head+1 : head+1]
 		heard, known := n.peers[peer.ID]
 		if !known || heard.digest != n.catalogDigest {
 			// catalogVersion is the highest row version, so rows newer than
@@ -180,7 +184,9 @@ func (n *Node) beaconLocked(sends []outMsg, due []Member) []outMsg {
 					rows++
 				}
 			}
-			b = binary.AppendUvarint(b[:head], uint64(rows))
+			start := len(b)
+			b = append(b, b[:head]...)
+			b = binary.AppendUvarint(b, uint64(rows))
 			for _, r := range n.catalogOrder {
 				if r.Version <= since {
 					continue
@@ -191,14 +197,11 @@ func (n *Node) beaconLocked(sends []outMsg, due []Member) []outMsg {
 				b = binary.AppendUvarint(b, uint64(len(r.body)))
 				b = append(b, r.body...)
 			}
-			payload = bytes.Clone(b)
+			payload = b[start:len(b):len(b)]
 			n.rowsSent.Add(uint64(rows))
 			if since == 0 && rows > 0 {
 				n.fullSyncs.Inc()
 			}
-		} else if quiet == nil {
-			quiet = bytes.Clone(append(b[:head], 0))
-			payload = quiet
 		}
 		n.beaconBytes.Add(uint64(len(payload)))
 		sends = append(sends, outMsg{to: peer.Addr, msg: transport.Message{

@@ -331,10 +331,12 @@ func (n *Node) Tick(now time.Duration) {
 	coords := n.coords
 	n.mu.Unlock()
 
+	// The payloads are this node's own buffers (the beacon scratch, the
+	// replicator's frames), which Send only borrows and nothing writes
+	// before the next Tick.
 	for i := range sends {
 		_ = n.cfg.Inter.Send(n.cfg.Addr, sends[i].to, sends[i].msg)
 	}
-	clear(sends) // the frames belong to the replicator and the fabric now
 	n.sends = sends[:0]
 	for _, c := range coords {
 		c.Tick(now)
@@ -498,12 +500,8 @@ func (n *Node) acquireLocked(name string, rec *catalogRow, prevOwner string) {
 	}
 	takeover := prevOwner != "" && prevOwner != n.cfg.ID
 	recovery := &RecoveryInfo{PrevOwner: prevOwner}
-	if entry, ok := n.store.Get(name); ok {
-		st, err := entry.State()
-		if err == nil {
-			err = c.ImportAllowance(st)
-		}
-		if err == nil {
+	if entry, st, ok := n.store.State(name); ok {
+		if err := c.ImportAllowance(st); err == nil {
 			recovery.Warm = true
 			recovery.Epoch = entry.Epoch
 			recovery.From = entry.From
@@ -576,21 +574,24 @@ func (n *Node) releaseLocked(sends []outMsg, name string, t *ownedTask, newOwner
 	// otherwise linger as a stale live episode on a shard that no longer
 	// owns the task.
 	n.cfg.Alerts.Forget(name)
-	return n.shipLocked(sends, name, newOwner, addr)
+	return n.shipLocked(sends, newOwner, addr)
 }
 
 // shipLocked frames the state last exported into n.export and sends it to
 // a peer through the replicator (acked, retried, eventually abandoned).
-func (n *Node) shipLocked(sends []outMsg, name, to, addr string) []outMsg {
-	epoch := n.export.Epoch
-	frame, err := EncodeSnapshot(n.export)
+func (n *Node) shipLocked(sends []outMsg, to, addr string) []outMsg {
+	p, err := n.rep.Ship(&n.export, to, addr, n.tick, n.now)
 	if err != nil {
 		return sends
 	}
-	n.rep.Shipped(name, to, addr, epoch, frame, n.tick, n.now)
-	return append(sends, outMsg{to: addr, msg: transport.Message{
-		Kind: transport.KindSnapshot, Task: name,
-		Time: n.now, Epoch: epoch, Payload: frame,
+	return n.sendFrameLocked(sends, p)
+}
+
+// sendFrameLocked appends the send of an in-flight frame, fresh or retried.
+func (n *Node) sendFrameLocked(sends []outMsg, p *Pending) []outMsg {
+	return append(sends, outMsg{to: p.Addr, msg: transport.Message{
+		Kind: transport.KindSnapshot, Task: p.Task,
+		Time: n.now, Epoch: p.Epoch, Payload: p.Frame,
 	}})
 }
 
@@ -631,13 +632,10 @@ func (n *Node) replicateLocked(sends []outMsg) []outMsg {
 			continue
 		}
 		t.c.ExportAllowanceInto(&n.export)
-		sends = n.shipLocked(sends, name, succ, addr)
+		sends = n.shipLocked(sends, succ, addr)
 	}
 	for _, p := range n.rep.Resend(n.tick, n.now) {
-		sends = append(sends, outMsg{to: p.Addr, msg: transport.Message{
-			Kind: transport.KindSnapshot, Task: p.Task,
-			Time: n.now, Epoch: p.Epoch, Payload: p.Frame,
-		}})
+		sends = n.sendFrameLocked(sends, p)
 	}
 	return sends
 }
@@ -671,9 +669,9 @@ func (n *Node) Status() NodeStatus {
 		})
 	}
 	for _, e := range n.store.Entries() {
-		held, err := e.State()
-		if err != nil {
-			continue // the store walked this frame when it took it
+		e, held, ok := n.store.State(e.Task)
+		if !ok {
+			continue // dropped since it was listed
 		}
 		st.Snapshots = append(st.Snapshots, SnapshotStatus{
 			Task:        e.Task,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"time"
 
+	"volley/internal/coord"
 	"volley/internal/obs"
 )
 
@@ -40,7 +41,11 @@ type ReplicatorConfig struct {
 	Tracer *obs.Tracer
 }
 
-// Pending is one shipped-but-unacknowledged snapshot frame.
+// Pending is one shipped-but-unacknowledged snapshot frame. A tracked task
+// has one record for as long as it is tracked, armed again by each Ship, so
+// the frame is encoded into the same buffer every time. Only Ship writes a
+// record, and the record is read only by the goroutine that calls Ship and
+// Resend, so a send of the frame never sees it change.
 type Pending struct {
 	// Task names the task the frame belongs to.
 	Task string
@@ -52,17 +57,18 @@ type Pending struct {
 	Addr string
 	// Epoch is the frame's snapshot epoch.
 	Epoch uint64
-	// Frame is the encoded snapshot.
+	// Frame is the encoded snapshot, valid until the task's next Ship.
 	Frame []byte
 
 	attempts int
 	nextSend uint64
 }
 
-// replSchedule is the per-task cadence state.
+// replSchedule is the per-task cadence state, and the task's retry record.
 type replSchedule struct {
 	task     string
 	nextShip uint64
+	frame    Pending
 }
 
 func scheduleTask(s *replSchedule) string { return s.task }
@@ -71,8 +77,8 @@ func pendingTask(p *Pending) string       { return p.Task }
 // Replicator schedules allowance-snapshot replication for a shard's owned
 // tasks: per-task staggered cadence, one in-flight frame per task with
 // bounded exponential-backoff retries, and abandonment (traced and
-// counted) when a frame exhausts its attempts. It holds no transport —
-// Node asks it what is due and performs the sends.
+// counted) when a frame exhausts its attempts. It holds the frames and no
+// transport — Node asks it what is due and performs the sends.
 //
 // Replicator is NOT safe for concurrent use; Node serializes access under
 // its own lock.
@@ -173,15 +179,32 @@ func (r *Replicator) Due(tick uint64) []string {
 	return r.due
 }
 
-// Shipped records that a fresh frame for a task went out, arming the retry
-// timer and advancing the task's cadence.
-func (r *Replicator) Shipped(task, to, addr string, epoch uint64, frame []byte, tick uint64, now time.Duration) {
-	if s, ok := r.tasks[task]; ok {
+// Ship frames st for its task's ring successor (or, at a handoff, its new
+// owner), arming the retry timer and advancing the task's cadence. Whatever
+// was in flight for the task is forgotten. The caller sends the returned
+// record's Frame. A state too large to frame is an error and leaves nothing
+// in flight.
+func (r *Replicator) Ship(st *coord.AllowanceState, to, addr string, tick uint64, now time.Duration) (*Pending, error) {
+	task := st.Task
+	r.dropPending(task)
+	var p *Pending
+	s, tracked := r.tasks[task]
+	if tracked {
+		p = &s.frame
+	} else {
+		// A task released a moment ago: its handoff frame gets a record of
+		// its own, which lasts until the ack.
+		p = new(Pending)
+	}
+	frame, err := AppendSnapshot(p.Frame[:0], st)
+	if err != nil {
+		return nil, err
+	}
+	if tracked {
 		s.nextShip = tick + uint64(r.cfg.SnapshotEvery)
 	}
-	r.dropPending(task)
-	p := &Pending{
-		Task: task, To: to, Addr: addr, Epoch: epoch, Frame: frame,
+	*p = Pending{
+		Task: task, To: to, Addr: addr, Epoch: st.Epoch, Frame: frame,
 		attempts: 1,
 		nextSend: tick + uint64(r.cfg.RetryAfter),
 	}
@@ -190,8 +213,9 @@ func (r *Replicator) Shipped(task, to, addr string, epoch uint64, frame []byte, 
 	r.shipped.Inc()
 	r.cfg.Tracer.Record(obs.Event{
 		Time: now, Type: obs.EventSnapshotShip,
-		Node: r.cfg.Node, Task: task, Peer: to, Value: float64(epoch),
+		Node: r.cfg.Node, Task: task, Peer: to, Value: float64(st.Epoch),
 	})
+	return p, nil
 }
 
 // Ack clears the in-flight frame for a task if the acked epoch covers it

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"testing"
+
+	"volley/internal/coord"
 )
 
 func TestReplicatorCadenceAndAck(t *testing.T) {
@@ -20,7 +22,9 @@ func TestReplicatorCadenceAndAck(t *testing.T) {
 		t.Fatalf("task never came due, stagger broken")
 	}
 
-	r.Shipped("t1", "b", "addr-b", 7, []byte("frame"), uint64(due), 0)
+	if _, err := r.Ship(&coord.AllowanceState{Task: "t1", Epoch: 7}, "b", "addr-b", uint64(due), 0); err != nil {
+		t.Fatal(err)
+	}
 	if r.InFlight() != 1 {
 		t.Fatalf("InFlight after ship = %d, want 1", r.InFlight())
 	}
@@ -50,7 +54,9 @@ func TestReplicatorCadenceAndAck(t *testing.T) {
 func TestReplicatorRetryBackoffAndAbandon(t *testing.T) {
 	r := NewReplicator(ReplicatorConfig{Node: "a", SnapshotEvery: 100, RetryAfter: 2, MaxAttempts: 3})
 	r.Track("t1", 0)
-	r.Shipped("t1", "b", "addr-b", 1, []byte("frame"), 0, 0)
+	if _, err := r.Ship(&coord.AllowanceState{Task: "t1", Epoch: 1}, "b", "addr-b", 0, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	// Attempt 1 shipped at tick 0; first retry armed for tick 2.
 	if got := r.Resend(1, 0); len(got) != 0 {

@@ -9,7 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,34 +92,36 @@ var (
 	ErrSnapshotStale = errors.New("cluster: snapshot epoch stale")
 )
 
-// snapshotEncoder is the scratch one encode needs: the frame under
-// construction and the keys of the map being written, sorted.
+// snapshotEncoder is the scratch one encode needs beside the frame: the keys
+// of the map being written, sorted.
 type snapshotEncoder struct {
-	buf  []byte
 	keys []string
 }
 
 var snapshotEncoders = sync.Pool{New: func() any { return new(snapshotEncoder) }}
 
-// EncodeSnapshot serializes st into a framed, checksummed snapshot. The
-// frame epoch is st.Epoch. The only allocation is the returned frame.
-func EncodeSnapshot(st coord.AllowanceState) ([]byte, error) {
+// EncodeSnapshot serializes st into a freshly allocated framed, checksummed
+// snapshot. The frame epoch is st.Epoch.
+func EncodeSnapshot(st coord.AllowanceState) ([]byte, error) { return AppendSnapshot(nil, &st) }
+
+// AppendSnapshot appends st's frame to dst and returns the extended slice;
+// into a reused buffer it allocates nothing. It is the one encoder. On an
+// error dst comes back as it was given.
+func AppendSnapshot(dst []byte, st *coord.AllowanceState) ([]byte, error) {
 	e := snapshotEncoders.Get().(*snapshotEncoder)
 	defer snapshotEncoders.Put(e)
-	b := append(e.buf[:0], snapshotMagic...)
+	start := len(dst)
+	b := append(dst, snapshotMagic...)
 	b = append(b, snapshotFrameVersion)
 	b = binary.BigEndian.AppendUint64(b, st.Epoch)
 	b = append(b, 0, 0, 0, 0) // body length, backfilled
-	b = e.appendBody(b, &st)
-	e.buf = b
-	body := len(b) - snapshotHeaderLen
+	b = e.appendBody(b, st)
+	body := len(b) - start - snapshotHeaderLen
 	if body > maxSnapshotBody {
-		return nil, fmt.Errorf("cluster: encode snapshot for %q: body %d bytes exceeds %d", st.Task, body, maxSnapshotBody)
+		return b[:start], fmt.Errorf("cluster: encode snapshot for %q: body %d bytes exceeds %d", st.Task, body, maxSnapshotBody)
 	}
-	binary.BigEndian.PutUint32(b[13:], uint32(body))
-	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	e.buf = b
-	return bytes.Clone(b), nil
+	binary.BigEndian.PutUint32(b[start+13:], uint32(body))
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:])), nil
 }
 
 func (e *snapshotEncoder) appendBody(b []byte, st *coord.AllowanceState) []byte {
@@ -466,7 +468,7 @@ func parseSnapshotBody(body []byte, headerEpoch uint64, st *coord.AllowanceState
 	return task, nil
 }
 
-// SnapshotEntry is one replicated snapshot held for a task.
+// SnapshotEntry describes one replicated snapshot held for a task.
 type SnapshotEntry struct {
 	// Task names the task.
 	Task string `json:"task"`
@@ -476,14 +478,16 @@ type SnapshotEntry struct {
 	From string `json:"from"`
 	// Received is the holder's clock when the frame was applied.
 	Received time.Duration `json:"received"`
-	// Frame is the frame as received: checksum verified, body walked. It
-	// is shared with whoever delivered it and never written.
-	Frame []byte `json:"-"`
 }
 
-// State decodes the held frame. A store only holds frames that passed the
-// well-formedness walk, so an error here is a bug, not bad input.
-func (e SnapshotEntry) State() (coord.AllowanceState, error) { return DecodeSnapshot(e.Frame) }
+// heldSnapshot is a store's record for one task: what it says about the
+// frame, and the frame — checksum verified, body walked — in a buffer of the
+// record's own, which the task's next frame is copied over. Both are only
+// touched under SnapshotStore.mu.
+type heldSnapshot struct {
+	SnapshotEntry
+	frame []byte
+}
 
 // SnapshotStore holds the freshest replicated allowance snapshot per task,
 // rejecting stale epochs and corrupt frames. It is the warm-recovery seed:
@@ -502,7 +506,7 @@ type SnapshotStore struct {
 	rejectedCorrupt *obs.Counter
 
 	mu      sync.Mutex
-	entries map[string]SnapshotEntry
+	entries map[string]*heldSnapshot
 }
 
 // NewSnapshotStore builds an empty store. metrics and tracer are optional;
@@ -511,7 +515,7 @@ func NewSnapshotStore(node string, metrics *obs.Registry, tracer *obs.Tracer) *S
 	s := &SnapshotStore{
 		tracer:  tracer,
 		node:    node,
-		entries: make(map[string]SnapshotEntry),
+		entries: make(map[string]*heldSnapshot),
 	}
 	s.applied = metrics.Counter("volley_cluster_snapshots_applied_total",
 		"Replicated allowance snapshots accepted into the store.")
@@ -534,19 +538,26 @@ func NewSnapshotStore(node string, metrics *obs.Registry, tracer *obs.Tracer) *S
 // retry and duplicate — is rejected with ErrSnapshotStale before its body
 // is read. A fresh frame's body is then walked without being decoded (every
 // length, the header/body epoch cross-check, the body's task against the
-// envelope's) and the frame itself is kept. Frames that fail any check are
-// rejected with the decode error. Both kinds of rejection are counted and
-// traced against the envelope's task.
+// envelope's) and the frame is copied over the one held for the task; frame
+// itself is only read, and not after Put returns. Frames that fail any
+// check are rejected with the decode error. Both kinds of rejection are
+// counted and traced against the envelope's task.
 func (s *SnapshotStore) Put(task, from string, now time.Duration, frame []byte) (SnapshotEntry, error) {
 	var e SnapshotEntry
 	epoch, body, err := openSnapshotFrame(frame)
 	if err == nil {
 		s.mu.Lock()
-		if held, ok := s.entries[task]; ok && epoch <= held.Epoch {
+		held, ok := s.entries[task]
+		if ok && epoch <= held.Epoch {
 			err = fmt.Errorf("%w: task %q epoch %d, held %d", ErrSnapshotStale, task, epoch, held.Epoch)
 		} else if err = checkSnapshotBody(body, epoch, task); err == nil {
-			e = SnapshotEntry{Task: task, Epoch: epoch, From: from, Received: now, Frame: frame}
-			s.entries[task] = e
+			if !ok {
+				held = new(heldSnapshot)
+				s.entries[task] = held
+			}
+			e = SnapshotEntry{Task: task, Epoch: epoch, From: from, Received: now}
+			held.SnapshotEntry = e
+			held.frame = append(held.frame[:0], frame...)
 		}
 		s.mu.Unlock()
 	}
@@ -580,12 +591,30 @@ func checkSnapshotBody(body []byte, epoch uint64, task string) error {
 	return nil
 }
 
-// Get returns the held snapshot for a task, if any.
+// Get describes the held snapshot for a task, if any.
 func (s *SnapshotStore) Get(task string) (SnapshotEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[task]
-	return e, ok
+	held, ok := s.entries[task]
+	if !ok {
+		return SnapshotEntry{}, false
+	}
+	return held.SnapshotEntry, true
+}
+
+// State decodes the snapshot held for a task, under the store's lock: the
+// next Put writes over the frame. A store only holds frames that passed the
+// well-formedness walk, so a frame that does not decode is a bug, not bad
+// input, and reads as not held.
+func (s *SnapshotStore) State(task string) (SnapshotEntry, coord.AllowanceState, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held, ok := s.entries[task]
+	if !ok {
+		return SnapshotEntry{}, coord.AllowanceState{}, false
+	}
+	st, err := DecodeSnapshot(held.frame)
+	return held.SnapshotEntry, st, err == nil
 }
 
 // Drop forgets the held snapshot for a task (after the task is evicted).
@@ -600,10 +629,10 @@ func (s *SnapshotStore) Entries() []SnapshotEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SnapshotEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
+	for _, held := range s.entries {
+		out = append(out, held.SnapshotEntry)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Task < out[j].Task })
+	slices.SortFunc(out, func(a, b SnapshotEntry) int { return strings.Compare(a.Task, b.Task) })
 	return out
 }
 

@@ -367,10 +367,12 @@ func sameState(a, b coord.AllowanceState) bool {
 
 // TestSnapshotRoundTripProperty: any state survives encode → decode bit for
 // bit, and its frame is the only frame for it (decode → encode gives the
-// same bytes).
+// same bytes) — also when it is appended to a buffer that held another
+// state's frame a moment ago, or behind bytes already in the buffer.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	sizes := []int{0, 1, 2, 16, 1024}
+	var reused []byte
 	for i := 0; i < 300; i++ {
 		n := sizes[i%len(sizes)]
 		if n == 1024 && i > 25 {
@@ -395,12 +397,22 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		if !bytes.Equal(again, frame) {
 			t.Fatalf("state %d (%d monitors) re-encodes to different bytes", i, n)
 		}
+		if reused, err = AppendSnapshot(reused[:0], &want); err != nil || !bytes.Equal(reused, frame) {
+			t.Fatalf("state %d (%d monitors) appended to a used buffer differs from its frame (%v)", i, n, err)
+		}
+		const prefix = "kept"
+		behind, err := AppendSnapshot(append(reused[:0], prefix...), &want)
+		if err != nil || string(behind[:len(prefix)]) != prefix || !bytes.Equal(behind[len(prefix):], frame) {
+			t.Fatalf("state %d (%d monitors) appended behind other bytes differs from its frame (%v)", i, n, err)
+		}
+		reused = behind // the next state finds it longer, and dirty
 	}
 }
 
 // TestExportIntoMatchesExport: the frame of a state exported into reused
 // scratch is the frame of a fresh export (but for the epoch, which every
-// export advances), even when the scratch last held a larger task.
+// export advances), even when the scratch last held a larger task — and a
+// larger live alert, whose monitor map and history the export reuses too.
 func TestExportIntoMatchesExport(t *testing.T) {
 	mk := func(n int) *coord.Coordinator {
 		mons := make([]string, n)
@@ -409,21 +421,40 @@ func TestExportIntoMatchesExport(t *testing.T) {
 		}
 		local := transport.NewMemory()
 		sinkNet(t, local, mons...)
+		reg := alerts.New(alerts.Config{})
 		c, err := coord.New(coord.Config{
 			ID: fmt.Sprintf("c%d", n), Task: "t", Threshold: 100, Err: 0.05,
-			Monitors: mons, Network: local,
+			Monitors: mons, Network: local, Alerts: reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Tick(time.Second)
+		// A live alert with one transition and one monitor of context per
+		// monitor of the task; the small task's is acked besides.
+		id, _ := reg.Raise("t", time.Second, 100+float64(n))
+		for i, m := range mons {
+			reg.ObserveLocal("t", m, time.Second, float64(i))
+			reg.Raise("t", time.Duration(i+2)*time.Second, 100+float64(i))
+		}
+		if n == 2 {
+			if err := reg.Ack(id, time.Minute, "operator"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return c
 	}
 	big, small := mk(8), mk(2)
 	var scratch coord.AllowanceState
 	big.ExportAllowanceInto(&scratch)
+	if len(scratch.Alerts) != 1 || len(scratch.Alerts[0].Monitors) != 8 {
+		t.Fatalf("the big task exported %+v, want its alert with 8 monitors", scratch.Alerts)
+	}
 	small.ExportAllowanceInto(&scratch)
 	fresh := small.ExportAllowance()
+	if len(fresh.Alerts) != 1 || fresh.Alerts[0].AckedBy != "operator" || len(fresh.Alerts[0].Monitors) != 2 || len(fresh.Alerts[0].History) != 2 {
+		t.Fatalf("the small task exported %+v, want its acked alert with 2 monitors and 2 transitions", fresh.Alerts)
+	}
 	scratch.Epoch = fresh.Epoch
 	a, err := EncodeSnapshot(scratch)
 	if err != nil {

@@ -60,11 +60,12 @@ func (c *Coordinator) ExportAllowance() AllowanceState {
 }
 
 // ExportAllowanceInto is ExportAllowance into a state the caller owns and
-// reuses: its maps are cleared and refilled and its Dead list is rewritten
-// in place, so a caller that only serializes the result (the replicator,
-// every few ticks per task) allocates no maps per export. A map the state
-// does not have yet is made when first needed and kept, so a reused state
-// may hold an empty map where a fresh one holds nil.
+// reuses: its maps are cleared and refilled and its Dead and Alerts lists
+// are rewritten in place (an alert's own map and history too), so a caller
+// that only serializes the result (the replicator, every few ticks per
+// task) allocates nothing per export. A map the state does not have yet is
+// made when first needed and kept, so a reused state may hold an empty map
+// where a fresh one holds nil.
 func (c *Coordinator) ExportAllowanceInto(st *AllowanceState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,7 +100,7 @@ func (c *Coordinator) ExportAllowanceInto(st *AllowanceState) {
 			st.LastSeen[m] = c.lastSeen[i]
 		}
 	}
-	st.Alerts = c.cfg.Alerts.ExportOpen(c.cfg.Task)
+	st.Alerts = c.cfg.Alerts.ExportOpenInto(c.cfg.Task, st.Alerts)
 }
 
 // ImportAllowance resumes from a snapshot taken by a coordinator for the

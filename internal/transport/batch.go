@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -294,6 +295,7 @@ func (m *Memory) enqueueBatched(lk link, msg Message) error {
 	m.seq++
 	msg.From = lk.from
 	msg.Seq = m.seq
+	msg.Payload = bytes.Clone(msg.Payload) // delivered after Send returns
 	idx := -1
 	for i := range m.pendingBatches {
 		if m.pendingBatches[i].lk == lk {

@@ -337,7 +337,7 @@ func Fixed64(b []byte) (uint64, []byte, error) {
 // decodeMessage parses one kind byte + field body into *m (which must
 // be zero-valued), returning the remaining bytes. Filling the caller's
 // slot directly keeps the batch decode loop free of per-message struct
-// copies.
+// copies. m.Payload is a sub-slice of b.
 func (d *frameDecoder) decodeMessage(b []byte, m *Message) ([]byte, error) {
 	if len(b) == 0 {
 		return b, fmt.Errorf("%w: missing kind tag", ErrFrameTruncated)
@@ -419,10 +419,9 @@ func (d *frameDecoder) decodeMessage(b []byte, m *Message) ([]byte, error) {
 		if raw, b, err = BytesField(b); err != nil {
 			return b, err
 		}
-		// The frame buffer is reused for the next read; the payload must
-		// be copied out. This is the one steady-state decode allocation,
-		// and only the shard-tier kinds pay it.
-		m.Payload = append([]byte(nil), raw...)
+		if len(raw) > 0 { // an empty field is no payload, as it was when copied out
+			m.Payload = raw
+		}
 	}
 	return b, nil
 }
@@ -487,10 +486,10 @@ func (d *frameDecoder) decodeBody(body []byte, emit func(Message)) error {
 
 // DecodeFrame decodes one complete frame — length prefix included —
 // calling emit for each message it carries (one for a plain frame, each
-// in order for a batch frame). It is the exported, hardened entry point
-// the round-trip property tests and FuzzDecodeFrame drive; the TCP read
-// loop uses the same decoder incrementally with a per-connection string
-// intern table.
+// in order for a batch frame; a Payload points into frame). It is the
+// exported, hardened entry point the round-trip property tests and
+// FuzzDecodeFrame drive; the TCP read loop uses the same decoder
+// incrementally with a per-connection string intern table.
 func DecodeFrame(frame []byte, emit func(Message)) error {
 	if len(frame) < frameHeaderLen {
 		return fmt.Errorf("%w: %d bytes, need %d-byte length prefix", ErrFrameTruncated, len(frame), frameHeaderLen)

@@ -132,7 +132,7 @@ func newMemoryRun(t *testing.T, scheduled bool, opts ...MemoryOption) *memoryRun
 	for _, addr := range []string{"a", "b", "c"} {
 		addr := addr
 		if err := r.m.Register(addr, func(msg Message) {
-			r.log = append(r.log, fmt.Sprintf("%s<-%s seq=%d v=%v", addr, msg.From, msg.Seq, msg.Value))
+			r.log = append(r.log, fmt.Sprintf("%s<-%s seq=%d v=%v p=%s", addr, msg.From, msg.Seq, msg.Value, msg.Payload))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +140,14 @@ func newMemoryRun(t *testing.T, scheduled bool, opts ...MemoryOption) *memoryRun
 	return r
 }
 
-func (r *memoryRun) play(send func(m *Memory, from, to string, msg Message) error) {
+// play runs the script. Every message carries a payload that names it; with
+// reuse the sender builds them all in one buffer and scribbles over it as
+// soon as Send returns, which the ownership rule lets it do — a delivery
+// that Send put off must still carry the bytes that were sent.
+func (r *memoryRun) play(send func(m *Memory, from, to string, msg Message) error, reuse bool) {
 	addrs := []string{"a", "b", "c", "nobody"}
 	script := rand.New(rand.NewSource(99))
+	var payload []byte
 	for i := 0; i < 600; i++ {
 		switch i {
 		case 150:
@@ -160,10 +165,19 @@ func (r *memoryRun) play(send func(m *Memory, from, to string, msg Message) erro
 			r.m.SetFilter(nil)
 		}
 		from, to := addrs[script.Intn(3)], addrs[script.Intn(4)]
-		if err := send(r.m, from, to, Message{Kind: KindHeartbeat, Value: float64(i)}); err != nil {
+		payload = fmt.Appendf(payload[:0], "payload-%d", i)
+		if err := send(r.m, from, to, Message{Kind: KindHeartbeat, Value: float64(i), Payload: payload}); err != nil {
 			r.errs = append(r.errs, fmt.Sprintf("%d: %v", i, err))
 		}
+		if reuse {
+			for j := range payload {
+				payload[j] = '#'
+			}
+		} else {
+			payload = nil // the reference keeps the slice it was given
+		}
 		if i%7 == 6 {
+			r.m.Flush() // a no-op unless the run batches
 			pending := r.pending
 			r.pending = nil
 			for _, f := range pending {
@@ -176,7 +190,9 @@ func (r *memoryRun) play(send func(m *Memory, from, to string, msg Message) erro
 // TestMemorySendMatchesReference holds Send, under every fault switch and
 // with and without a scheduler, to the delivery order, held-message flush,
 // errors and Stats counters of the closure-per-delivery implementation it
-// replaced.
+// replaced — and to its payloads, although Send's caller reuses the buffer
+// it sends from and the reference's does not. The reference does not batch;
+// the batching run is held to the payloads alone.
 func TestMemorySendMatchesReference(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -198,9 +214,9 @@ func TestMemorySendMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := newMemoryRun(t, tc.scheduled, tc.opts()...)
-			got.play((*Memory).Send)
+			got.play((*Memory).Send, true)
 			want := newMemoryRun(t, tc.scheduled, tc.opts()...)
-			want.play(sendReference)
+			want.play(sendReference, false)
 
 			if len(want.log) < 200 {
 				t.Fatalf("reference delivered only %d messages; the script no longer exercises the network", len(want.log))
@@ -228,5 +244,28 @@ func TestMemorySendMatchesReference(t *testing.T) {
 				t.Errorf("%d messages left held, want %d", g, w)
 			}
 		})
+	}
+}
+
+// TestMemoryBatchingBorrowsPayload: a batched Memory delivers at Flush, long
+// after Send returned, and still the bytes that were sent — with the held
+// reorder batch and a scheduler in the way too.
+func TestMemoryBatchingBorrowsPayload(t *testing.T) {
+	for _, scheduled := range []bool{false, true} {
+		r := newMemoryRun(t, scheduled, WithReorder(0.3, 5), WithDuplication(0.2, 5))
+		r.m.SetBatching(8)
+		r.play((*Memory).Send, true)
+		if len(r.log) < 200 {
+			t.Fatalf("scheduled=%v: only %d deliveries; the script no longer exercises batching", scheduled, len(r.log))
+		}
+		for _, line := range r.log {
+			var to, from string
+			var seq uint64
+			var v int
+			var p string
+			if _, err := fmt.Sscanf(line, "%1s<-%1s seq=%d v=%d p=%s", &to, &from, &seq, &v, &p); err != nil || p != fmt.Sprintf("payload-%d", v) {
+				t.Fatalf("scheduled=%v: delivery %q does not carry the payload it was sent with (%v)", scheduled, line, err)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,6 +166,9 @@ type tcpPeer struct {
 
 	mu  sync.Mutex
 	buf []Message // pending, bounded by queueDepth
+	// arena holds the payload bytes of the messages in buf, which point into
+	// it: Send only borrows a payload, so the queue keeps its own copy.
+	arena []byte
 	// wake carries one token: set after any enqueue, consumed by the
 	// writer before each drain, so no append is ever left sleeping.
 	wake chan struct{}
@@ -178,8 +182,21 @@ func newTCPPeer(addr string) *tcpPeer {
 	return &tcpPeer{addr: addr, wake: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
-// enqueue appends msg unless the queue is full. Only the empty→
-// non-empty transition signals the writer: while the buffer is
+// ownPayload copies msg's payload onto the end of arena and points msg at
+// the copy. An arena that grows moves; the copies made before stay where
+// they were, alive for as long as their messages are.
+func ownPayload(arena []byte, msg *Message) []byte {
+	if len(msg.Payload) == 0 {
+		return arena
+	}
+	at := len(arena)
+	arena = append(arena, msg.Payload...)
+	msg.Payload = arena[at:len(arena):len(arena)]
+	return arena
+}
+
+// enqueue appends msg, its payload copied, unless the queue is full. Only
+// the empty→non-empty transition signals the writer: while the buffer is
 // non-empty an unconsumed token already guarantees a drain, so the
 // steady state skips the channel operation entirely.
 func (p *tcpPeer) enqueue(msg Message, depth int) bool {
@@ -188,6 +205,7 @@ func (p *tcpPeer) enqueue(msg Message, depth int) bool {
 		p.mu.Unlock()
 		return false
 	}
+	p.arena = ownPayload(p.arena, &msg)
 	p.buf = append(p.buf, msg)
 	notify := len(p.buf) == 1
 	p.mu.Unlock()
@@ -200,21 +218,29 @@ func (p *tcpPeer) enqueue(msg Message, depth int) bool {
 	return true
 }
 
-// drainInto moves everything pending onto dst. An empty dst (the
-// steady state) just swaps the two backing arrays — the writer and the
-// producers ping-pong a pair of high-water-capacity slices, so draining
-// costs one short lock regardless of how much moved, no copy, no
-// allocation. A non-empty dst (the batch-window second sweep) appends.
-func (p *tcpPeer) drainInto(dst []Message) []Message {
+// drainInto moves everything pending onto dst, whose payloads live in
+// arena. An empty dst (the steady state) just swaps the backing arrays —
+// the writer and the producers ping-pong a pair of high-water-capacity
+// message slices and a pair of payload arenas, so draining costs one short
+// lock regardless of how much moved, no copy, no allocation; the arena the
+// writer hands back is the one whose messages it has finished shipping. A
+// non-empty dst (the batch-window second sweep) appends, and moves the
+// stragglers' payloads beside the first sweep's, because the producers
+// write over the peer's arena from here on.
+func (p *tcpPeer) drainInto(dst []Message, arena []byte) ([]Message, []byte) {
 	p.mu.Lock()
 	if len(dst) == 0 {
 		dst, p.buf = p.buf, dst[:0]
+		arena, p.arena = p.arena, arena[:0]
 	} else {
-		dst = append(dst, p.buf...)
-		p.buf = p.buf[:0]
+		for _, msg := range p.buf {
+			arena = ownPayload(arena, &msg)
+			dst = append(dst, msg)
+		}
+		p.buf, p.arena = p.buf[:0], p.arena[:0]
 	}
 	p.mu.Unlock()
-	return dst
+	return dst, arena
 }
 
 // seqWindow tracks the most recent sequence numbers seen from one
@@ -446,9 +472,10 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 
 // binaryReadLoop reads length-prefixed frames into a reusable buffer
 // and decodes them with a per-connection decoder (whose string intern
-// table makes steady-state decoding allocation-free). Any decode error
-// drops the connection — the frame boundary is unrecoverable — and the
-// peer redials.
+// table makes steady-state decoding allocation-free). The handler has
+// returned for every message of a frame before the next is read over it.
+// Any decode error drops the connection — the frame boundary is
+// unrecoverable — and the peer redials.
 func (n *TCPNode) binaryReadLoop(r io.Reader) {
 	dec := newFrameDecoder()
 	var hdr [frameHeaderLen]byte
@@ -462,10 +489,10 @@ func (n *TCPNode) binaryReadLoop(r io.Reader) {
 		if ln == 0 || ln > maxFrameBody {
 			return
 		}
-		if cap(body) < int(ln) {
-			body = make([]byte, ln)
-		}
-		body = body[:ln]
+		// Payloads handed to the handler point into body, so this is the
+		// receive path's one buffer; it grows amortised, not to each frame's
+		// exact length, or a run of growing frames reallocates at every step.
+		body = slices.Grow(body[:0], int(ln))[:ln]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return
 		}
@@ -567,8 +594,9 @@ func (n *TCPNode) windowLocked(from string) *seqWindow {
 // argument should be this node's Addr so peers can reply.
 //
 // Send is asynchronous and never blocks: it stamps the message, enqueues it
-// on the destination peer's outbound queue and returns. A full queue (the
-// peer is dead or too slow) drops the message and returns an error.
+// (with a copy of its payload, which the caller keeps) on the destination
+// peer's outbound queue and returns. A full queue (the peer is dead or too
+// slow) drops the message and returns an error.
 func (n *TCPNode) Send(from, to string, msg Message) error {
 	if n.closedFlag.Load() {
 		return fmt.Errorf("transport: node closed")
@@ -640,6 +668,7 @@ func (n *TCPNode) writeLoop(p *tcpPeer) {
 	w := newPeerWriter(n, p)
 	defer w.close()
 	var pending []Message
+	var arena []byte // the payloads of pending
 	for {
 		select {
 		case <-n.closed:
@@ -648,7 +677,7 @@ func (n *TCPNode) writeLoop(p *tcpPeer) {
 			return
 		case <-p.wake:
 		}
-		pending = p.drainInto(pending[:0])
+		pending, arena = p.drainInto(pending[:0], arena)
 		if len(pending) == 0 {
 			continue
 		}
@@ -659,7 +688,7 @@ func (n *TCPNode) writeLoop(p *tcpPeer) {
 			if !w.windowWait() {
 				return
 			}
-			pending = p.drainInto(pending)
+			pending, arena = p.drainInto(pending, arena)
 		}
 		if !w.process(pending) {
 			return

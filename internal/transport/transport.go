@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -113,11 +114,14 @@ type Message struct {
 	Epoch uint64
 	// Payload carries an opaque encoded body for the shard-tier messages
 	// (membership tables, snapshot frames). Nil for the monitor-tier kinds,
-	// whose fixed fields suffice.
+	// whose fixed fields suffice. It is borrowed, never given: Send reads it
+	// only until it returns, and a Handler may read it only until it returns.
 	Payload []byte
 }
 
-// Handler consumes a delivered message.
+// Handler consumes a delivered message. msg.Payload is a view into the
+// network's own buffer, valid until the handler returns; a handler copies
+// what it keeps.
 type Handler func(Message)
 
 // Network connects named endpoints.
@@ -126,7 +130,9 @@ type Network interface {
 	// twice is an error.
 	Register(addr string, h Handler) error
 	// Send delivers msg (asynchronously or synchronously, implementation-
-	// defined) to the given address, stamping msg.From with from.
+	// defined) to the given address, stamping msg.From with from. It borrows
+	// msg.Payload: the caller may overwrite those bytes as soon as Send
+	// returns, so a network that delivers later copies them first.
 	Send(from, to string, msg Message) error
 }
 
@@ -469,6 +475,7 @@ func (m *Memory) Send(from, to string, msg Message) error {
 	// Hold at most one message at a time: a held message is delivered right
 	// after the next undeferred one, producing a pairwise swap.
 	if m.reorderProb > 0 && len(m.held) == 0 && m.rngLocked().Float64() < m.reorderProb {
+		msg.Payload = bytes.Clone(msg.Payload) // delivered after Send returns
 		m.held = append(m.held, heldDelivery{h: h, to: to, msg: msg})
 		m.stats.reordered.Add(1)
 		m.mu.Unlock()
@@ -488,6 +495,9 @@ func (m *Memory) Send(from, to string, msg Message) error {
 		return nil
 	}
 
+	if schedule != nil {
+		msg.Payload = bytes.Clone(msg.Payload) // delivered after Send returns
+	}
 	deliver := func(h Handler, msg Message) func() {
 		return func() {
 			h(msg)
