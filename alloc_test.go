@@ -107,7 +107,7 @@ func TestInstrumentedSamplerObserveZeroAlloc(t *testing.T) {
 		Observations: reg.Counter("volley_sampler_observations_total", "x", "instance", "alloc-test"),
 		Grows:        reg.Counter("volley_sampler_interval_grows_total", "x", "instance", "alloc-test"),
 		Resets:       reg.Counter("volley_sampler_interval_resets_total", "x", "instance", "alloc-test"),
-		Interval:     reg.Gauge("volley_sampler_interval", "x", "instance", "alloc-test"),
+		Intervals:    reg.Gauge("volley_sampler_interval", "x", "instance", "alloc-test"),
 		Bound:        reg.Gauge("volley_sampler_bound", "x", "instance", "alloc-test"),
 		BoundDist:    reg.Histogram("volley_sampler_bound_dist", "x", volley.DefBoundBuckets, "instance", "alloc-test"),
 	})

@@ -9,14 +9,29 @@ import (
 	"volley/internal/bench"
 )
 
-// benchEntry is one figure's headline metrics. Sampling ratio and
-// mis-detection rate are pointers because pooled mis-detection is NaN when
-// a cell has no alerts and fig8 has no accuracy axis — encoding/json cannot
-// represent NaN, so those fields are simply omitted.
+// benchEntry is one figure's headline metrics; a Fig. 5 sweep has a row per
+// cell instead. Sampling ratio and mis-detection rate are pointers because
+// pooled mis-detection is NaN when there are no alerts and fig8 has no
+// accuracy axis — encoding/json cannot represent NaN, so those fields are
+// simply omitted.
 type benchEntry struct {
-	Figure        string   `json:"figure"`
+	Figure        string      `json:"figure"`
+	SamplingRatio *float64    `json:"sampling_ratio,omitempty"`
+	MisdetectRate *float64    `json:"misdetect_rate,omitempty"`
+	Cells         []sweepCell `json:"cells,omitempty"`
+}
+
+// sweepCell is one (k, err) cell of a sweep: the selectivity k (percent) the
+// thresholds were drawn at, the allowance err every sampler ran with, and
+// what the replay of all the workload's series did — samples over ticks,
+// missed alert steps over alert steps (absent without alerts), and the
+// alert steps themselves.
+type sweepCell struct {
+	K             float64  `json:"k"`
+	Err           float64  `json:"err"`
 	SamplingRatio *float64 `json:"sampling_ratio,omitempty"`
-	MisdetectRate *float64 `json:"misdetect_rate,omitempty"`
+	Misdetect     *float64 `json:"misdetect,omitempty"`
+	Alerts        int      `json:"alerts"`
 }
 
 // benchReport is the schema of BENCH_quick.json: the paper-facing metrics
@@ -36,29 +51,18 @@ func finite(v float64) *float64 {
 	return &v
 }
 
-// sweepHeadline pools a sweep grid into one (ratio, misdetect) pair:
-// cells are averaged in index order, NaN mis-detection cells (no alerts)
-// are skipped.
-func sweepHeadline(r *bench.SweepResult) (ratio, misdetect *float64) {
-	var ratioSum, misSum float64
-	var cells, misCells int
-	for _, row := range r.Cells {
-		for _, c := range row {
-			ratioSum += c.Ratio
-			cells++
-			if c.Misdetect == c.Misdetect {
-				misSum += c.Misdetect
-				misCells++
-			}
+// sweepCells lists a sweep's cells, k by k and err by err within each k.
+func sweepCells(r *bench.SweepResult) []sweepCell {
+	var cells []sweepCell
+	for i, row := range r.Cells {
+		for j, c := range row {
+			cells = append(cells, sweepCell{
+				K: r.Ks[i], Err: r.Errs[j],
+				SamplingRatio: finite(c.Ratio), Misdetect: finite(c.Misdetect), Alerts: c.Alerts,
+			})
 		}
 	}
-	if cells > 0 {
-		ratio = finite(ratioSum / float64(cells))
-	}
-	if misCells > 0 {
-		misdetect = finite(misSum / float64(misCells))
-	}
-	return ratio, misdetect
+	return cells
 }
 
 // writeJSONFile writes v, indented and newline-terminated, to path.
@@ -76,7 +80,7 @@ func writeJSONFile(path string, v any) error {
 func writeBenchJSON(p bench.Preset, presetName, path string, out *os.File) error {
 	report := benchReport{Preset: presetName}
 	add := func(figure string, ratio, misdetect *float64) {
-		report.Figures = append(report.Figures, benchEntry{figure, ratio, misdetect})
+		report.Figures = append(report.Figures, benchEntry{Figure: figure, SamplingRatio: ratio, MisdetectRate: misdetect})
 	}
 
 	fig1, err := bench.RunFig1(p)
@@ -89,23 +93,22 @@ func writeBenchJSON(p bench.Preset, presetName, path string, out *os.File) error
 	}
 	add("fig1", finite(float64(fig1.SchemeCSamples)/float64(fig1.SchemeASamples)), fig1Missed)
 
-	// fig7 is the accuracy view of fig5b's sweep: one run, two entries.
+	// Each sweep cell by cell, so that a cell whose misdetection exceeds its
+	// allowance shows (TestOverAllowanceCellsDoNotGrow). fig7 is fig5b's
+	// sweep read on the accuracy axis, which its cells carry.
 	for _, sweep := range []struct {
-		run     func(bench.Preset) (*bench.SweepResult, error)
-		figures []string
+		run    func(bench.Preset) (*bench.SweepResult, error)
+		figure string
 	}{
-		{bench.RunFig5a, []string{"fig5a"}},
-		{bench.RunFig5b, []string{"fig5b", "fig7"}},
-		{bench.RunFig5c, []string{"fig5c"}},
+		{bench.RunFig5a, "fig5a"},
+		{bench.RunFig5b, "fig5b"},
+		{bench.RunFig5c, "fig5c"},
 	} {
 		r, err := sweep.run(p)
 		if err != nil {
-			return fmt.Errorf("%s: %w", sweep.figures[0], err)
+			return fmt.Errorf("%s: %w", sweep.figure, err)
 		}
-		ratio, misdetect := sweepHeadline(r)
-		for _, figure := range sweep.figures {
-			add(figure, ratio, misdetect)
-		}
+		report.Figures = append(report.Figures, benchEntry{Figure: sweep.figure, Cells: sweepCells(r)})
 	}
 
 	fig8, err := bench.RunFig8(p)

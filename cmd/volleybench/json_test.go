@@ -146,8 +146,8 @@ func children(v any) (kids map[string]any, ok bool) {
 }
 
 // TestWriteBenchJSON is the savings gate on the figure contract: on every
-// figure with a headline ratio Volley samples less than the periodical
-// scheme it is compared with.
+// figure Volley samples less than the periodical scheme it is compared with
+// — a sweep on the mean over its cells, no cell of which samples more.
 func TestWriteBenchJSON(t *testing.T) {
 	var report benchReport
 	if err := json.Unmarshal(regenerate(t).quick, &report); err != nil {
@@ -157,11 +157,74 @@ func TestWriteBenchJSON(t *testing.T) {
 		t.Fatal("report has no figures")
 	}
 	for _, e := range report.Figures {
-		if e.SamplingRatio == nil {
-			t.Errorf("%s: sampling_ratio missing", e.Figure)
-		} else if *e.SamplingRatio <= 0 || *e.SamplingRatio >= 1 {
-			t.Errorf("%s: sampling_ratio = %v, want in (0, 1)", e.Figure, *e.SamplingRatio)
+		ratio := e.SamplingRatio
+		if e.Cells != nil {
+			var sum float64
+			for _, c := range e.Cells {
+				if c.SamplingRatio == nil || *c.SamplingRatio <= 0 || *c.SamplingRatio > 1 {
+					t.Errorf("%s: cell k=%v err=%v has sampling_ratio %v, want in (0, 1]", e.Figure, c.K, c.Err, c.SamplingRatio)
+					continue
+				}
+				sum += *c.SamplingRatio
+			}
+			ratio = finite(sum / float64(len(e.Cells)))
 		}
+		if ratio == nil {
+			t.Errorf("%s: sampling_ratio missing", e.Figure)
+		} else if *ratio <= 0 || *ratio >= 1 {
+			t.Errorf("%s: sampling_ratio = %v, want in (0, 1)", e.Figure, *ratio)
+		}
+	}
+}
+
+// overAllowance is every quick-preset sweep cell whose realized
+// misdetection exceeds the allowance it ran with. Each names an accuracy
+// miss the paper's guarantee does not allow (ROADMAP, "The accuracy
+// guarantee, per cell and checked"); a fix removes its cells from here.
+var overAllowance = []string{
+	"fig5a k=0.8 err=0.002",
+	"fig5a k=0.8 err=0.008",
+	"fig5a k=0.8 err=0.032",
+	"fig5a k=0.1 err=0.002",
+	"fig5a k=0.1 err=0.008",
+	"fig5a k=0.1 err=0.032",
+	"fig5b k=0.8 err=0.008",
+	"fig5b k=0.8 err=0.032",
+	"fig5b k=0.1 err=0.008",
+}
+
+// TestOverAllowanceCellsDoNotGrow is the ratchet on the accuracy contract:
+// no sweep cell of BENCH_quick.json may exceed its allowance unless it is on
+// overAllowance. What it compares (DESIGN.md §3): err bounds a sampler's
+// per-interval probability of missing a violation, and misdetect is the
+// cell's missed alert steps over its alert steps, pooled over the series.
+// The comparison is a ratchet and not a pass/fail on every cell, because
+// some cells fail it today.
+func TestOverAllowanceCellsDoNotGrow(t *testing.T) {
+	var report benchReport
+	if err := json.Unmarshal(regenerate(t).quick, &report); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, c := range overAllowance {
+		known[c] = true
+	}
+	cells := 0
+	for _, e := range report.Figures {
+		for _, c := range e.Cells {
+			cells++
+			name := fmt.Sprintf("%s k=%v err=%v", e.Figure, c.K, c.Err)
+			over := c.Misdetect != nil && *c.Misdetect > c.Err
+			switch {
+			case over && !known[name]:
+				t.Errorf("%s: misdetection %v exceeds its allowance, and the cell is not on overAllowance", name, *c.Misdetect)
+			case !over && known[name]:
+				t.Logf("%s is within its allowance now: take it off overAllowance", name)
+			}
+		}
+	}
+	if cells == 0 {
+		t.Fatal("BENCH_quick.json has no sweep cells")
 	}
 }
 

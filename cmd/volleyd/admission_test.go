@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,11 +27,26 @@ func metricsPage(t *testing.T, mux *http.ServeMux) string {
 }
 
 // instanceLines are the page's sample lines that carry the given instance
-// prefix in their labels.
+// prefix in their labels: one per hosted monitor.
 func instanceLines(page, prefix string) []string {
+	return labelLines(page, `instance="`+prefix)
+}
+
+// taskLines are the page's sample lines whose task label has the given
+// prefix: a block of taskBlock per hosted task.
+func taskLines(page, prefix string) []string {
+	return labelLines(page, `task="`+prefix)
+}
+
+// taskBlock is what a hosted task puts on the page beyond its monitors' one
+// line each: interval grows, resets, agent rejections and the mean interval,
+// a line each, and the bound histogram's thirteen.
+const taskBlock = 4 + 13
+
+func labelLines(page, label string) []string {
 	var out []string
 	for _, line := range strings.Split(page, "\n") {
-		if strings.Contains(line, `instance="`+prefix) {
+		if strings.Contains(line, label) {
 			out = append(out, line)
 		}
 	}
@@ -67,13 +83,15 @@ func TestWideAdmissionsCostTheSame(t *testing.T) {
 			control(t, mux, http.MethodPost, "/tasks", body, http.StatusCreated)
 			took[i] = time.Since(start)
 		}
-		if n := len(instanceLines(metricsPage(t, mux), "wide-")); n != 8*1024*(5+13) {
-			t.Fatalf("%d sample lines for the wide tasks, want %d", n, 8*1024*(5+13))
+		page := metricsPage(t, mux)
+		if n, blocks := len(instanceLines(page, "wide-")), len(taskLines(page, "wide-")); n != 8*1024 || blocks != 8*taskBlock {
+			t.Fatalf("%d monitor and %d task sample lines for the wide tasks, want %d and %d", n, blocks, 8*1024, 8*taskBlock)
 		}
 		for i := range took {
 			control(t, mux, http.MethodDelete, fmt.Sprintf("/tasks/wide-%d", i), "", http.StatusNoContent)
 		}
-		if n := len(instanceLines(metricsPage(t, mux), "wide-")); n != 0 {
+		page = metricsPage(t, mux)
+		if n := len(instanceLines(page, "wide-")) + len(taskLines(page, "wide-")); n != 0 {
 			t.Fatalf("%d sample lines left once the wide tasks are evicted", n)
 		}
 		second, eighth = took[1], took[7]
@@ -169,11 +187,12 @@ func TestStalledScrapeStopsNothing(t *testing.T) {
 		}
 		seen[key] = true
 	}
-	if n := len(instanceLines(page, "late/")); n != 0 {
+	if n := len(instanceLines(page, "late/")) + len(taskLines(page, "late")); n != 0 {
 		t.Errorf("the task admitted during the scrape has %d lines on its page", n)
 	}
-	if n := len(instanceLines(metricsPage(t, mux), "late/")); n != 5+13 {
-		t.Errorf("the task admitted during the scrape has %d lines on the next page, want %d", n, 5+13)
+	next := metricsPage(t, mux)
+	if n, block := len(instanceLines(next, "late/")), len(taskLines(next, "late")); n != 1 || block != taskBlock {
+		t.Errorf("the task admitted during the scrape has %d monitor and %d task lines on the next page, want 1 and %d", n, block, taskBlock)
 	}
 }
 
@@ -213,16 +232,17 @@ func TestEvictedTaskLeavesMetrics(t *testing.T) {
 			}
 			control(t, mux, http.MethodPost, "/tasks", tenantTask("resident", 0, 4), http.StatusCreated)
 			ticks(10)
-			resident := instanceLines(metricsPage(t, mux), "resident/")
-			if len(resident) != 4*(5+13) {
-				t.Fatalf("the resident task has %d lines, want %d", len(resident), 4*(5+13))
+			page := metricsPage(t, mux)
+			resident := append(instanceLines(page, "resident/"), taskLines(page, `resident"`)...)
+			if len(resident) != 4+taskBlock {
+				t.Fatalf("the resident task has %d lines, want %d", len(resident), 4+taskBlock)
 			}
 
 			control(t, mux, http.MethodPost, "/tasks", tenantTask("tenant", 100, 8), http.StatusCreated)
 			ticks(30)
-			page := metricsPage(t, mux)
-			if n := len(instanceLines(page, "tenant/")); n != 8*(5+13) {
-				t.Fatalf("the admitted task has %d lines, want %d", n, 8*(5+13))
+			page = metricsPage(t, mux)
+			if n, block := len(instanceLines(page, "tenant/")), len(taskLines(page, `tenant"`)); n != 8 || block != taskBlock {
+				t.Fatalf("the admitted task has %d monitor and %d task lines, want 8 and %d", n, block, taskBlock)
 			}
 			if got := promLabeledSum(t, page, "volley_sampler_observations_total", `instance="tenant/mon/m3"`); got < 2 {
 				t.Fatalf("tenant/mon/m3 observed %v times in 30 ticks", got)
@@ -231,10 +251,10 @@ func TestEvictedTaskLeavesMetrics(t *testing.T) {
 			control(t, mux, http.MethodDelete, "/tasks/tenant", "", http.StatusNoContent)
 			ticks(2) // shard mode stops the task on the node's next tick
 			page = metricsPage(t, mux)
-			if left := instanceLines(page, "tenant/"); len(left) != 0 {
+			if left := append(instanceLines(page, "tenant/"), taskLines(page, `tenant"`)...); len(left) != 0 {
 				t.Fatalf("%d lines of the evicted task are still on the page, the first %q", len(left), left[0])
 			}
-			if n := len(instanceLines(page, "resident/")); n != len(resident) {
+			if n := len(instanceLines(page, "resident/")) + len(taskLines(page, `resident"`)); n != len(resident) {
 				t.Fatalf("the resident task has %d lines after its neighbour's eviction, had %d", n, len(resident))
 			}
 
@@ -245,8 +265,8 @@ func TestEvictedTaskLeavesMetrics(t *testing.T) {
 				ticks(1)
 			}
 			page = metricsPage(t, mux)
-			if n := len(instanceLines(page, "tenant/")); n != 8*(5+13) {
-				t.Fatalf("the task admitted again has %d lines, want %d", n, 8*(5+13))
+			if n, block := len(instanceLines(page, "tenant/")), len(taskLines(page, `tenant"`)); n != 8 || block != taskBlock {
+				t.Fatalf("the task admitted again has %d monitor and %d task lines, want 8 and %d", n, block, taskBlock)
 			}
 			want := 0.0
 			if mode.name == "shard" {
@@ -266,7 +286,8 @@ func TestEvictedTaskLeavesMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		control(t, d.mux(), http.MethodPost, "/tasks", tenantTask("broken", 0, 3), http.StatusBadRequest)
-		if left := instanceLines(metricsPage(t, d.mux()), "broken/"); len(left) != 0 {
+		page := metricsPage(t, d.mux())
+		if left := append(instanceLines(page, "broken/"), taskLines(page, "broken")...); len(left) != 0 {
 			t.Fatalf("a refused admission left %d lines, the first %q", len(left), left[0])
 		}
 		// The address is still the stranger's: the daemon freed only its own.
@@ -277,4 +298,78 @@ func TestEvictedTaskLeavesMetrics(t *testing.T) {
 			t.Fatalf("the refused admission left its first monitor's address registered: %v", err)
 		}
 	})
+}
+
+// TestExplainReportsEachMonitor: GET /tasks/{name}/explain answers, in both
+// cluster modes, with the state of every monitor hosted for the task — the
+// interval the tick uses, the local threshold and allowance share, the
+// counters — and 404 for a task the daemon does not host, evicted ones
+// included.
+func TestExplainReportsEachMonitor(t *testing.T) {
+	shard, err := newShardDaemon(options{
+		interval: time.Millisecond, maxInterval: 10, out: io.Discard,
+		shardID: "a", peerListen: "127.0.0.1:0",
+		beaconEvery: 2, suspectAfter: 8, deadAfter: 16, snapshotEvery: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := shard.close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	cluster := testClusterDaemon(t)
+	for _, mode := range []struct {
+		name string
+		host *monitorHost
+		mux  *http.ServeMux
+		tick func()
+	}{
+		{"cluster", cluster.monitorHost, cluster.mux(), cluster.tickOnce},
+		{"shard", shard.monitorHost, shard.mux(), shard.tickOnce},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			explain := func(name string, code int) []volley.MonitorExplanation {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				mode.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/tasks/"+name+"/explain", nil))
+				if rec.Code != code {
+					t.Fatalf("GET /tasks/%s/explain = %d %s, want %d", name, rec.Code, rec.Body, code)
+				}
+				var body struct {
+					Name     string
+					Monitors []volley.MonitorExplanation
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+					t.Fatal(err)
+				}
+				return body.Monitors
+			}
+			control(t, mode.mux, http.MethodPost, "/tasks", tenantTask("explained", 0, 3), http.StatusCreated)
+			for i := 0; i < 40; i++ {
+				mode.tick()
+			}
+			got := explain("explained", http.StatusOK)
+			mons := mode.host.hosted.tasks["explained"].mons
+			if len(got) != 3 || len(mons) != 3 {
+				t.Fatalf("%d monitors explained, %d hosted, want 3", len(got), len(mons))
+			}
+			for i, e := range got {
+				if want := mons[i].Explain(); e != want {
+					t.Errorf("monitor %d explained as %+v, reads %+v", i, e, want)
+				}
+				if e.ID != fmt.Sprintf("explained/mon/m%d", i) || e.Interval != mons[i].Interval() ||
+					e.Threshold != 1e12/3 || e.Err <= 0 || e.Err > 0.05 || e.Samples == 0 || e.Ticks < 39 {
+					t.Errorf("monitor %d explained as %+v", i, e)
+				}
+			}
+			explain("nobody", http.StatusNotFound)
+			control(t, mode.mux, http.MethodDelete, "/tasks/explained", "", http.StatusNoContent)
+			for i := 0; i < 2; i++ {
+				mode.tick() // shard mode stops the task on the node's next tick
+			}
+			explain("explained", http.StatusNotFound)
+		})
+	}
 }

@@ -388,44 +388,48 @@ func TestAlertPrintZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestNonFiniteAlertIsPrinted: an agent that answers Inf makes the polled
-// total +Inf, which encoding/json refused to encode — the alert was counted
-// and its line never written. It is written, with a null value, and every
-// counted alert has its line.
-func TestNonFiniteAlertIsPrinted(t *testing.T) {
-	url := newQuietServer(t, "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nInf")
-	var out bytes.Buffer
-	d, err := newClusterDaemon(options{interval: time.Millisecond, maxInterval: 10, shards: 1, out: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
+// TestNonFiniteSampleIsRejected: an agent that answers Inf or NaN is a
+// failed read — retried on the next tick, counted once per read in
+// volley_agent_rejected_total{task} and in the monitor's agent errors — so
+// the value reaches no sampler and no coordinator: no alert is raised and
+// nothing is printed. (Before, Inf reached the coordinator's total and an
+// alert that encoding/json could not write.)
+func TestNonFiniteSampleIsRejected(t *testing.T) {
+	for _, body := range []string{"Inf", "NaN"} {
+		url := newQuietServer(t, "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n"+body)
+		var out bytes.Buffer
+		d, err := newClusterDaemon(options{interval: time.Millisecond, maxInterval: 10, shards: 1, out: &out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := d.mux()
+		control(t, mux, http.MethodPost, "/tasks",
+			`{"name":"bad","threshold":10,"err":0.05,"monitors":[{"id":"m0","source":"`+url+`/v"}]}`, http.StatusCreated)
+		const ticks = 50
+		for i := 0; i < ticks; i++ {
+			d.tickOnce()
+		}
+		if d.alerts.Value() != 0 || out.Len() != 0 {
+			t.Errorf("%s: %d alerts raised, printed %q", body, d.alerts.Value(), out.String())
+		}
+		page := metricsPage(t, mux)
+		if got := promLabeledSum(t, page, "volley_agent_rejected_total", `task="bad"`); got != ticks {
+			t.Errorf("%s: %v reads rejected in %d ticks, want one per tick", body, got, ticks)
+		}
+		if got := promLabeledSum(t, page, "volley_sampler_observations_total", `instance="bad/mon/m0"`); got != 0 {
+			t.Errorf("%s: the sampler observed %v values", body, got)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/tasks/bad/explain", nil))
+		var explained struct{ Monitors []volley.MonitorExplanation }
+		if err := json.Unmarshal(rec.Body.Bytes(), &explained); err != nil || len(explained.Monitors) != 1 {
+			t.Fatalf("%s: explain = %d %s (%v)", body, rec.Code, rec.Body, err)
+		}
+		if m := explained.Monitors[0]; m.AgentErrors != ticks || m.Samples != 0 || m.Ticks != ticks {
+			t.Errorf("%s: explain reads %+v, want %d ticks, %d agent errors and no sample", body, m, ticks, ticks)
+		}
 		if err := d.close(); err != nil {
 			t.Error(err)
-		}
-	}()
-	control(t, d.mux(), http.MethodPost, "/tasks",
-		`{"name":"inf","threshold":10,"err":0.05,"monitors":[{"id":"m0","source":"`+url+`/v"}]}`, http.StatusCreated)
-	for i := 0; i < 50 && d.alerts.Value() == 0; i++ {
-		d.tickOnce()
-	}
-	if d.alerts.Value() == 0 {
-		t.Fatal("an agent answering Inf over a threshold of 10 raised no alert")
-	}
-	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if uint64(len(lines)) != d.alerts.Value() {
-		t.Errorf("%d alerts counted, %d lines printed:\n%s", d.alerts.Value(), len(lines), out.String())
-	}
-	for _, l := range lines {
-		var line struct {
-			Kind, Task string
-			Value      *float64
-		}
-		if err := json.Unmarshal([]byte(l), &line); err != nil || line.Kind != "alert" || line.Task != "inf" || line.Value != nil {
-			t.Errorf("line %q (%v), want an alert for task inf with a null value", l, err)
-		}
-		if !strings.HasSuffix(l, `,"value":null}`) {
-			t.Errorf("line %q does not end in a null value", l)
 		}
 	}
 }

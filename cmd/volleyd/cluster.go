@@ -249,14 +249,14 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	coord := d.cl.CoordinatorAddr(name)
-	mons, err := d.buildMonitors(adm.spec, adm.host.MaxInterval, adm.agents, coord, gates)
+	t, err := d.buildMonitors(adm.spec, adm.host.MaxInterval, adm.agents, coord, gates)
 	if err != nil {
 		// Roll the half-admitted task back so the request is atomic.
 		_ = d.cl.Evict(name)
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	t := hostedTask{mons: mons, sks: sks, gates: gates}
+	t.sks = sks
 	resp := map[string]any{"name": name, "shard": shard, "coordinator": coord, "monitors": adm.spec.Monitors}
 	if gates != nil {
 		t.pred = adm.gate.Predictor

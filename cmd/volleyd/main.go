@@ -255,7 +255,7 @@ func runSignal(ctx context.Context, opts options) (err error) {
 		Observations: samplesTotal,
 		Grows:        reg.Counter("volley_sampler_interval_grows_total", "Interval growth decisions.", "instance", "volleyd"),
 		Resets:       reg.Counter("volley_sampler_interval_resets_total", "Interval reset decisions.", "instance", "volleyd"),
-		Interval:     intervalGauge,
+		Intervals:    intervalGauge, // the sum over one sampler: its interval
 		Bound:        boundGauge,
 		BoundDist:    reg.Histogram("volley_sampler_bound_dist", "Distribution of mis-detection bounds.", volley.DefBoundBuckets, "instance", "volleyd"),
 	})

@@ -207,12 +207,12 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 	if err != nil {
 		return err
 	}
-	mons, err := d.buildMonitors(spec, hs.MaxInterval, agents, coordAddr, nil)
+	t, err := d.buildMonitors(spec, hs.MaxInterval, agents, coordAddr, nil)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
-	d.host(spec.Name, hostedTask{mons: mons})
+	d.host(spec.Name, t)
 	d.mu.Unlock()
 	return nil
 }

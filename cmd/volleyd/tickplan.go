@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,9 +18,10 @@ import (
 // hostedTask is what a daemon keeps for one task it hosts. The slices are
 // per monitor, index-aligned, and never change once the task is hosted.
 type hostedTask struct {
-	mons  []*volley.Monitor
-	sks   []*volley.StreamingThresholds // nil in the mode that keeps no sketches
-	gates []*volley.Gate                // nil unless the task was admitted gated
+	mons    []*volley.Monitor
+	metrics *volley.MonitorTaskMetrics    // the sampler series the monitors share
+	sks     []*volley.StreamingThresholds // nil in the mode that keeps no sketches
+	gates   []*volley.Gate                // nil unless the task was admitted gated
 	// pred is the hosted task whose local violations arm gates: "" when the
 	// task is not gated, and again once its predictor is evicted — the gates
 	// stay with their monitors, nothing arms them any more.
@@ -48,12 +50,12 @@ func (h *hostedSet) put(name string, t hostedTask) {
 	h.gen++
 }
 
-// remove stops hosting a task, unlinks the tasks gated on it, and returns the
-// monitors it had.
-func (h *hostedSet) remove(name string) []*volley.Monitor {
+// remove stops hosting a task, unlinks the tasks gated on it, and returns
+// what was hosted for it.
+func (h *hostedSet) remove(name string) hostedTask {
 	t, ok := h.tasks[name]
 	if !ok {
-		return nil
+		return t
 	}
 	delete(h.tasks, name)
 	i := slices.Index(h.order, name)
@@ -65,7 +67,7 @@ func (h *hostedSet) remove(name string) []*volley.Monitor {
 		}
 	}
 	h.gen++
-	return t.mons
+	return t
 }
 
 // tickPlan is a hostedSet flattened for the tick loop: one entry per hosted
@@ -94,6 +96,8 @@ type tickPlan struct {
 	pred     []int32 // the task's gate predictor, -1 when it has none
 	violated []bool  // fan-out scratch: the task saw a local violation this tick
 	gating   bool    // some task is gated: the tick ends with a fan-out
+
+	index map[string]int32 // refresh's scratch: task name → index in hostedSet.order
 }
 
 // refresh rebuilds the plan in place from the hosted set, whose lock the
@@ -136,16 +140,21 @@ func (p *tickPlan) refresh(h *hostedSet) {
 	if !p.gating {
 		return
 	}
-	index := make(map[string]int32, len(h.order))
+	// Kept across refreshes, so an admission does not leave behind a map of
+	// every task hosted before it.
+	if p.index == nil {
+		p.index = make(map[string]int32, len(h.order))
+	}
+	clear(p.index)
 	for t, name := range h.order {
-		index[name] = int32(t)
+		p.index[name] = int32(t)
 	}
 	for _, name := range h.order {
 		pred := int32(-1)
 		if predName := h.tasks[name].pred; predName != "" {
 			// Evicting a predictor unlinks its dependents, so a linked
 			// predictor is always hosted.
-			pred = index[predName]
+			pred = p.index[predName]
 		}
 		p.pred = append(p.pred, pred)
 	}
@@ -296,6 +305,35 @@ func newMonitorHost(opts options, node string, origin uint64) (*monitorHost, err
 	return h, nil
 }
 
+// routes adds what both cluster modes serve over the hosted set to the
+// daemon's routes.
+func (h *monitorHost) routes() *http.ServeMux {
+	mux := h.daemon.routes()
+	mux.HandleFunc("GET /tasks/{name}/explain", h.handleExplain)
+	return mux
+}
+
+// handleExplain answers GET /tasks/{name}/explain with the state of each
+// monitor hosted here for the task (Monitor.Explain): interval, last bound,
+// allowance share, local threshold and counters. 404 where the task is not
+// hosted here. Only the slice header is read under mu — a hosted task's
+// slices never change — and each monitor then under its own lock.
+func (h *monitorHost) handleExplain(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	h.mu.Lock()
+	mons := h.hosted.tasks[name].mons
+	h.mu.Unlock()
+	if len(mons) == 0 {
+		httpError(w, http.StatusNotFound, fmt.Errorf("task %q not hosted here", name))
+		return
+	}
+	out := make([]volley.MonitorExplanation, len(mons))
+	for i, m := range mons {
+		out[i] = m.Explain()
+	}
+	writeJSON(w, map[string]any{"name": name, "monitors": out})
+}
+
 // host and unhost change the hosted set; the caller holds mu.
 func (h *monitorHost) host(name string, t hostedTask) {
 	h.hosted.put(name, t)
@@ -303,24 +341,28 @@ func (h *monitorHost) host(name string, t hostedTask) {
 }
 
 // unhost also closes the monitors: their addresses on the network are freed
-// and their series leave /metrics.
+// and their series, and the task's, leave /metrics.
 func (h *monitorHost) unhost(name string) {
-	h.sketches.Add(-int64(len(h.hosted.tasks[name].sks)))
-	for _, m := range h.hosted.remove(name) {
+	t := h.hosted.remove(name)
+	h.sketches.Add(-int64(len(t.sks)))
+	for _, m := range t.mons {
 		m.Close()
 	}
+	t.metrics.Remove()
 }
 
 // buildMonitors builds a task's monitors, one per agent, registered on the
-// host's network under spec.Monitors and reporting to coord. gates is nil or
-// holds one gate per monitor; maxInterval 0 means the daemon's -max-interval.
-// On an error nothing stays registered, on the network or in the metrics.
+// host's network under spec.Monitors and reporting to coord, and the task's
+// shared sampler series they count in. gates is nil or holds one gate per
+// monitor; maxInterval 0 means the daemon's -max-interval. On an error
+// nothing stays registered, on the network or in the metrics.
 func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int,
-	agents []volley.Agent, coord string, gates []*volley.Gate) ([]*volley.Monitor, error) {
+	agents []volley.Agent, coord string, gates []*volley.Gate) (hostedTask, error) {
 	if len(agents) == 0 || len(agents) != len(spec.Monitors) {
-		return nil, fmt.Errorf("task %q has %d monitor sources for %d monitors", spec.Name, len(agents), len(spec.Monitors))
+		return hostedTask{}, fmt.Errorf("task %q has %d monitor sources for %d monitors", spec.Name, len(agents), len(spec.Monitors))
 	}
 	n := float64(len(agents))
+	metrics := volley.NewMonitorTaskMetrics(h.reg, spec.Name, len(agents))
 	mons := make([]*volley.Monitor, len(agents))
 	for i, addr := range spec.Monitors {
 		cfg := volley.MonitorConfig{
@@ -341,6 +383,7 @@ func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int
 			YieldEvery:     100,
 			HeartbeatEvery: 10,
 			Metrics:        h.reg,
+			TaskMetrics:    metrics,
 			Tracer:         h.tracer,
 			Alerts:         h.alertReg,
 		}
@@ -355,10 +398,11 @@ func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int
 			for _, m := range mons[:i] {
 				m.Close()
 			}
-			return nil, err
+			metrics.Remove()
+			return hostedTask{}, err
 		}
 	}
-	return mons, nil
+	return hostedTask{mons: mons, metrics: metrics, gates: gates}, nil
 }
 
 // tickOnce is one tick: the control plane, then every hosted monitor, then

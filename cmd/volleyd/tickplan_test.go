@@ -170,6 +170,35 @@ func TestClusterDaemonTickZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestTickPlanRefreshAllocs: rebuilding the plan of a hosted set whose sizes
+// it already has — gated and ungated tasks, predictors among them — reuses
+// every array and the predictor index, and allocates nothing.
+func TestTickPlanRefreshAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates where the plain build does not")
+	}
+	d := testClusterDaemon(t)
+	mux := d.mux()
+	control(t, mux, http.MethodPost, "/tasks", tenantTask("pred", 0, 2), http.StatusCreated)
+	for i := 0; i < 8; i++ {
+		body := tenantTask(fmt.Sprintf("task-%d", i), 8*i, 8)
+		if i%2 == 0 {
+			body = strings.TrimSuffix(body, "}") + `,"gate":{"predictor":"pred"}}`
+		}
+		control(t, mux, http.MethodPost, "/tasks", body, http.StatusCreated)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var p tickPlan
+	p.refresh(&d.hosted)
+	if !p.gating || len(p.mons) != 2+8*8 {
+		t.Fatalf("plan of %d monitors, gating %v: want 66 and gating", len(p.mons), p.gating)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.refresh(&d.hosted) }); allocs != 0 {
+		t.Errorf("refreshing a plan over an unchanged set allocates %.2f times, want 0", allocs)
+	}
+}
+
 // TestTickPlanFollowsClusterAdmissions: the plan is rebuilt only when the
 // hosted set changed, and then before the next monitor is ticked — a newly
 // admitted task samples on the next tick, an evicted one never again.

@@ -47,6 +47,19 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	return monitor.New(cfg)
 }
 
+// MonitorTaskMetrics are the sampler series a task's monitors share under
+// its task label (MonitorConfig.TaskMetrics).
+type MonitorTaskMetrics = monitor.TaskMetrics
+
+// NewMonitorTaskMetrics registers the shared series of a task of the given
+// number of monitors.
+func NewMonitorTaskMetrics(reg *Metrics, task string, monitors int) *MonitorTaskMetrics {
+	return monitor.NewTaskMetrics(reg, task, monitors)
+}
+
+// MonitorExplanation is one monitor's state as Monitor.Explain reports it.
+type MonitorExplanation = monitor.Explanation
+
 // Coordinator runs one task's global side: local-violation handling, global
 // polls against the global threshold, and error-allowance distribution
 // across monitors. Advance it by calling Tick once per default interval.

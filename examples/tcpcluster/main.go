@@ -149,10 +149,12 @@ func run(listen string, linger time.Duration, onListen func(addr string)) error 
 	now := func() time.Duration { return time.Since(start) }
 
 	// One instrument registry and one decision tracer span the whole
-	// cluster: per-monitor sampler series are distinguished by their
-	// instance label, and the tracer sees coordinator-side liveness and
+	// cluster: each monitor counts its samples under its instance label, the
+	// task's monitors share their interval, grow/reset and bound series under
+	// the task label, and the tracer sees coordinator-side liveness and
 	// allowance decisions.
 	metrics := volley.NewMetrics()
+	taskMetrics := volley.NewMonitorTaskMetrics(metrics, "tcp-demo", monitors)
 	tracer := volley.NewTracer(512, volley.WithTraceClock(now))
 
 	monitorNets := make([]*tcpNetwork, monitors)
@@ -227,6 +229,7 @@ func run(listen string, linger time.Duration, onListen func(addr string)) error 
 			Coordinator:    coordNet.Addr(),
 			HeartbeatEvery: heartbeatEvery,
 			Metrics:        metrics,
+			TaskMetrics:    taskMetrics,
 			Tracer:         tracer,
 		})
 	}
@@ -238,23 +241,15 @@ func run(listen string, linger time.Duration, onListen func(addr string)) error 
 		}
 	}
 
-	// Observability endpoint: component facades (monitor/coordinator
-	// stats), the low-level instruments, and the decision trace rendered on
-	// one /metrics page.
+	// Observability endpoint: the instruments and the decision trace on one
+	// /metrics page, as volleyd serves them.
 	if listen != "" {
-		registry := volley.NewMetricsRegistry()
-		if err := registry.AddCoordinator("coordinator", coordinator); err != nil {
-			return err
-		}
-		for i, m := range monitorNodes {
-			if err := registry.AddMonitor(addrs[i], m); err != nil {
-				return err
-			}
-		}
-		registry.AddCollector(metrics.WritePrometheus)
-		registry.AddCollector(tracer.WritePrometheus)
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", registry.Handler())
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			metrics.WritePrometheus(w)
+			tracer.WritePrometheus(w)
+		})
 		// The operator alert surface: list the live episode, acknowledge
 		// it, resolve it — the README quick-start works this with curl.
 		mux.HandleFunc("GET /alerts", func(w http.ResponseWriter, _ *http.Request) {
@@ -356,6 +351,7 @@ func run(listen string, linger time.Duration, onListen func(addr string)) error 
 	snapshot := monitorNodes[victim].Snapshot()
 	close(monStops[victim])
 	monitorNets[victim].node.Close()
+	monitorNodes[victim].Close() // its series go with it; the restart counts afresh
 	fmt.Printf("[%6v] crash: monitor %s down\n", now().Round(time.Millisecond), addrs[victim])
 
 	if err := waitFor("death detection", func() bool {

@@ -35,7 +35,8 @@ func TestRun(t *testing.T) {
 	}
 
 	// Scrape midway through the run: the cluster is live, so the page must
-	// show component facades, low-level instruments and the trace counters.
+	// show the monitors' and the task's sampler series, the coordinator's
+	// live views and the trace counters.
 	time.Sleep(1500 * time.Millisecond)
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -47,8 +48,8 @@ func TestRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"volley_monitor_samples_total",
-		"volley_coordinator_polls_total",
+		`volley_sampler_interval{task="tcp-demo"}`,
+		"volley_coordinator_alive_monitors",
 		"volley_sampler_observations_total",
 		"volley_trace_events_total",
 	} {

@@ -552,12 +552,19 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryIntegration wires the exporter against a live monitor.
+// TestMetricsRegistryIntegration wires a live monitor into the one
+// exposition, the Metrics registry: its own observation counter under its
+// instance label, and its task's shared series — here the mean interval of
+// a task of one — under the task label.
 func TestMetricsRegistryIntegration(t *testing.T) {
+	reg := volley.NewMetrics()
 	m, err := volley.NewMonitor(volley.MonitorConfig{
-		ID:      "exported",
-		Agent:   volley.AgentFunc(func() (float64, error) { return 1, nil }),
-		Sampler: volley.SamplerConfig{Threshold: 100, Err: 0.05, MaxInterval: 10},
+		ID:          "exported",
+		Task:        "exporting",
+		Agent:       volley.AgentFunc(func() (float64, error) { return 1, nil }),
+		Sampler:     volley.SamplerConfig{Threshold: 100, Err: 0.05, MaxInterval: 10},
+		Metrics:     reg,
+		TaskMetrics: volley.NewMonitorTaskMetrics(reg, "exporting", 1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -567,13 +574,19 @@ func TestMetricsRegistryIntegration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reg := volley.NewMetricsRegistry()
-	if err := reg.AddMonitor("exported", m); err != nil {
-		t.Fatal(err)
+	var page strings.Builder
+	reg.WritePrometheus(&page)
+	out := page.String()
+	for _, want := range []string{
+		fmt.Sprintf(`volley_sampler_observations_total{instance="exported"} %d`, m.Stats().Samples),
+		fmt.Sprintf(`volley_sampler_interval{task="exporting"} %d`, m.Interval()),
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("render missing %q:\n%s", want, out)
+		}
 	}
-	out := reg.Render()
-	if want := `volley_monitor_ticks_total{instance="exported"} 50`; !strings.Contains(out, want) {
-		t.Errorf("render missing %q:\n%s", want, out)
+	if m.Interval() == 1 {
+		t.Error("50 quiet ticks grew no interval: the mean interval line proves nothing")
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -142,6 +143,34 @@ type Alert struct {
 	History []Transition `json:"history,omitempty"`
 }
 
+// MarshalJSON encodes the alert as its fields say, except that a Value or
+// Peak JSON has no number for (NaN, ±Inf: a polled total that overflowed)
+// is written as null — encoding/json would refuse the whole alert, and with
+// it GET /alerts — as the daemon's stdout alert line writes it.
+func (a Alert) MarshalJSON() ([]byte, error) {
+	type fields Alert // Alert's fields without this method
+	if isFinite(a.Value) && isFinite(a.Peak) {
+		return json.Marshal(fields(a))
+	}
+	return json.Marshal(struct {
+		fields
+		Value jsonFloat `json:"value"`
+		Peak  jsonFloat `json:"peak"`
+	}{fields(a), jsonFloat(a.Value), jsonFloat(a.Peak)})
+}
+
+// jsonFloat is a float64 that encodes as null where it is not finite.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if !isFinite(float64(f)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // clone deep-copies an alert for import and the read APIs.
 func (a *Alert) clone() Alert {
 	var out Alert
@@ -208,7 +237,7 @@ type historyRecord struct {
 	Status      string        `json:"status"`
 	At          time.Duration `json:"at"`
 	Actor       string        `json:"actor,omitempty"`
-	Value       float64       `json:"value,omitempty"`
+	Value       jsonFloat     `json:"value,omitempty"`
 	Occurrences uint64        `json:"occurrences,omitempty"`
 }
 
@@ -304,7 +333,7 @@ func (r *Registry) appendTransitionLocked(a *Alert, tr Transition) {
 		Status:      tr.Status.String(),
 		At:          tr.At,
 		Actor:       tr.Actor,
-		Value:       a.Value,
+		Value:       jsonFloat(a.Value),
 		Occurrences: a.Occurrences,
 	})
 }

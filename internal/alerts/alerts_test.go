@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -493,5 +494,41 @@ func TestMetricsGauges(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestNonFiniteValueEncodesAsNull: an alert whose polled total is not finite
+// (a sum that overflowed) encodes with a null value and peak, in the list
+// GET /alerts serves and in the history sink, where encoding/json refused
+// it; a finite alert encodes as its fields say.
+func TestNonFiniteValueEncodesAsNull(t *testing.T) {
+	var hist bytes.Buffer
+	r := New(Config{Node: "n0", History: &hist})
+	r.Raise("finite", sec(1), 12.5)
+	r.Raise("inf", sec(1), math.Inf(1))
+	r.Raise("nan", sec(2), math.NaN())
+	if err := r.SinkErr(); err != nil {
+		t.Fatalf("history sink: %v", err)
+	}
+	list, err := json.Marshal(r.List())
+	if err != nil {
+		t.Fatalf("the alert list does not encode: %v", err)
+	}
+	var decoded []struct {
+		Task        string
+		Value, Peak *float64
+	}
+	if err := json.Unmarshal(list, &decoded); err != nil || len(decoded) != 3 {
+		t.Fatalf("list %s (%v)", list, err)
+	}
+	for _, a := range decoded {
+		if finite := a.Task == "finite"; finite != (a.Value != nil) || finite != (a.Peak != nil) {
+			t.Errorf("%s: value %v, peak %v in %s", a.Task, a.Value, a.Peak, list)
+		}
+	}
+	rows := strings.Split(strings.TrimSpace(hist.String()), "\n")
+	if len(rows) != 3 || !strings.Contains(rows[0], `"value":12.5`) ||
+		!strings.Contains(rows[1], `"value":null`) || !strings.Contains(rows[2], `"value":null`) {
+		t.Errorf("history rows:\n%s", hist.String())
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // RebalanceHarness drives the coordinator's adaptive rebalance path in
-// isolation, for benchmarks (BenchmarkRebalance, the bench-coord CI
-// artifact) and the steady-state zero-allocation guard. Each Rebalance
+// isolation, for BenchmarkRebalance, the end-to-end harness's
+// coord.rebalance_ns_1024 layer (benchmark/layers.go) and the steady-state
+// zero-allocation guard. Each Rebalance
 // call refreshes every monitor's yield report in place and runs one full
 // rebalance — gather, water-filling distribution, damped update — exactly
 // as a coordinator tick at the update period would.

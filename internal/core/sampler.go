@@ -185,17 +185,38 @@ type SamplerObs struct {
 	// Grows and Resets count interval increases and fallbacks.
 	Grows  *obs.Counter
 	Resets *obs.Counter
-	// Interval and Bound track the current interval and last bound.
-	Interval *obs.Gauge
-	Bound    *obs.Gauge
+	// Intervals is a sum of current intervals the sampler holds its share
+	// of: attaching adds the sampler's interval, and every change of
+	// interval after that — a grow, a reset, a restore — moves it by the
+	// difference. Given to one sampler it reads that sampler's interval;
+	// shared by a task's samplers, their sum, whose mean a scrape renders
+	// without asking any of them. An Observe that keeps the interval does
+	// not touch it.
+	Intervals *obs.Gauge
+	// Bound is set to the misdetection bound on every Observe: the gauge of
+	// a sampler that has a page to itself (single-signal volleyd).
+	Bound *obs.Gauge
 	// BoundDist accumulates the distribution of misdetection bounds.
 	BoundDist *obs.Histogram
 }
 
 // Instrument attaches observability instruments to the sampler. Replacing
-// them mid-run is allowed; the new instruments simply count from their own
-// current state.
-func (s *Sampler) Instrument(o SamplerObs) { s.obs = o }
+// them mid-run is allowed: the new instruments count from their own current
+// state, and the sampler's interval moves from the old Intervals sum to the
+// new one.
+func (s *Sampler) Instrument(o SamplerObs) {
+	s.obs.Intervals.Add(-float64(s.interval))
+	s.obs = o
+	s.obs.Intervals.Add(float64(s.interval))
+}
+
+// setInterval changes the interval and moves the Intervals sum with it.
+func (s *Sampler) setInterval(interval int) {
+	if interval != s.interval {
+		s.obs.Intervals.Add(float64(interval - s.interval))
+		s.interval = interval
+	}
+}
 
 // NewSampler returns a sampler with interval 1 (the default interval) and
 // no history. It returns an error for invalid configurations.
@@ -241,7 +262,7 @@ func (s *Sampler) Observe(value float64) int {
 	if s.cfg.Err == 0 {
 		// Zero allowance degenerates to periodical sampling at the default
 		// interval (Figure 6's err = 0 column).
-		s.interval = 1
+		s.setInterval(1)
 		s.streak = 0
 		return s.interval
 	}
@@ -257,12 +278,12 @@ func (s *Sampler) Observe(value float64) int {
 				Bound: bound, Err: s.cfg.Err, Interval: 1,
 			})
 		}
-		s.interval = 1
+		s.setInterval(1)
 		s.streak = 0
 	case bound <= (1-s.cfg.Slack)*s.cfg.Err:
 		s.streak++
 		if s.streak >= s.cfg.Patience && s.interval < s.cfg.MaxInterval {
-			s.interval = s.grow(s.interval)
+			s.setInterval(s.grow(s.interval))
 			s.increases++
 			s.streak = 0
 			s.obs.Grows.Inc()
@@ -275,7 +296,6 @@ func (s *Sampler) Observe(value float64) int {
 		// Within the slack band: hold the current interval.
 		s.streak = 0
 	}
-	s.obs.Interval.Set(float64(s.interval))
 	return s.interval
 }
 

@@ -63,7 +63,7 @@ func (s *Sampler) Restore(st SamplerState) error {
 	if st.LastBound < 0 || st.LastBound > 1 || math.IsNaN(st.LastBound) {
 		return fmt.Errorf("core: snapshot bound %v outside [0, 1]", st.LastBound)
 	}
-	s.interval = st.Interval
+	s.setInterval(st.Interval)
 	s.streak = st.Streak
 	s.lastValue = st.LastValue
 	s.hasLast = st.HasLast

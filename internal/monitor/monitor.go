@@ -85,10 +85,14 @@ type Config struct {
 	// liveness tracking needs explicit beacons; set this well below the
 	// coordinator's DeadAfter horizon. Zero disables heartbeats.
 	HeartbeatEvery int
-	// Metrics registers the monitor's sampler instruments (interval,
-	// bound, observation/grow/reset counters; instance label = ID) in this
-	// registry. Optional.
+	// Metrics registers the monitor's own series in this registry: its
+	// sampling operations, volley_sampler_observations_total{instance=ID}.
+	// Optional.
 	Metrics *obs.Registry
+	// TaskMetrics are the series the monitor shares with the rest of its
+	// task: interval grows and resets, the bound distribution, the mean
+	// interval and rejected samples (NewTaskMetrics). Optional.
+	TaskMetrics *TaskMetrics
 	// Tracer records decision events: interval adaptation from the sampler
 	// and local violations from the monitor. Optional.
 	Tracer *obs.Tracer
@@ -115,7 +119,8 @@ type Stats struct {
 	PollSamples uint64
 	// LocalViolations counts local threshold crossings observed.
 	LocalViolations uint64
-	// AgentErrors counts failed sampling attempts.
+	// AgentErrors counts failed sampling attempts, non-finite values
+	// included.
 	AgentErrors uint64
 	// Heartbeats counts liveness beacons sent to the coordinator.
 	Heartbeats uint64
@@ -130,7 +135,8 @@ type Monitor struct {
 	prefetch Prefetcher // cfg.Agent when it can start its read early, else nil
 
 	mu        sync.Mutex
-	untilNext int // ticks remaining until the next sample
+	rejected  *obs.Counter // the task's volley_agent_rejected_total; nil without TaskMetrics
+	untilNext int          // ticks remaining until the next sample
 	lastValue float64
 	hasValue  bool
 	stats     Stats
@@ -177,37 +183,97 @@ func New(cfg Config) (*Monitor, error) {
 			return nil, fmt.Errorf("monitor %s: %w", cfg.ID, err)
 		}
 	}
-	if cfg.Metrics != nil || cfg.Tracer != nil {
-		// One label string for the six series, rendered here once.
-		reg := cfg.Metrics.With("instance", cfg.ID)
-		o := core.SamplerObs{
-			Tracer:       cfg.Tracer,
-			Node:         cfg.ID,
-			Task:         cfg.Task,
-			Observations: reg.Counter("volley_sampler_observations_total", "Adaptive sampling operations performed."),
-			Grows:        reg.Counter("volley_sampler_interval_grows_total", "Interval increases after a comfortable-bound streak."),
-			Resets:       reg.Counter("volley_sampler_interval_resets_total", "Falls back to the default interval."),
-			Interval:     reg.Gauge("volley_sampler_interval", "Current sampling interval in default intervals."),
-			Bound:        reg.Gauge("volley_sampler_bound", "Last misdetection bound."),
-			BoundDist:    reg.Histogram("volley_sampler_bound_dist", "Distribution of misdetection bounds.", obs.DefBoundBuckets),
+	if cfg.Metrics != nil || cfg.Tracer != nil || cfg.TaskMetrics != nil {
+		o := core.SamplerObs{Tracer: cfg.Tracer, Node: cfg.ID, Task: cfg.Task}
+		if cfg.Metrics != nil {
+			o.Observations = cfg.Metrics.Counter(observationsName, "Adaptive sampling operations performed.", "instance", cfg.ID)
+		}
+		var rejected *obs.Counter
+		if t := cfg.TaskMetrics; t != nil {
+			o.Grows, o.Resets, o.Intervals, o.BoundDist = t.grows, t.resets, &t.intervals, t.boundDist
+			rejected = t.rejected
 		}
 		// Under the lock handle takes: a message may already be on its way.
 		m.mu.Lock()
 		sampler.Instrument(o)
+		m.rejected = rejected
 		m.mu.Unlock()
 	}
 	return m, nil
 }
 
+// observationsName is the one sampler family with a series per monitor.
+const observationsName = "volley_sampler_observations_total"
+
+// TaskMetrics are the sampler series a task's monitors share, labelled
+// task=<name>: what a monitor adds to the page beyond its own
+// observation counter. Their totals are the sums over the task's monitors,
+// and volley_sampler_interval is the monitors' mean interval, rendered at
+// scrape time from a sum the samplers move only when an interval changes.
+// Build one per task and hand it to each of its monitors; Remove takes the
+// series off the page with the task.
+type TaskMetrics struct {
+	scope         obs.Scope
+	grows, resets *obs.Counter
+	rejected      *obs.Counter
+	boundDist     *obs.Histogram
+	intervals     obs.Gauge // Σ interval over the task's monitors (core.SamplerObs.Intervals)
+}
+
+// NewTaskMetrics registers the shared series of a task of the given number
+// of monitors in reg (nil: detached instruments, on no page).
+func NewTaskMetrics(reg *obs.Registry, task string, monitors int) *TaskMetrics {
+	sc := reg.With("task", task)
+	t := &TaskMetrics{
+		scope:     sc,
+		grows:     sc.Counter("volley_sampler_interval_grows_total", "Interval increases after a comfortable-bound streak."),
+		resets:    sc.Counter("volley_sampler_interval_resets_total", "Falls back to the default interval."),
+		boundDist: sc.Histogram("volley_sampler_bound_dist", "Distribution of misdetection bounds.", obs.DefBoundBuckets),
+		rejected:  sc.Counter("volley_agent_rejected_total", "Non-finite values read from agents and refused as failed reads."),
+	}
+	// An atomic load and a division: a scrape-time function takes no lock.
+	sc.GaugeFunc("volley_sampler_interval", "Mean sampling interval of the task's monitors, in default intervals.",
+		func() float64 { return t.intervals.Value() / float64(monitors) })
+	return t
+}
+
+// Remove takes the task's series off the page; the instruments stay usable,
+// detached. Nil-safe.
+func (t *TaskMetrics) Remove() {
+	if t != nil {
+		t.scope.Remove()
+	}
+}
+
 // Close undoes New: the monitor's address is freed, where the network can
-// free one, and its series leave the metrics registry, so that a monitor
-// built later under the same ID counts from zero. A closed monitor is not
-// ticked again.
+// free one, and its series leaves the metrics registry, so that a monitor
+// built later under the same ID counts from zero. Its interval leaves the
+// task's interval sum; the task's shared series are the task's to remove
+// (TaskMetrics.Remove). A closed monitor is not ticked again.
 func (m *Monitor) Close() {
 	if d, ok := m.cfg.Network.(transport.Deregisterer); ok {
 		_ = d.Deregister(m.cfg.ID)
 	}
 	m.cfg.Metrics.With("instance", m.cfg.ID).Remove()
+	m.mu.Lock()
+	m.sampler.Instrument(core.SamplerObs{})
+	m.mu.Unlock()
+}
+
+// sampleLocked reads the agent. A value that is not finite is refused as a
+// failed read, so no NaN or Inf reaches the sampler's statistics, a
+// coordinator's total or an alert: it counts as an agent error and in the
+// task's volley_agent_rejected_total. Caller holds m.mu.
+func (m *Monitor) sampleLocked() (float64, error) {
+	v, err := m.cfg.Agent.Sample()
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		m.rejected.Inc()
+		err = fmt.Errorf("non-finite value %v", v)
+	}
+	if err != nil {
+		m.stats.AgentErrors++
+	}
+	return v, err
 }
 
 // ID reports the monitor's address.
@@ -263,9 +329,8 @@ func (m *Monitor) Tick(now time.Duration) (sampled bool, value float64, err erro
 		return false, 0, nil
 	}
 
-	v, sampleErr := m.cfg.Agent.Sample()
+	v, sampleErr := m.sampleLocked()
 	if sampleErr != nil {
-		m.stats.AgentErrors++
 		// Retry at the next default interval: data gaps must not enlarge
 		// silently.
 		m.untilNext = 0
@@ -372,9 +437,8 @@ func (m *Monitor) handle(msg transport.Message) {
 	switch msg.Kind {
 	case transport.KindPollRequest:
 		m.mu.Lock()
-		v, err := m.cfg.Agent.Sample()
+		v, err := m.sampleLocked()
 		if err != nil {
-			m.stats.AgentErrors++
 			// Fall back to the last known value so the poll can complete.
 			v = m.lastValue
 			if !m.hasValue {
@@ -474,4 +538,39 @@ func (m *Monitor) SamplingRatio() float64 {
 		return math.NaN()
 	}
 	return float64(m.stats.Samples) / float64(m.stats.Ticks)
+}
+
+// Explanation is one monitor's state as GET /tasks/{name}/explain reports
+// it: why it samples as often as it does.
+type Explanation struct {
+	ID string `json:"id"`
+	// Interval is the sampler's current interval in default intervals;
+	// Bound the misdetection bound that last decided it, against the
+	// monitor's share Err of the task's allowance.
+	Interval int     `json:"interval"`
+	Bound    float64 `json:"bound"`
+	Err      float64 `json:"err"`
+	// Threshold is the monitor's local threshold.
+	Threshold       float64 `json:"threshold"`
+	Samples         uint64  `json:"samples"`
+	Ticks           uint64  `json:"ticks"`
+	LocalViolations uint64  `json:"localViolations"`
+	AgentErrors     uint64  `json:"agentErrors"`
+}
+
+// Explain reports the monitor's state, all of it read under one lock.
+func (m *Monitor) Explain() Explanation {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return Explanation{
+		ID:              m.cfg.ID,
+		Interval:        m.sampler.Interval(),
+		Bound:           m.sampler.Bound(),
+		Err:             m.sampler.Err(),
+		Threshold:       m.sampler.Threshold(),
+		Samples:         m.stats.Samples,
+		Ticks:           m.stats.Ticks,
+		LocalViolations: m.stats.LocalViolations,
+		AgentErrors:     m.stats.AgentErrors,
+	}
 }

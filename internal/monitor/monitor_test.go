@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -510,8 +512,9 @@ func TestPrefetchedReadAnswersAPoll(t *testing.T) {
 	}
 }
 
-// TestCloseUndoesNew: Close frees the monitor's address and takes its six
-// series out of the registry, so a monitor built again under the same ID
+// TestCloseUndoesNew: Close frees the monitor's address and takes its one
+// series out of the registry, and TaskMetrics.Remove the task's block, so the
+// page is what it was before; a monitor built again under the same ID
 // registers afresh and counts from zero; and a New the network refuses
 // registers nothing — in particular it leaves the series of the live monitor
 // that holds the address alone.
@@ -530,7 +533,7 @@ func TestCloseUndoesNew(t *testing.T) {
 	empty := page()
 	cfg := Config{
 		ID: "task/mon/m0", Task: "task", Agent: quietAgent(), Sampler: samplerCfg(1000, 0.1),
-		Network: net, Coordinator: "coord", Metrics: reg,
+		Network: net, Coordinator: "coord", Metrics: reg, TaskMetrics: NewTaskMetrics(reg, "task", 1),
 	}
 	m, err := New(cfg)
 	if err != nil {
@@ -545,7 +548,9 @@ func TestCloseUndoesNew(t *testing.T) {
 		return reg.Counter("volley_sampler_observations_total", "", "instance", cfg.ID).Value()
 	}
 	live := page()
-	if observed() == 0 || strings.Count(live, `instance="task/mon/m0"`) != 5+13 {
+	// One line of its own; the task's block is grows, resets, rejections and
+	// the mean interval, a line each, and the bound histogram's thirteen.
+	if observed() == 0 || strings.Count(live, `instance="task/mon/m0"`) != 1 || strings.Count(live, `task="task"`) != 4+13 {
 		t.Fatalf("the monitor's series are not on the page:\n%s", live)
 	}
 
@@ -557,9 +562,14 @@ func TestCloseUndoesNew(t *testing.T) {
 	}
 
 	m.Close()
-	if got := page(); got != empty {
-		t.Fatalf("page after Close:\n%s\nwant the page before New:\n%s", got, empty)
+	if got := page(); strings.Contains(got, `instance="task/mon/m0"`) || strings.Count(got, `task="task"`) != 4+13 {
+		t.Fatalf("page after Close, with the task's block still registered:\n%s", got)
 	}
+	cfg.TaskMetrics.Remove()
+	if got := page(); got != empty {
+		t.Fatalf("page after Close and the task's Remove:\n%s\nwant the page before New:\n%s", got, empty)
+	}
+	cfg.TaskMetrics = NewTaskMetrics(reg, "task", 1)
 	again, err := New(cfg)
 	if err != nil {
 		t.Fatalf("the address was not freed: %v", err)
@@ -568,6 +578,10 @@ func TestCloseUndoesNew(t *testing.T) {
 		t.Fatalf("the monitor built again starts at %d observations, want 0", got)
 	}
 	again.Close()
+	cfg.TaskMetrics.Remove()
+	if got := page(); got != empty {
+		t.Fatalf("page after the second Close:\n%s\nwant the page before New:\n%s", got, empty)
+	}
 
 	// Without a registry or a network Close has nothing to undo.
 	bare, err := New(Config{ID: "bare", Agent: quietAgent(), Sampler: samplerCfg(1000, 0.1)})
@@ -575,4 +589,96 @@ func TestCloseUndoesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare.Close()
+}
+
+// TestTaskMetricsAreTheMonitorsSums: a task's shared series read what the
+// per-monitor series they replace summed to — grows and resets are the
+// samplers' own counts added up, the bound distribution counts every
+// observation — and volley_sampler_interval{task} is the mean of the
+// monitors' intervals, after intervals grow, after one resets, and after
+// one is restored from another's snapshot. (A restore moves the interval and
+// no counter: the per-monitor counters never moved on one either.)
+func TestTaskMetricsAreTheMonitorsSums(t *testing.T) {
+	reg := obs.NewRegistry()
+	tm := NewTaskMetrics(reg, "t", 3)
+	levels := make([]float64, 3)
+	mons := make([]*Monitor, 3)
+	for i := range mons {
+		i := i
+		m, err := New(Config{
+			ID: fmt.Sprintf("t/m%d", i), Task: "t",
+			Agent:   AgentFunc(func() (float64, error) { return levels[i], nil }),
+			Sampler: samplerCfg(100, 0.1), Metrics: reg, TaskMetrics: tm,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mons[i] = m
+	}
+	now := time.Duration(0)
+	tick := func(m *Monitor, n int) {
+		for ; n > 0; n-- {
+			now += time.Second
+			if _, _, err := m.Tick(now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var grows, resets uint64 // the samplers' own counts, summed before a restore rewrites them
+	check := func(when string) {
+		t.Helper()
+		var observations uint64
+		var intervals float64
+		if when != "after a restore" {
+			grows, resets = 0, 0
+			for _, m := range mons {
+				st := m.Snapshot().Sampler
+				grows, resets = grows+st.Increases, resets+st.Resets
+			}
+		}
+		for _, m := range mons {
+			observations += reg.Counter(observationsName, "", "instance", m.ID()).Value()
+			intervals += float64(m.Interval())
+		}
+		var page strings.Builder
+		reg.WritePrometheus(&page)
+		mean := -1.0
+		for _, line := range strings.Split(page.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `volley_sampler_interval{task="t"} `); ok {
+				mean, _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		if tm.grows.Value() != grows || tm.resets.Value() != resets || tm.boundDist.Count() != observations {
+			t.Errorf("%s: the task counts %d grows, %d resets, %d bounds; its monitors %d, %d, %d",
+				when, tm.grows.Value(), tm.resets.Value(), tm.boundDist.Count(), grows, resets, observations)
+		}
+		if want := intervals / 3; mean != want {
+			t.Errorf("%s: volley_sampler_interval{task=\"t\"} reads %v, the monitors' mean interval is %v", when, mean, want)
+		}
+	}
+	check("at admission")
+	tick(mons[0], 400)
+	tick(mons[1], 150)
+	tick(mons[2], 40)
+	if mons[0].Interval() == mons[1].Interval() || mons[0].Interval() == 1 {
+		t.Fatalf("intervals %d and %d: the quiet ticks grew nothing to tell apart", mons[0].Interval(), mons[1].Interval())
+	}
+	check("after grows")
+
+	levels[0] = 99 // a step to just under the threshold: the bound jumps
+	for i := 0; i < 20 && mons[0].Interval() != 1; i++ {
+		tick(mons[0], 1)
+	}
+	if mons[0].Interval() != 1 {
+		t.Fatal("a step to the threshold did not reset the interval")
+	}
+	check("after a reset")
+
+	if mons[2].Interval() == mons[1].Interval() {
+		t.Fatalf("monitors 1 and 2 are both at interval %d: a restore would move nothing", mons[1].Interval())
+	}
+	if err := mons[2].Restore(mons[1].Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	check("after a restore")
 }

@@ -307,8 +307,9 @@ func renderLabels(kv []string) string {
 // Scope is a registry seen through one fixed set of label pairs: everything
 // registered through it carries those labels, rendered once and shared by
 // the series however many follow, and Remove takes them out again. A
-// component that owns several series under one identity (a monitor's six
-// under its instance) holds no Scope; it makes one at each end of its life.
+// component that owns several series under one identity (a task's sampler
+// series under its task label) registers them through one Scope and later
+// removes them through it.
 // The zero Scope, and any made from a nil registry, hands out detached
 // instruments.
 type Scope struct {
@@ -384,6 +385,16 @@ func (sc Scope) Histogram(name, help string, bounds []float64) *Histogram {
 	return NewHistogram(bounds)
 }
 
+// GaugeFunc registers the scope's gauge evaluated at scrape time. fn must
+// not call back into the registry (the registry lock is held while it
+// runs). A series already registered under the name and labels keeps its
+// function.
+func (sc Scope) GaugeFunc(name, help string, fn func() float64) {
+	if sc.r != nil && fn != nil {
+		sc.register(name, help, kindGaugeFunc, func() any { return fn })
+	}
+}
+
 // Remove takes every series that carries exactly the scope's labels out of
 // the registry, whichever call registered it, and with its last series a
 // family: the page is what it was before they came. The instruments stay
@@ -438,9 +449,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labelPairs ...
 // GaugeFunc registers a gauge evaluated at scrape time. fn must not call
 // back into the registry (the registry lock is held while it runs).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {
-	if r != nil && fn != nil {
-		r.With(labelPairs...).register(name, help, kindGaugeFunc, func() any { return fn })
-	}
+	r.With(labelPairs...).GaugeFunc(name, help, fn)
 }
 
 // CounterFunc registers a counter evaluated at scrape time — for

@@ -250,7 +250,8 @@ func TestCounterFunc(t *testing.T) {
 	}
 }
 
-// registerMonitor registers what monitor.New registers for one monitor.
+// registerMonitor registers six series of every kind under one instance
+// scope: one identity spread over several families.
 func registerMonitor(r *Registry, id string) {
 	sc := r.With("instance", id)
 	sc.Counter("volley_sampler_observations_total", "h")

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -13,10 +14,19 @@ import (
 // sorting for them: O(n), and the answer is bit for bit what sorting gave.
 // It returns NaN for an empty slice or q outside [0, 1].
 func Quantile(values []float64, q float64) float64 {
+	v, _ := QuantileBuf(values, q, nil)
+	return v
+}
+
+// QuantileBuf is Quantile working in the caller's buffer instead of a copy
+// of its own: buf is grown to len(values) where it is shorter, and returned
+// for the next call. A caller answering one quantile per series, series
+// after series, allocates the copy once.
+func QuantileBuf(values []float64, q float64, buf []float64) (float64, []float64) {
 	if len(values) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
+		return math.NaN(), buf
 	}
-	work := make([]float64, len(values))
+	work := slices.Grow(buf[:0], len(values))[:len(values)]
 	nan := false
 	for i, v := range values {
 		work[i] = v
@@ -47,7 +57,7 @@ func Quantile(values []float64, q float64) float64 {
 		copy(work, values)
 		sort.Float64s(work)
 	}
-	return quantileSorted(work, q)
+	return quantileSorted(work, q), work
 }
 
 // selectNth rearranges a, which holds no NaN, so that a[k] is the value a

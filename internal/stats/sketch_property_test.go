@@ -52,7 +52,8 @@ func sketchStreams(t *testing.T) []sketchStream {
 		}), true},
 		{"constant", synthetic(func(_, _ int, _ *rand.Rand) float64 { return 42 }), true},
 		{"five-valued", synthetic(func(_, _ int, r *rand.Rand) float64 { return float64(r.Intn(5) * r.Intn(2)) }), true},
-		// The bench soak's stream (internal/bench StreamingSoak).
+		// A slow diurnal swing under unit noise: a day of a utilisation
+		// metric, squeezed into the stream.
 		{"diurnal-soak", synthetic(func(i, _ int, r *rand.Rand) float64 {
 			return 20 + 5*math.Sin(float64(i)/200) + r.NormFloat64()
 		}), true},

@@ -65,13 +65,21 @@ func (s Spec) Validate() error {
 // monitoring threshold by taking (100−k)-th percentile of m's values").
 // It returns an error for empty values or k outside (0, 100).
 func ThresholdForSelectivity(values []float64, k float64) (float64, error) {
+	t, _, err := ThresholdForSelectivityBuf(values, k, nil)
+	return t, err
+}
+
+// ThresholdForSelectivityBuf is ThresholdForSelectivity selecting in the
+// caller's buffer (stats.QuantileBuf), which it returns for the next call.
+func ThresholdForSelectivityBuf(values []float64, k float64, buf []float64) (float64, []float64, error) {
 	if len(values) == 0 {
-		return 0, fmt.Errorf("task: no values to derive threshold from")
+		return 0, buf, fmt.Errorf("task: no values to derive threshold from")
 	}
 	if k <= 0 || k >= 100 || math.IsNaN(k) {
-		return 0, fmt.Errorf("task: selectivity %v outside (0, 100)", k)
+		return 0, buf, fmt.Errorf("task: selectivity %v outside (0, 100)", k)
 	}
-	return stats.Percentile(values, 100-k), nil
+	t, buf := stats.QuantileBuf(values, (100-k)/100, buf)
+	return t, buf, nil
 }
 
 // Thresholds derives the monitoring thresholds for many selectivities from

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"volley/internal/stats"
 	"volley/internal/task"
@@ -165,15 +166,20 @@ const (
 // epoch[w] is the epoch index covering window w, or −1 outside epochs.
 func (f EntropyFlow) schedule() (epoch []int, epochs int) {
 	epoch = make([]int, f.WindowsN)
+	return epoch, f.scheduleInto(epoch, newRNG(f.Seed, entropyStreamSchedule))
+}
+
+// scheduleInto is schedule written into epoch (WindowsN long), drawing from
+// rng, which the caller seeds for the schedule stream.
+func (f EntropyFlow) scheduleInto(epoch []int, rng *rand.Rand) (epochs int) {
 	for i := range epoch {
 		epoch[i] = -1
 	}
-	rng := newRNG(f.Seed, entropyStreamSchedule)
 	w := f.Warmup
 	for {
 		w += f.AttackEvery/2 + rng.Intn(f.AttackEvery)
 		if w >= f.WindowsN {
-			return epoch, epochs
+			return epochs
 		}
 		for j := 0; j < f.AttackLen && w+j < f.WindowsN; j++ {
 			epoch[w+j] = epochs
@@ -183,15 +189,17 @@ func (f EntropyFlow) schedule() (epoch []int, epochs int) {
 	}
 }
 
-// attacked reports whether node i is targeted by the given epoch. Every
-// node derives the same per-epoch target set from (seed, epoch), so the
-// answer is index-independent.
-func (f EntropyFlow) attacked(node, epoch int) bool {
+// attacked reports whether node i is targeted by the given epoch, using the
+// scratch's second generator and permutation buffer. Every node derives the
+// same per-epoch target set from (seed, epoch), so the answer is
+// index-independent.
+func (f EntropyFlow) attacked(node, epoch int, sc *scratch) bool {
 	k := int(math.Round(f.AttackNodes * float64(f.Nodes)))
 	if k < 1 {
 		k = 1
 	}
-	perm := newRNG(f.Seed, entropyStreamEpoch+uint64(epoch)).Perm(f.Nodes)
+	sc.perm = resized(sc.perm, f.Nodes)
+	perm := permInto(reseed(sc.aux, f.Seed, entropyStreamEpoch+uint64(epoch)), sc.perm)
 	for _, n := range perm[:k] {
 		if n == node {
 			return true
@@ -202,21 +210,33 @@ func (f EntropyFlow) attacked(node, epoch int) bool {
 
 // GenSeries implements Family: node i's entropy-deficit series.
 func (f EntropyFlow) GenSeries(i int) (Series, error) {
+	return f.generate(i, newScratch())
+}
+
+func (f EntropyFlow) generate(i int, sc *scratch) (Series, error) {
 	if err := f.validate(); err != nil {
 		return Series{}, err
 	}
 	if err := checkIndex(f.Name(), i, f.Nodes); err != nil {
 		return Series{}, err
 	}
-	epoch, _ := f.schedule()
-	rng := newRNG(f.Seed, entropyStreamNode+uint64(i))
-	zipf, err := stats.NewZipf(rng, f.Sources, f.Skew)
-	if err != nil {
-		return Series{}, fmt.Errorf("workload entropy-flow: %w", err)
+	sc.epoch = resized(sc.epoch, f.WindowsN)
+	epoch := sc.epoch
+	f.scheduleInto(epoch, reseed(sc.rng, f.Seed, entropyStreamSchedule))
+	rng := reseed(sc.rng, f.Seed, entropyStreamNode+uint64(i))
+	if sc.zipf == nil || sc.zipfN != f.Sources || sc.zipfS != f.Skew {
+		// The sampler holds rng, re-seeded in place: built once per scratch.
+		zipf, err := stats.NewZipf(rng, f.Sources, f.Skew)
+		if err != nil {
+			return Series{}, fmt.Errorf("workload entropy-flow: %w", err)
+		}
+		sc.zipf, sc.zipfN, sc.zipfS = zipf, f.Sources, f.Skew
 	}
+	zipf := sc.zipf
 
 	maxDeficit := math.Log2(float64(f.Sources))
-	counts := make([]int, f.Sources+f.AttackSources)
+	sc.counts = resized(sc.counts, f.Sources+f.AttackSources)
+	counts := sc.counts
 	values := make([]float64, f.WindowsN)
 	memoEpoch, memoAttacked := -1, false
 	ewma := 0.0
@@ -224,7 +244,7 @@ func (f EntropyFlow) GenSeries(i int) (Series, error) {
 		underAttack := false
 		if e := epoch[w]; e >= 0 {
 			if e != memoEpoch {
-				memoEpoch, memoAttacked = e, f.attacked(i, e)
+				memoEpoch, memoAttacked = e, f.attacked(i, e, sc)
 			}
 			underAttack = memoAttacked
 		}
@@ -246,7 +266,7 @@ func (f EntropyFlow) GenSeries(i int) (Series, error) {
 		}
 		values[w] = ewma
 	}
-	threshold, err := task.ThresholdForSelectivity(values, f.Selectivity)
+	threshold, err := sc.threshold(values, f.Selectivity)
 	if err != nil {
 		return Series{}, fmt.Errorf("workload entropy-flow: node %d: %w", i, err)
 	}

@@ -171,7 +171,7 @@ func (f TenantColo) groupEvents(g int) []groupEvent {
 // GenSeries implements Family: tenant i's CPU-requirement series with its
 // tier-drawn (T, err) target.
 func (f TenantColo) GenSeries(i int) (Series, error) {
-	return f.genSeries(i, nil)
+	return f.genSeries(i, nil, newScratch())
 }
 
 // tenantColoTimelines is a TenantColo with every group's burst timeline
@@ -197,12 +197,16 @@ func (f TenantColo) withTimelines() tenantColoTimelines {
 
 // GenSeries implements Family with the group's timeline read, not derived.
 func (f tenantColoTimelines) GenSeries(i int) (Series, error) {
-	return f.genSeries(i, f.events)
+	return f.genSeries(i, f.events, newScratch())
 }
 
-// genSeries generates tenant i, whose group bursts on timelines[group], or
-// on the timeline derived here when there are none.
-func (f TenantColo) genSeries(i int, timelines [][]groupEvent) (Series, error) {
+func (f tenantColoTimelines) generate(i int, sc *scratch) (Series, error) {
+	return f.genSeries(i, f.events, sc)
+}
+
+// genSeries generates tenant i in sc, its group bursting on
+// timelines[group], or on the timeline derived here when there are none.
+func (f TenantColo) genSeries(i int, timelines [][]groupEvent, sc *scratch) (Series, error) {
 	if err := f.validate(); err != nil {
 		return Series{}, err
 	}
@@ -216,7 +220,7 @@ func (f TenantColo) genSeries(i int, timelines [][]groupEvent) (Series, error) {
 	} else {
 		events = f.groupEvents(g)
 	}
-	rng := newRNG(f.Seed, tenantStreamTenant+uint64(i))
+	rng := reseed(sc.rng, f.Seed, tenantStreamTenant+uint64(i))
 
 	// Fixed draw order (tier, shape, schedules, responses, then noise) so
 	// the stream is stable against value-loop details.
@@ -236,7 +240,7 @@ func (f TenantColo) genSeries(i int, timelines [][]groupEvent) (Series, error) {
 	phase := rng.Float64() * period
 
 	// Tenant-private burst schedule.
-	var solo []int
+	solo := sc.solo[:0]
 	if f.SoloBurstEvery > 0 {
 		w := 0
 		for {
@@ -248,9 +252,11 @@ func (f TenantColo) genSeries(i int, timelines [][]groupEvent) (Series, error) {
 			w += f.BurstLen
 		}
 	}
+	sc.solo = solo
 	// Per-event participation: how strongly this tenant rides each of its
 	// group's bursts.
-	respond := make([]float64, len(events))
+	respond := resized(sc.respond, len(events))
+	sc.respond = respond
 	for e := range respond {
 		respond[e] = 0.6 + 0.8*rng.Float64()
 	}
@@ -275,7 +281,7 @@ func (f TenantColo) genSeries(i int, timelines [][]groupEvent) (Series, error) {
 		}
 	}
 
-	threshold, err := task.ThresholdForSelectivity(values, tier.Selectivity)
+	threshold, err := sc.threshold(values, tier.Selectivity)
 	if err != nil {
 		return Series{}, fmt.Errorf("workload tenant-colo: tenant %d: %w", i, err)
 	}

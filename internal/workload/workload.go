@@ -29,8 +29,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"volley/internal/stats"
+	"volley/internal/task"
 )
 
 // Series is one monitor's generated series plus its task parameters.
@@ -113,11 +117,24 @@ type Family interface {
 // workers that each write only the slots of the indices they claim, then
 // Assemble. The set is bit-identical at any worker count, and an error is
 // the one a walk in index order would have met first.
+//
+// Each worker generates into one scratch of its own (the families of this
+// package both can), so what generation leaves behind is the series it
+// keeps and not a generator and a selection copy per series.
 func Generate(f Family) (*Set, error) {
 	if tc, ok := f.(TenantColo); ok {
 		// Every member of a group bursts on the group's timeline: derived
 		// here once, it is read by all of them instead of derived by each.
 		f = tc.withTimelines()
+	}
+	// The concrete types, not an interface a wrapper would inherit by
+	// embedding and so bypass its own GenSeries.
+	gen := func(i int, _ *scratch) (Series, error) { return f.GenSeries(i) }
+	switch f := f.(type) {
+	case EntropyFlow:
+		gen = f.generate
+	case tenantColoTimelines:
+		gen = f.generate
 	}
 	n := f.Size()
 	out := make([]Series, n)
@@ -131,6 +148,7 @@ func Generate(f Family) (*Set, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := newScratch()
 			// Indices are claimed densely from 0 and a claimed index always
 			// runs, so every index below a failing one reports too.
 			for !failed.Load() {
@@ -138,7 +156,7 @@ func Generate(f Family) (*Set, error) {
 				if i >= n {
 					return
 				}
-				if out[i], errs[i] = f.GenSeries(i); errs[i] != nil {
+				if out[i], errs[i] = gen(i, sc); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
@@ -163,9 +181,68 @@ func mix(seed int64, stream uint64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// rng returns a rand.Rand for one (seed, stream) pair.
+// newRNG returns a rand.Rand for one (seed, stream) pair.
 func newRNG(seed int64, stream uint64) *rand.Rand {
 	return rand.New(rand.NewSource(mix(seed, stream)))
+}
+
+// scratch is what generating a series uses and does not keep: two
+// generators, re-seeded in place for each stream they serve, and the buffers
+// a family's draws and its threshold quantile work in. A series generated
+// in a used scratch is bit for bit the one generated in a fresh scratch:
+// (*rand.Rand).Seed(s) yields the stream rand.New(rand.NewSource(s)) does,
+// and no buffer is read before it is written.
+type scratch struct {
+	rng, aux *rand.Rand
+	work     []float64 // the threshold quantile's selection buffer
+
+	// EntropyFlow: the attack schedule, a window's source histogram, an
+	// epoch's target permutation, and the Zipf sampler over zipfN sources at
+	// skew zipfS, which draws from rng.
+	epoch, counts, perm []int
+	zipf                *stats.Zipf
+	zipfN               int
+	zipfS               float64
+
+	// TenantColo: the private burst starts and the per-event responses.
+	solo    []int
+	respond []float64
+}
+
+func newScratch() *scratch {
+	return &scratch{rng: rand.New(rand.NewSource(0)), aux: rand.New(rand.NewSource(0))}
+}
+
+// reseed re-seeds r for one (seed, stream) pair: from here on it draws what
+// newRNG(seed, stream) would.
+func reseed(r *rand.Rand, seed int64, stream uint64) *rand.Rand {
+	r.Seed(mix(seed, stream))
+	return r
+}
+
+// permInto is r.Perm(len(m)) written into m: the same draws, the same
+// permutation.
+func permInto(r *rand.Rand, m []int) []int {
+	for i := range m {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// threshold is the series' (100−k)-th percentile threshold
+// (task.ThresholdForSelectivity), selected in the scratch.
+func (sc *scratch) threshold(values []float64, k float64) (float64, error) {
+	t, work, err := task.ThresholdForSelectivityBuf(values, k, sc.work)
+	sc.work = work
+	return t, err
+}
+
+// resized returns s with length n, reusing its array where that is large
+// enough. The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // checkIndex validates a GenSeries index.

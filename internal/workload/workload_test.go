@@ -360,3 +360,99 @@ func TestGroupTimelineSharedNotChanged(t *testing.T) {
 		t.Fatal("an invalid tenant family generated")
 	}
 }
+
+// scratchFamilies are the two families as Generate's workers run them: each
+// with the generate it calls into a worker's scratch.
+func scratchFamilies(entropy EntropyFlow, tenant TenantColo) []struct {
+	f   Family
+	gen func(int, *scratch) (Series, error)
+} {
+	tl := tenant.withTimelines()
+	return []struct {
+		f   Family
+		gen func(int, *scratch) (Series, error)
+	}{{entropy, entropy.generate}, {tl, tl.generate}}
+}
+
+// TestUsedScratchGeneratesWhatAFreshOneDoes: a scratch that has generated
+// other series — of a longer, differently shaped family first, then the
+// family's own in reverse — generates every index of both families exactly
+// as GenSeries with a fresh scratch does.
+func TestUsedScratchGeneratesWhatAFreshOneDoes(t *testing.T) {
+	bigEntropy := DefaultEntropyFlow(12, 2000, 3)
+	bigEntropy.Sources, bigEntropy.Skew = 2*bigEntropy.Sources, bigEntropy.Skew/2
+	dirty := scratchFamilies(bigEntropy, DefaultTenantColo(40, 4, 3000, 3))
+	for k, fam := range scratchFamilies(quickEntropy(), quickTenant()) {
+		sc := newScratch()
+		for i := 0; i < dirty[k].f.Size(); i++ {
+			if _, err := dirty[k].gen(i, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := fam.f.Size() - 1; i >= 0; i-- {
+			got, err := fam.gen(i, sc)
+			if err != nil {
+				t.Fatalf("%s: series %d: %v", fam.f.Name(), i, err)
+			}
+			want, err := fam.f.GenSeries(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSeries(t, fmt.Sprintf("%s series %d", fam.f.Name(), i), got, want)
+		}
+	}
+}
+
+// TestGenSeriesAllocsDoNotGrowWithWindows: in a worker's scratch a series
+// costs its Values and a few small strings — as many allocations, and the
+// same bytes beyond Values, at 512 windows as at 4 096. Before the scratch a
+// tenant series also paid a fresh generator (≈ 5 KB) and a copy of its
+// values for the threshold quantile.
+func TestGenSeriesAllocsDoNotGrowWithWindows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates where the plain build does not")
+	}
+	type cost struct{ allocs, extra float64 }
+	measure := func(gen func(int, *scratch) (Series, error), windows int) cost {
+		sc := newScratch()
+		run := func() {
+			if _, err := gen(3, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // the scratch grows to the family once
+		const runs = 10
+		// TotalAlloc counts the whole process: the least of three rounds is
+		// the one nothing else allocated during.
+		perSeries := math.Inf(1)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			perSeries = min(perSeries, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return cost{testing.AllocsPerRun(runs, run), perSeries - 8*float64(windows)}
+	}
+	costs := map[int][]cost{}
+	for _, windows := range []int{512, 4096} {
+		e := quickEntropy()
+		e.WindowsN = windows
+		for _, fam := range scratchFamilies(e, DefaultTenantColo(96, 8, windows, 7)) {
+			c := measure(fam.gen, windows)
+			t.Logf("%s at %d windows: %v allocations, %.0f B beyond Values", fam.f.Name(), windows, c.allocs, c.extra)
+			if c.allocs > 4 || c.extra > 256 {
+				t.Errorf("%s at %d windows: %v allocations and %.0f B beyond its Values, want ≤ 4 and ≤ 256 B",
+					fam.f.Name(), windows, c.allocs, c.extra)
+			}
+			costs[windows] = append(costs[windows], c)
+		}
+	}
+	for k := range costs[512] {
+		if costs[512][k].allocs != costs[4096][k].allocs {
+			t.Errorf("family %d: %v allocations at 512 windows, %v at 4 096", k, costs[512][k].allocs, costs[4096][k].allocs)
+		}
+	}
+}

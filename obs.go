@@ -11,9 +11,9 @@ import (
 // Metrics is a lock-cheap instrument registry: atomic counters and
 // gauges, a streaming fixed-bucket histogram, and hand-rolled Prometheus
 // text exposition. All instruments are nil-safe no-ops, so un-instrumented
-// code paths pay a single nil check. It complements MetricsRegistry: that
-// type renders component facades (monitors, coordinators); Metrics holds
-// the low-level instruments components update on their hot paths.
+// code paths pay a single nil check. It is the one exposition: monitors,
+// coordinators, the alert registry and the transport register their series
+// in it, and WritePrometheus renders the page.
 type Metrics = obs.Registry
 
 // NewMetrics returns an empty instrument registry.
