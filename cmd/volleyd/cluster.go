@@ -204,7 +204,7 @@ func (d *clusterDaemon) buildGates(adm admission) ([]*volley.Gate, error) {
 	if hold == 0 {
 		hold = 10
 	}
-	gates := make([]*volley.Gate, len(adm.agents))
+	gates := make([]*volley.Gate, len(adm.spec.Monitors))
 	for i := range gates {
 		g, err := volley.NewGate(relaxed, hold)
 		if err != nil {
@@ -217,44 +217,60 @@ func (d *clusterDaemon) buildGates(adm admission) ([]*volley.Gate, error) {
 
 // handleAdmit admits a task: its monitors are built from the requested
 // sources and hosted by the daemon, its coordinator placed on the owning
-// shard.
+// shard. This mode hosts every task it admits, so the sources are built here
+// and the POST returns with their series in place.
 func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	adm, err := d.decodeAdmission(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	name := adm.spec.Name
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Gates and sketches are checked and built before cluster state is
-	// touched, so a bad gate spec rejects the admission with nothing to roll
-	// back.
-	gates, err := d.buildGates(adm)
+	agents, err := d.buildAgents(adm.sources)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	resp, code, err := d.admit(adm, agents)
+	if err != nil {
+		httpError(w, code, err)
+		return
+	}
+	writeJSONStatus(w, http.StatusCreated, resp)
+}
+
+// admit hosts an admission over its built agents, or releases them and
+// answers why not; the caller holds mu.
+func (d *clusterDaemon) admit(adm admission, agents []volley.Agent) (map[string]any, int, error) {
+	name := adm.spec.Name
+	// Gates and sketches are checked and built before cluster state is
+	// touched, so a bad gate spec rejects the admission with nothing to roll
+	// back but the agents.
+	gates, err := d.buildGates(adm)
+	if err != nil {
+		d.releaseAgents(agents)
+		return nil, http.StatusBadRequest, err
+	}
 	// One streaming sketch per monitor, fed from its sampled ticks.
-	sks := make([]*volley.StreamingThresholds, len(adm.agents))
+	sks := make([]*volley.StreamingThresholds, len(agents))
 	for i := range sks {
 		if sks[i], err = volley.NewStreamingThresholds(clusterSelectivityGrid); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
+			d.releaseAgents(agents)
+			return nil, http.StatusInternalServerError, err
 		}
 	}
 	shard, err := d.cl.Admit(adm.spec)
 	if err != nil {
-		httpError(w, http.StatusConflict, err)
-		return
+		d.releaseAgents(agents)
+		return nil, http.StatusConflict, err
 	}
 	coord := d.cl.CoordinatorAddr(name)
-	t, err := d.buildMonitors(adm.spec, adm.host.MaxInterval, adm.agents, coord, gates)
+	t, err := d.buildMonitors(adm.spec, adm.host.MaxInterval, agents, coord, gates)
 	if err != nil {
 		// Roll the half-admitted task back so the request is atomic.
 		_ = d.cl.Evict(name)
-		httpError(w, http.StatusBadRequest, err)
-		return
+		return nil, http.StatusBadRequest, err
 	}
 	t.sks = sks
 	resp := map[string]any{"name": name, "shard": shard, "coordinator": coord, "monitors": adm.spec.Monitors}
@@ -263,7 +279,7 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		resp["gate"] = map[string]any{"predictor": t.pred}
 	}
 	d.host(name, t)
-	writeJSONStatus(w, http.StatusCreated, resp)
+	return resp, 0, nil
 }
 
 // handleUpdate retunes a task's threshold and allowance: the cluster

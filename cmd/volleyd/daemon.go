@@ -27,7 +27,10 @@ type daemon struct {
 	alerts   *volley.Counter // volleyd_alerts_total
 	alertReg *volley.AlertRegistry
 	agents   *agentPool // the HTTP agents' kept connections
-	start    time.Time
+	// workloads holds the series of the workload: sources this daemon's
+	// agents read.
+	workloads *workloadSources
+	start     time.Time
 
 	eventsSink, historySink *fileSink
 
@@ -46,7 +49,7 @@ func newDaemon(opts options, node string) (*daemon, error) {
 		return nil, fmt.Errorf("max-interval must be at least 1, got %d", opts.maxInterval)
 	}
 	reg := volley.NewMetrics()
-	d := &daemon{opts: opts, reg: reg, agents: newAgentPool(reg), start: time.Now()}
+	d := &daemon{opts: opts, reg: reg, agents: newAgentPool(reg), workloads: newWorkloadSources(), start: time.Now()}
 	var err error
 	if d.eventsSink, err = openFileSink(opts.eventsFile); err != nil {
 		return nil, err
@@ -72,6 +75,12 @@ func newDaemon(opts options, node string) (*daemon, error) {
 	reg.GaugeFunc("volleyd_uptime_seconds", "Seconds since daemon start.", func() float64 {
 		return time.Since(d.start).Seconds()
 	})
+	reg.GaugeFunc("volley_workload_series",
+		"Series the workload: sources hold for the agents built here, group aggregates included.",
+		func() float64 { return float64(d.workloads.series.Load()) })
+	reg.GaugeFunc("volley_workload_series_bytes",
+		"Bytes of the values of the series the workload: sources hold (series × windows × 8).",
+		func() float64 { return float64(d.workloads.bytes.Load()) })
 	alertCfg := volley.AlertConfig{Node: node, TTL: opts.alertTTL, Metrics: reg, Tracer: d.tracer}
 	if d.historySink != nil {
 		// Not assigned when nil: a nil *fileSink in the interface field
@@ -176,13 +185,13 @@ func (d *daemon) loop(ctx context.Context, tick func() error) error {
 
 // admission is a decoded and checked POST /tasks body: the task as the
 // cluster layer places it, the monitor sources as whichever daemon hosts the
-// task builds them, and the agents built from those sources here — the proof
-// they parse, and the ones the monitors read if this daemon is the host.
+// task builds them, and those sources checked here. A workload: source is
+// checked without generating its series, which only the host generates.
 type admission struct {
-	spec   volley.ClusterTaskSpec
-	host   shardHostSpec
-	gate   *clusterGateRequest
-	agents []volley.Agent
+	spec    volley.ClusterTaskSpec
+	host    shardHostSpec
+	gate    *clusterGateRequest
+	sources []checkedSource
 }
 
 // decodeAdmission reads a POST /tasks body. Every error is the client's.
@@ -199,7 +208,7 @@ func (d *daemon) decodeAdmission(r *http.Request) (admission, error) {
 		return admission{}, err
 	}
 	host := shardHostSpec{Direction: req.Direction, MaxInterval: req.MaxInterval, Monitors: req.Monitors}
-	agents, err := host.buildAgents(d.agents)
+	sources, err := host.checkSources(d.agents)
 	if err != nil {
 		return admission{}, err
 	}
@@ -211,14 +220,14 @@ func (d *daemon) decodeAdmission(r *http.Request) (admission, error) {
 		spec: volley.ClusterTaskSpec{
 			Name: req.Name, Threshold: req.Threshold, Direction: dir, Err: req.Err, Monitors: addrs,
 		},
-		host: host, gate: req.Gate, agents: agents,
+		host: host, gate: req.Gate, sources: sources,
 	}, nil
 }
 
-// buildAgents builds the agent of every monitor source, so one bad source
+// checkSources checks every monitor's ID and source, so one bad source
 // rejects the whole task before any state is touched.
-func (hs shardHostSpec) buildAgents(pool *agentPool) ([]volley.Agent, error) {
-	agents := make([]volley.Agent, len(hs.Monitors))
+func (hs shardHostSpec) checkSources(pool *agentPool) ([]checkedSource, error) {
+	out := make([]checkedSource, len(hs.Monitors))
 	seen := make(map[string]bool, len(hs.Monitors))
 	for i, m := range hs.Monitors {
 		if m.ID == "" || seen[m.ID] {
@@ -226,9 +235,34 @@ func (hs shardHostSpec) buildAgents(pool *agentPool) ([]volley.Agent, error) {
 		}
 		seen[m.ID] = true
 		var err error
-		if agents[i], err = buildAgent(m.Source, pool); err != nil {
+		if out[i], err = checkSource(m.Source, pool); err != nil {
 			return nil, err
 		}
 	}
+	return out, nil
+}
+
+// buildAgents builds one agent per checked source. The workload: sources
+// among them are built in one batch, which generates the series the daemon
+// does not hold yet; each of their agents holds its family until
+// releaseAgents.
+func (d *daemon) buildAgents(srcs []checkedSource) ([]volley.Agent, error) {
+	agents := make([]volley.Agent, len(srcs))
+	for i, src := range srcs {
+		agents[i] = src.agent
+	}
+	if err := d.workloads.build(srcs, agents); err != nil {
+		return nil, err
+	}
 	return agents, nil
+}
+
+// releaseAgents lets go of what buildAgents' agents hold: a family's series
+// go with the last agent reading it.
+func (d *daemon) releaseAgents(agents []volley.Agent) {
+	for _, a := range agents {
+		if wa, ok := a.(*workloadAgent); ok {
+			d.workloads.release(wa)
+		}
+	}
 }

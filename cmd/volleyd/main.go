@@ -59,6 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -202,9 +203,15 @@ func runSignal(ctx context.Context, opts options) (err error) {
 	}
 	defer func() { err = errors.Join(err, d.close()) }()
 	l := &signalLoop{daemon: d, enc: json.NewEncoder(opts.out), interval: 1}
-	if l.agent, err = buildAgent(opts.source, d.agents); err != nil {
+	src, err := checkSource(opts.source, d.agents)
+	if err != nil {
 		return err
 	}
+	agents, err := d.buildAgents([]checkedSource{src})
+	if err != nil {
+		return err
+	}
+	l.agent = agents[0]
 	dir, err := parseDirection(opts.direction)
 	if err != nil {
 		return err
@@ -291,7 +298,9 @@ type signalLoop struct {
 }
 
 // tick runs once per default interval and samples when the sampler's
-// stretched interval has run out. Only a failing aggregate ends the run.
+// stretched interval has run out. A failed read, a non-finite value
+// included, is counted and logged and retried at the next default interval;
+// only a failing aggregate ends the run.
 func (l *signalLoop) tick() error {
 	// TTL expiry runs on the raw tick clock, not the stretched sampling
 	// clock, so an episode whose signal goes quiet still expires.
@@ -302,6 +311,10 @@ func (l *signalLoop) tick() error {
 	}
 	value, sampleErr := l.agent.Sample()
 	now := time.Now()
+	if sampleErr == nil && (math.IsNaN(value) || math.IsInf(value, 0)) {
+		// A read, but not a value a sampler can take: it fails like one.
+		sampleErr = fmt.Errorf("source read non-finite value %v", value)
+	}
 	if sampleErr != nil {
 		l.errs.Inc()
 		_ = l.enc.Encode(event{Time: now, Kind: "error", Err: sampleErr.Error()})
@@ -380,9 +393,29 @@ func parseDirection(s string) (volley.Direction, error) {
 	}
 }
 
-// buildAgent turns a source — the -source flag, or a monitor's source in an
-// admission — into the agent that reads it. http(s) agents keep their
-// connections in pool (httpagent.go).
+// checkedSource is a source that checks: a cmd: or http(s) source with its
+// agent built, or a workload: source parsed, whose agent only the daemon that
+// hosts it builds (daemon.buildAgents).
+type checkedSource struct {
+	agent volley.Agent // nil for a workload: source
+	ws    workloadSource
+}
+
+// checkSource checks a source — the -source flag, or a monitor's source in an
+// admission — without generating a workload: source's series.
+func checkSource(source string, pool *agentPool) (checkedSource, error) {
+	if strings.HasPrefix(source, "workload:") {
+		ws, err := parseWorkloadSource(source)
+		return checkedSource{ws: ws}, err
+	}
+	agent, err := buildAgent(source, pool)
+	return checkedSource{agent: agent}, err
+}
+
+// buildAgent turns a cmd: or http(s) source into the agent that reads it;
+// workload: sources are built by the daemon that hosts them
+// (daemon.buildAgents). http(s) agents keep their connections in pool
+// (httpagent.go).
 func buildAgent(source string, pool *agentPool) (volley.Agent, error) {
 	switch {
 	case strings.HasPrefix(source, "cmd:"):
@@ -407,8 +440,6 @@ func buildAgent(source string, pool *agentPool) (volley.Agent, error) {
 			}
 			return parseNumber(out)
 		}), nil
-	case strings.HasPrefix(source, "workload:"):
-		return buildWorkloadAgent(source)
 	case strings.HasPrefix(source, "http://"), strings.HasPrefix(source, "https://"):
 		return newHTTPAgent(source, pool)
 	case source == "":

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -255,6 +256,84 @@ func TestRunAgentErrorsAreLoggedAndRetried(t *testing.T) {
 	}
 	if n := strings.Count(buf.String(), `"kind":"error"`); n < 2 {
 		t.Errorf("expected repeated error events, got %d:\n%s", n, buf.String())
+	}
+}
+
+// lockedBuffer is a bytes.Buffer a running daemon writes while the test
+// reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunNonFiniteValuesAreFailedReads: a source that prints NaN, Inf and
+// -Inf in turn reads as failing. Each read is counted in
+// volleyd_agent_errors_total and logged as an error line, and neither the
+// sampler nor the alert registry ever sees a value, though any finite one
+// would violate the threshold.
+func TestRunNonFiniteValuesAreFailedReads(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "nonfinite.sh")
+	if err := os.WriteFile(script, []byte(`n=$(cat "$0.n" 2>/dev/null || echo 0)
+echo $((n + 1)) > "$0.n"
+case $((n % 3)) in 0) echo NaN ;; 1) echo Inf ;; *) echo -Inf ;; esac
+`), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out := &lockedBuffer{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, done := startDaemon(t, ctx, options{
+		source: "cmd:sh " + script, interval: time.Millisecond, threshold: -1,
+		errAllow: 0.05, maxInterval: 5, out: out,
+	})
+	var metrics string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		_, metrics = httpGet(t, "http://"+addr+"/metrics")
+		if promValue(t, metrics, "volleyd_agent_errors_total") >= 6 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if n := promValue(t, metrics, "volleyd_agent_errors_total"); n < 6 {
+		t.Fatalf("volleyd_agent_errors_total = %v after 10 s of non-finite reads, want ≥ 6", n)
+	}
+	if n := promLabeledSum(t, metrics, "volley_sampler_observations_total", `instance="volleyd"`); n != 0 {
+		t.Errorf("the sampler observed %v values, want 0", n)
+	}
+	if n := promValue(t, metrics, "volley_alerts_raised_total"); n != 0 {
+		t.Errorf("%v alerts raised, want 0", n)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	dec := json.NewDecoder(strings.NewReader(out.String()))
+	for dec.More() {
+		var e event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("bad log line: %v", err)
+		}
+		if e.Kind != "error" || !strings.Contains(e.Err, "non-finite") {
+			t.Fatalf("logged %+v, want only non-finite read errors", e)
+		}
+		seen[e.Err[strings.LastIndex(e.Err, " ")+1:]] = true
+	}
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		if !seen[v] {
+			t.Errorf("no error line for %s (saw %v)", v, seen)
+		}
 	}
 }
 

@@ -203,7 +203,13 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 	if err := json.Unmarshal(hostSpec, &hs); err != nil {
 		return fmt.Errorf("host spec for %q: %w", spec.Name, err)
 	}
-	agents, err := hs.buildAgents(d.agents)
+	// The owner builds the sources: here, under the node's lock, the series
+	// this shard lacks are generated.
+	srcs, err := hs.checkSources(d.agents)
+	if err != nil {
+		return err
+	}
+	agents, err := d.buildAgents(srcs)
 	if err != nil {
 		return err
 	}
@@ -256,9 +262,9 @@ func (d *shardDaemon) mux() *http.ServeMux {
 }
 
 // handleShardAdmit enters a task into the gossiped catalog. The sources
-// are checked here (every shard runs the same binary, so a source that
-// builds here builds on the owner); ownership is decided by the ring on
-// the next tick and may land on any shard.
+// are checked here without being built (every shard runs the same binary, so
+// a source that checks here builds on the owner); ownership is decided by the
+// ring on the next tick and may land on any shard, which builds them.
 func (d *shardDaemon) handleShardAdmit(w http.ResponseWriter, r *http.Request) {
 	adm, err := d.decodeAdmission(r)
 	if err != nil {

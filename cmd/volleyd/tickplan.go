@@ -19,6 +19,7 @@ import (
 // per monitor, index-aligned, and never change once the task is hosted.
 type hostedTask struct {
 	mons    []*volley.Monitor
+	agents  []volley.Agent                // what mons read, released with them
 	metrics *volley.MonitorTaskMetrics    // the sampler series the monitors share
 	sks     []*volley.StreamingThresholds // nil in the mode that keeps no sketches
 	gates   []*volley.Gate                // nil unless the task was admitted gated
@@ -340,8 +341,9 @@ func (h *monitorHost) host(name string, t hostedTask) {
 	h.sketches.Add(int64(len(t.sks)))
 }
 
-// unhost also closes the monitors: their addresses on the network are freed
-// and their series, and the task's, leave /metrics.
+// unhost also closes the monitors: their addresses on the network are freed,
+// their series, and the task's, leave /metrics, and their agents are
+// released.
 func (h *monitorHost) unhost(name string) {
 	t := h.hosted.remove(name)
 	h.sketches.Add(-int64(len(t.sks)))
@@ -349,16 +351,19 @@ func (h *monitorHost) unhost(name string) {
 		m.Close()
 	}
 	t.metrics.Remove()
+	h.releaseAgents(t.agents)
 }
 
 // buildMonitors builds a task's monitors, one per agent, registered on the
 // host's network under spec.Monitors and reporting to coord, and the task's
 // shared sampler series they count in. gates is nil or holds one gate per
-// monitor; maxInterval 0 means the daemon's -max-interval. On an error
-// nothing stays registered, on the network or in the metrics.
+// monitor; maxInterval 0 means the daemon's -max-interval. The task takes the
+// agents over: on an error they are released and nothing stays registered,
+// on the network or in the metrics.
 func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int,
 	agents []volley.Agent, coord string, gates []*volley.Gate) (hostedTask, error) {
 	if len(agents) == 0 || len(agents) != len(spec.Monitors) {
+		h.releaseAgents(agents)
 		return hostedTask{}, fmt.Errorf("task %q has %d monitor sources for %d monitors", spec.Name, len(agents), len(spec.Monitors))
 	}
 	n := float64(len(agents))
@@ -399,10 +404,11 @@ func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int
 				m.Close()
 			}
 			metrics.Remove()
+			h.releaseAgents(agents)
 			return hostedTask{}, err
 		}
 	}
-	return hostedTask{mons: mons, metrics: metrics, gates: gates}, nil
+	return hostedTask{mons: mons, agents: agents, metrics: metrics, gates: gates}, nil
 }
 
 // tickOnce is one tick: the control plane, then every hosted monitor, then

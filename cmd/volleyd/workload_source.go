@@ -3,11 +3,14 @@ package main
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"volley"
+	"volley/internal/workload"
 )
 
 // The workload: source scheme serves one series of a synthetic workload
@@ -31,12 +34,14 @@ import (
 // so series generated from the same family parameters stay aligned in time
 // — an aggregate's burst windows coincide with its member tenants' bursts,
 // which is what makes gating on them sound.
+//
+// A source has a lifetime (DESIGN.md §16, "A source's lifetime"): it is
+// checked where a task is admitted (parseWorkloadSource, which generates
+// nothing), built where the task's monitors are hosted (workloadSources.build,
+// which generates the series the daemon lacks), and released with them.
 var (
 	workloadEpochOnce sync.Once
 	workloadEpoch     time.Time
-
-	workloadCacheMu sync.Mutex
-	workloadCache   = map[string]*volley.WorkloadSet{}
 )
 
 // workloadNow returns elapsed wall time since the shared epoch.
@@ -45,112 +50,247 @@ func workloadNow() time.Duration {
 	return time.Since(workloadEpoch)
 }
 
-// workloadSet generates (or returns the cached) assembled set for one
-// family configuration, so a thousand agents over the same family pay for
-// generation once: the first admission to name the family does, with its
-// series fanned over GOMAXPROCS workers (volley.GenerateWorkload).
-func workloadSet(key string, gen func() (*volley.WorkloadSet, error)) (*volley.WorkloadSet, error) {
-	workloadCacheMu.Lock()
-	defer workloadCacheMu.Unlock()
-	if set, ok := workloadCache[key]; ok {
-		return set, nil
-	}
-	set, err := gen()
-	if err != nil {
-		return nil, err
-	}
-	workloadCache[key] = set
-	return set, nil
+// workloadKey names a family configuration: the sources that share one
+// share its series.
+type workloadKey struct {
+	family  string // "entropy" or "tenant"
+	size    int    // nodes or tenants
+	groups  int    // tenant only
+	windows int
+	seed    int
 }
 
-// buildWorkloadAgent turns a workload: source into a sampling function.
-func buildWorkloadAgent(source string) (volley.Agent, error) {
+// config is the family the key names.
+func (k workloadKey) config() workload.Family {
+	if k.family == "entropy" {
+		return workload.DefaultEntropyFlow(k.size, k.windows, int64(k.seed))
+	}
+	return workload.DefaultTenantColo(k.size, k.groups, k.windows, int64(k.seed))
+}
+
+// workloadSource is a checked workload: source: the family configuration
+// it reads and the series it serves there.
+type workloadSource struct {
+	key    workloadKey
+	period time.Duration
+	// index is the series served; -1 for a tenantagg, which serves group's
+	// aggregate instead.
+	index, group int
+}
+
+// parseWorkloadSource checks a workload: source — family, parameters, the
+// family configuration and the index or group — without generating
+// anything.
+func parseWorkloadSource(source string) (workloadSource, error) {
 	u, err := url.Parse(source)
 	if err != nil {
-		return nil, fmt.Errorf("parse source %q: %w", source, err)
+		return workloadSource{}, fmt.Errorf("parse source %q: %w", source, err)
 	}
 	q, err := url.ParseQuery(u.RawQuery)
 	if err != nil {
-		return nil, fmt.Errorf("parse source %q query: %w", source, err)
+		return workloadSource{}, fmt.Errorf("parse source %q query: %w", source, err)
 	}
-	period, err := workloadDuration(q, "period", time.Second)
-	if err != nil {
-		return nil, err
+	ws := workloadSource{index: -1, group: -1}
+	if ws.period, err = workloadDuration(q, "period", time.Second); err != nil {
+		return workloadSource{}, err
 	}
 	seed, err := workloadInt(q, "seed", 1)
 	if err != nil {
-		return nil, err
+		return workloadSource{}, err
 	}
 	windows, err := workloadInt(q, "windows", 2048)
 	if err != nil {
-		return nil, err
+		return workloadSource{}, err
 	}
 
-	var values []float64
+	// The configuration's error, the bound the index or group must lie
+	// below, and the name of the parameter carrying it.
+	var (
+		cfgErr error
+		size   int
+		param  = "index"
+	)
 	switch family := u.Opaque; family {
 	case "entropy":
 		nodes, err := workloadInt(q, "nodes", 16)
 		if err != nil {
-			return nil, err
+			return workloadSource{}, err
 		}
-		index, err := workloadInt(q, "index", -1)
-		if err != nil {
-			return nil, err
-		}
-		if index < 0 || index >= nodes {
-			return nil, fmt.Errorf("source %q: index %d outside [0, %d)", source, index, nodes)
-		}
-		key := fmt.Sprintf("entropy/%d/%d/%d", nodes, windows, seed)
-		set, err := workloadSet(key, func() (*volley.WorkloadSet, error) {
-			return volley.GenerateWorkload(volley.DefaultEntropyFlowWorkload(nodes, windows, int64(seed)))
-		})
-		if err != nil {
-			return nil, err
-		}
-		values = set.Series[index].Values
+		ws.key = workloadKey{family: family, size: nodes, windows: windows, seed: seed}
+		cfgErr, size = workload.DefaultEntropyFlow(nodes, windows, int64(seed)).Validate(), nodes
 	case "tenant", "tenantagg":
 		tenants, err := workloadInt(q, "tenants", 256)
 		if err != nil {
-			return nil, err
+			return workloadSource{}, err
 		}
 		groups, err := workloadInt(q, "groups", 16)
 		if err != nil {
-			return nil, err
+			return workloadSource{}, err
 		}
-		key := fmt.Sprintf("tenant/%d/%d/%d/%d", tenants, groups, windows, seed)
-		set, err := workloadSet(key, func() (*volley.WorkloadSet, error) {
-			return volley.GenerateWorkload(volley.DefaultTenantColoWorkload(tenants, groups, windows, int64(seed)))
-		})
-		if err != nil {
-			return nil, err
-		}
-		if family == "tenant" {
-			index, err := workloadInt(q, "index", -1)
-			if err != nil {
-				return nil, err
-			}
-			if index < 0 || index >= tenants {
-				return nil, fmt.Errorf("source %q: index %d outside [0, %d)", source, index, tenants)
-			}
-			values = set.Series[index].Values
-		} else {
-			group, err := workloadInt(q, "group", -1)
-			if err != nil {
-				return nil, err
-			}
-			if group < 0 || group >= groups {
-				return nil, fmt.Errorf("source %q: group %d outside [0, %d)", source, group, groups)
-			}
-			values = set.Aggregates[group].Values
+		ws.key = workloadKey{family: "tenant", size: tenants, groups: groups, windows: windows, seed: seed}
+		cfgErr, size = workload.DefaultTenantColo(tenants, groups, windows, int64(seed)).Validate(), tenants
+		if family == "tenantagg" {
+			param, size = "group", groups
 		}
 	default:
-		return nil, fmt.Errorf("unknown workload family %q in source %q (want entropy, tenant or tenantagg)", family, source)
+		return workloadSource{}, fmt.Errorf("unknown workload family %q in source %q (want entropy, tenant or tenantagg)", family, source)
 	}
+	if cfgErr != nil {
+		return workloadSource{}, fmt.Errorf("source %q: %w", source, cfgErr)
+	}
+	i, err := workloadInt(q, param, -1)
+	if err != nil {
+		return workloadSource{}, err
+	}
+	if i < 0 || i >= size {
+		return workloadSource{}, fmt.Errorf("source %q: %s %d outside [0, %d)", source, param, i, size)
+	}
+	if param == "group" {
+		ws.group = i
+	} else {
+		ws.index = i
+	}
+	return ws, nil
+}
 
-	return volley.AgentFunc(func() (float64, error) {
-		idx := int(workloadNow()/period) % len(values)
-		return values[idx], nil
-	}), nil
+// workloadSources is a daemon's workload: families: one entry per family
+// configuration, holding the series the monitors hosted here read. series
+// and bytes count what the entries hold; the entries move them under mu, a
+// scrape reads them without it.
+type workloadSources struct {
+	mu            sync.Mutex
+	entries       map[workloadKey]*workloadEntry
+	series, bytes atomic.Int64
+}
+
+// workloadEntry is one family configuration: the series generated for the
+// agents reading it, by index, and the generator, with its scratches, they
+// were generated in. It goes, and all of that with it, when its last agent is
+// released. No series is generated twice in one entry.
+type workloadEntry struct {
+	key    workloadKey
+	family workload.Family
+	gen    *workload.Generator
+	series [][]float64 // by index; nil until generated
+	aggs   [][]float64 // tenantagg: by group; nil until summed
+	refs   int         // agents holding the entry
+	held   int         // series held, aggregates included
+}
+
+func newWorkloadSources() *workloadSources {
+	return &workloadSources{entries: make(map[workloadKey]*workloadEntry)}
+}
+
+// workloadAgent serves one kept series: a sample is an index into it.
+type workloadAgent struct {
+	values []float64
+	period time.Duration
+	entry  *workloadEntry
+}
+
+// Sample implements volley.Agent.
+func (a *workloadAgent) Sample() (float64, error) {
+	return a.values[int(workloadNow()/a.period)%len(a.values)], nil
+}
+
+// build builds agents[i] for every workload: source srcs[i], each agent
+// holding its entry. Every series an entry lacks is generated in one batch
+// for the entry, and a tenantagg's members are generated and kept beside the
+// sum it serves.
+func (s *workloadSources) build(srcs []checkedSource, agents []volley.Agent) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	entries := make([]*workloadEntry, len(srcs))
+	missing := make(map[*workloadEntry][]int)
+	for k, src := range srcs {
+		if src.agent != nil {
+			continue
+		}
+		e := s.entries[src.ws.key]
+		if e == nil {
+			f := src.ws.key.config()
+			e = &workloadEntry{key: src.ws.key, family: f, gen: workload.NewGenerator(f), series: make([][]float64, f.Size())}
+			if tc, ok := f.(workload.TenantColo); ok {
+				e.aggs = make([][]float64, tc.Groups)
+			}
+			s.entries[src.ws.key] = e
+		}
+		entries[k] = e
+		if i := src.ws.index; i >= 0 {
+			if e.series[i] == nil {
+				missing[e] = append(missing[e], i)
+			}
+			continue
+		}
+		for _, i := range e.family.(workload.TenantColo).Members(src.ws.group) {
+			if e.series[i] == nil {
+				missing[e] = append(missing[e], i)
+			}
+		}
+	}
+	for e, indices := range missing {
+		slices.Sort(indices)
+		indices = slices.Compact(indices)
+		out := make([]workload.Series, len(indices))
+		if err := e.gen.Generate(indices, out); err != nil {
+			// A checked source generates; should one not, the entries this
+			// batch made hold nothing and go.
+			for _, e := range entries {
+				if e != nil {
+					s.dropIfUnused(e)
+				}
+			}
+			return err
+		}
+		for k, i := range indices {
+			e.series[i] = out[k].Values
+		}
+		s.hold(e, len(indices))
+	}
+	for k, e := range entries {
+		if e == nil {
+			continue
+		}
+		ws := srcs[k].ws
+		var values []float64
+		if ws.index >= 0 {
+			values = e.series[ws.index]
+		} else {
+			if e.aggs[ws.group] == nil {
+				e.aggs[ws.group] = e.family.(workload.TenantColo).GroupSum(ws.group, func(i int) []float64 { return e.series[i] })
+				s.hold(e, 1)
+			}
+			values = e.aggs[ws.group]
+		}
+		e.refs++
+		agents[k] = &workloadAgent{values: values, period: ws.period, entry: e}
+	}
+	return nil
+}
+
+// hold counts n more series of e's windows as held.
+func (s *workloadSources) hold(e *workloadEntry, n int) {
+	e.held += n
+	s.series.Add(int64(n))
+	s.bytes.Add(int64(n) * int64(e.family.Windows()) * 8)
+}
+
+// release drops a's hold on its entry. The entry's last agent takes the
+// entry, its series and its generator with it.
+func (s *workloadSources) release(a *workloadAgent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a.entry.refs--
+	s.dropIfUnused(a.entry)
+}
+
+// dropIfUnused removes e once no agent holds it; the caller holds mu.
+func (s *workloadSources) dropIfUnused(e *workloadEntry) {
+	if e.refs > 0 || s.entries[e.key] != e {
+		return
+	}
+	delete(s.entries, e.key)
+	s.hold(e, -e.held)
 }
 
 // workloadInt reads one integer query parameter with a default.

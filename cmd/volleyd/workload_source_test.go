@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -24,59 +25,131 @@ func TestBuildWorkloadAgentValidation(t *testing.T) {
 		"workload:tenant?index=0&period=0s",     // non-positive period
 		"workload:tenant?index=0&period=xyz",    // unparseable period
 		"workload:tenant?index=x",               // unparseable int
+		// Family configurations that do not generate: refused by the check,
+		// before anything is generated.
+		"workload:tenant?index=0&tenants=4&groups=8",    // groups > tenants
+		"workload:tenantagg?group=0&tenants=4&groups=8", // groups > tenants
+		"workload:tenant?index=0&windows=1",             // windows=1
+		"workload:entropy?index=0&nodes=4&windows=1",    // windows=1
+		"workload:tenant?index=0&tenants=0&groups=0",    // no tenants
+		"workload:entropy?index=0&nodes=0",              // no nodes
 	} {
-		if _, err := buildAgent(source, nil); err == nil {
-			t.Errorf("buildAgent(%q) accepted, want error", source)
+		if _, err := checkSource(source, nil); err == nil {
+			t.Errorf("checkSource(%q) accepted, want error", source)
 		}
 	}
 }
 
+// testDaemonCore is a daemon core with no mode on top, for building agents.
+func testDaemonCore(t *testing.T) *daemon {
+	t.Helper()
+	d, err := newDaemon(options{interval: time.Millisecond, maxInterval: 10, out: io.Discard}, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := d.close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return d
+}
+
+// sameBits fails unless the agent serves want, every window bit for bit.
+func sameBits(t *testing.T, what string, agent volley.Agent, want []float64) {
+	t.Helper()
+	got := agent.(*workloadAgent).values
+	if len(got) != len(want) {
+		t.Fatalf("%s serves %d windows, want %d", what, len(got), len(want))
+	}
+	for w := range want {
+		if math.Float64bits(got[w]) != math.Float64bits(want[w]) {
+			t.Fatalf("%s window %d = %v, want %v", what, w, got[w], want[w])
+		}
+	}
+}
+
+// TestBuildWorkloadAgentServesSeries: every window a tenant, tenantagg or
+// entropy source serves is bit for bit the one volley.GenerateWorkload
+// assembles, whether a group's aggregate is built before its members or
+// after some of them, and no series is generated twice: the source holds
+// one series per tenant and per aggregate. Released, it holds nothing.
 func TestBuildWorkloadAgentServesSeries(t *testing.T) {
-	// Small family, long period: the agent must serve window 0 of the
-	// requested series right after construction.
-	src := "workload:tenant?index=3&tenants=8&groups=2&windows=64&seed=11&period=1h"
-	agent, err := buildAgent(src, nil)
+	const tenants, groups, windows = 24, 4, 64
+	set, err := volley.GenerateWorkload(volley.DefaultTenantColoWorkload(tenants, groups, windows, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := volley.GenerateWorkload(volley.DefaultTenantColoWorkload(8, 2, 64, 11))
+	eset, err := volley.GenerateWorkload(volley.DefaultEntropyFlowWorkload(4, windows, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := agent.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := set.Series[3].Values[0]; v != want {
-		t.Errorf("tenant agent = %v, want window 0 value %v", v, want)
-	}
-
-	agg, err := buildAgent("workload:tenantagg?group=1&tenants=8&groups=2&windows=64&seed=11&period=1h", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err = agg.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := set.Aggregates[1].Values[0]; v != want {
-		t.Errorf("tenantagg agent = %v, want window 0 value %v", v, want)
-	}
-
-	ent, err := buildAgent("workload:entropy?index=2&nodes=4&windows=64&seed=5&period=1h", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eset, err := volley.GenerateWorkload(volley.DefaultEntropyFlowWorkload(4, 64, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err = ent.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := eset.Series[2].Values[0]; v != want {
-		t.Errorf("entropy agent = %v, want window 0 value %v", v, want)
+	family := fmt.Sprintf("tenants=%d&groups=%d&windows=%d&seed=11&period=1h", tenants, groups, windows)
+	tenant := func(i int) string { return fmt.Sprintf("workload:tenant?index=%d&%s", i, family) }
+	agg := func(g int) string { return fmt.Sprintf("workload:tenantagg?group=%d&%s", g, family) }
+	for _, aggsFirst := range []bool{true, false} {
+		d := testDaemonCore(t)
+		build := func(sources ...string) []volley.Agent {
+			t.Helper()
+			srcs := make([]checkedSource, len(sources))
+			for i, source := range sources {
+				var err error
+				if srcs[i], err = checkSource(source, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			agents, err := d.buildAgents(srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return agents
+		}
+		var all []volley.Agent
+		checkAggs := func() {
+			aggs := build(agg(0), agg(1), agg(2), agg(3))
+			for g, a := range aggs {
+				sameBits(t, fmt.Sprintf("aggsFirst=%v aggregate %d", aggsFirst, g), a, set.Aggregates[g].Values)
+			}
+			all = append(all, aggs...)
+		}
+		if aggsFirst {
+			// tenants-gated's order: the aggregates, then one task per tenant.
+			checkAggs()
+		} else {
+			// Some members first, in a batch of their own, out of order.
+			first := build(tenant(13), tenant(0), tenant(5), tenant(13))
+			for k, i := range []int{13, 0, 5, 13} {
+				sameBits(t, fmt.Sprintf("tenant %d before its aggregate", i), first[k], set.Series[i].Values)
+			}
+			all = append(all, first...)
+			checkAggs()
+		}
+		for i := tenants - 1; i >= 0; i-- {
+			a := build(tenant(i))[0]
+			sameBits(t, fmt.Sprintf("aggsFirst=%v tenant %d", aggsFirst, i), a, set.Series[i].Values)
+			all = append(all, a)
+		}
+		ents := build("workload:entropy?index=3&nodes=4&windows=64&seed=5&period=1h",
+			"workload:entropy?index=0&nodes=4&windows=64&seed=5&period=1h",
+			"workload:entropy?index=2&nodes=4&windows=64&seed=5&period=1h")
+		for k, i := range []int{3, 0, 2} {
+			sameBits(t, fmt.Sprintf("entropy node %d", i), ents[k], eset.Series[i].Values)
+		}
+		all = append(all, ents...)
+		if got, want := d.workloads.series.Load(), int64(tenants+groups+3); got != want {
+			t.Errorf("aggsFirst=%v: the source holds %d series, want %d (one per tenant, aggregate and node)", aggsFirst, got, want)
+		}
+		if got, want := d.workloads.bytes.Load(), int64(tenants+groups+3)*windows*8; got != want {
+			t.Errorf("aggsFirst=%v: the source holds %d bytes, want %d", aggsFirst, got, want)
+		}
+		// An agent reads a window by wall time, out of the series it holds.
+		if _, err := all[0].Sample(); err != nil {
+			t.Fatal(err)
+		}
+		d.releaseAgents(all)
+		if n, b := d.workloads.series.Load(), d.workloads.bytes.Load(); n != 0 || b != 0 || len(d.workloads.entries) != 0 {
+			t.Errorf("aggsFirst=%v: released, the source still holds %d series, %d bytes, %d entries", aggsFirst, n, b, len(d.workloads.entries))
+		}
 	}
 }
 

@@ -122,7 +122,9 @@ func (f EntropyFlow) Size() int { return f.Nodes }
 // Windows implements Family.
 func (f EntropyFlow) Windows() int { return f.WindowsN }
 
-func (f EntropyFlow) validate() error {
+// Validate reports whether the config generates: every series and Assemble
+// fail with this error when it does not.
+func (f EntropyFlow) Validate() error {
 	switch {
 	case f.Nodes < 1:
 		return fmt.Errorf("workload entropy-flow: need ≥ 1 node, got %d", f.Nodes)
@@ -214,7 +216,7 @@ func (f EntropyFlow) GenSeries(i int) (Series, error) {
 }
 
 func (f EntropyFlow) generate(i int, sc *scratch) (Series, error) {
-	if err := f.validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return Series{}, err
 	}
 	if err := checkIndex(f.Name(), i, f.Nodes); err != nil {
@@ -285,7 +287,7 @@ func (f EntropyFlow) generate(i int, sc *scratch) (Series, error) {
 // overshoot the attack-time aggregate whenever AttackNodes < 1), and the
 // ground truth the injected attack epochs.
 func (f EntropyFlow) Assemble(series []Series) (*Set, error) {
-	if err := f.validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	if len(series) != f.Nodes {

@@ -111,7 +111,9 @@ func (f TenantColo) Size() int { return f.Tenants }
 // Windows implements Family.
 func (f TenantColo) Windows() int { return f.WindowsN }
 
-func (f TenantColo) validate() error {
+// Validate reports whether the config generates: every series and Assemble
+// fail with this error when it does not.
+func (f TenantColo) Validate() error {
 	switch {
 	case f.Tenants < 1:
 		return fmt.Errorf("workload tenant-colo: need ≥ 1 tenant, got %d", f.Tenants)
@@ -186,7 +188,7 @@ type tenantColoTimelines struct {
 // generates, index for index, the series f does.
 func (f TenantColo) withTimelines() tenantColoTimelines {
 	p := tenantColoTimelines{TenantColo: f}
-	if f.validate() == nil {
+	if f.Validate() == nil {
 		p.events = make([][]groupEvent, f.Groups)
 		for g := range p.events {
 			p.events[g] = f.groupEvents(g)
@@ -207,7 +209,7 @@ func (f tenantColoTimelines) generate(i int, sc *scratch) (Series, error) {
 // genSeries generates tenant i in sc, its group bursting on
 // timelines[group], or on the timeline derived here when there are none.
 func (f TenantColo) genSeries(i int, timelines [][]groupEvent, sc *scratch) (Series, error) {
-	if err := f.validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return Series{}, err
 	}
 	if err := checkIndex(f.Name(), i, f.Tenants); err != nil {
@@ -296,13 +298,40 @@ func (f TenantColo) genSeries(i int, timelines [][]groupEvent, sc *scratch) (Ser
 	}, nil
 }
 
+// Members are group g's tenants, in index order: g, g+Groups, g+2·Groups, …
+// None where the config has no groups.
+func (f TenantColo) Members(g int) []int {
+	if f.Groups < 1 || g < 0 {
+		return nil
+	}
+	var out []int
+	for i := g; i < f.Tenants; i += f.Groups {
+		out = append(out, i)
+	}
+	return out
+}
+
+// GroupSum is group g's aggregate series: its members' values, values(i)
+// being tenant i's, added window by window in index order. Assemble derives
+// every aggregate with it, so a sum over the same members is the aggregate
+// bit for bit.
+func (f TenantColo) GroupSum(g int, values func(i int) []float64) []float64 {
+	sum := make([]float64, f.WindowsN)
+	for _, i := range f.Members(g) {
+		for w, v := range values(i) {
+			sum[w] += v
+		}
+	}
+	return sum
+}
+
 // Assemble implements Family: per-group aggregate series (summed CPU) are
 // derived as cheap predictor tasks. The tenant family defines no single
 // global task — the per-tenant SLOs are the monitoring objective — so
 // Global stays nil; GlobalThreshold/GlobalErr still summarize the fleet
 // for reporting.
 func (f TenantColo) Assemble(series []Series) (*Set, error) {
-	if err := f.validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	if len(series) != f.Tenants {
@@ -314,30 +343,23 @@ func (f TenantColo) Assemble(series []Series) (*Set, error) {
 		Series:    series,
 		GlobalErr: f.AggErr,
 	}
-	sums := make([][]float64, f.Groups)
-	for g := range sums {
-		sums[g] = make([]float64, f.WindowsN)
-	}
-	for i, s := range series {
+	for _, s := range series {
 		if len(s.Values) != f.WindowsN {
 			return nil, fmt.Errorf("workload tenant-colo: series %s has %d windows, want %d", s.ID, len(s.Values), f.WindowsN)
 		}
 		set.GlobalThreshold += s.Threshold
-		g := i % f.Groups
-		for w, v := range s.Values {
-			sums[g][w] += v
-		}
 	}
 	set.Aggregates = make([]Series, f.Groups)
-	for g := range sums {
-		threshold, err := task.ThresholdForSelectivity(sums[g], f.AggSelectivity)
+	for g := range set.Aggregates {
+		sum := f.GroupSum(g, func(i int) []float64 { return series[i].Values })
+		threshold, err := task.ThresholdForSelectivity(sum, f.AggSelectivity)
 		if err != nil {
 			return nil, fmt.Errorf("workload tenant-colo: group %d: %w", g, err)
 		}
 		set.Aggregates[g] = Series{
 			ID:        fmt.Sprintf("agg-grp-%02d", g),
 			Group:     fmt.Sprintf("grp-%02d", g),
-			Values:    sums[g],
+			Values:    sum,
 			Threshold: threshold,
 			Err:       f.AggErr,
 			Cost:      1,

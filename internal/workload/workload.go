@@ -113,15 +113,36 @@ type Family interface {
 	Assemble(series []Series) (*Set, error)
 }
 
-// Generate runs a family: GenSeries for every index, fanned over GOMAXPROCS
-// workers that each write only the slots of the indices they claim, then
-// Assemble. The set is bit-identical at any worker count, and an error is
-// the one a walk in index order would have met first.
-//
-// Each worker generates into one scratch of its own (the families of this
-// package both can), so what generation leaves behind is the series it
-// keeps and not a generator and a selection copy per series.
+// Generate runs a family: a Generator over every index, then Assemble. The
+// set is bit-identical at any worker count, and an error is the one a walk in
+// index order would have met first.
 func Generate(f Family) (*Set, error) {
+	indices := make([]int, f.Size())
+	for i := range indices {
+		indices[i] = i
+	}
+	out := make([]Series, len(indices))
+	if err := NewGenerator(f).Generate(indices, out); err != nil {
+		return nil, err
+	}
+	return f.Assemble(out)
+}
+
+// Generator generates any subset of a family's series, in any order: series
+// i out of it is bit for bit the series Generate assembles at index i. It
+// keeps one scratch per worker across calls (the families of this package
+// both generate into one), so what a batch leaves behind is the series it
+// returns and not a generator and a selection copy per series, and a caller
+// that generates in batches pays for its scratches once. A Generator is not
+// safe for concurrent use.
+type Generator struct {
+	f         Family
+	gen       func(int, *scratch) (Series, error)
+	scratches []*scratch // one per worker of the widest batch so far
+}
+
+// NewGenerator returns a generator of f's series.
+func NewGenerator(f Family) *Generator {
 	if tc, ok := f.(TenantColo); ok {
 		// Every member of a group bursts on the group's timeline: derived
 		// here once, it is read by all of them instead of derived by each.
@@ -129,34 +150,47 @@ func Generate(f Family) (*Set, error) {
 	}
 	// The concrete types, not an interface a wrapper would inherit by
 	// embedding and so bypass its own GenSeries.
-	gen := func(i int, _ *scratch) (Series, error) { return f.GenSeries(i) }
+	g := &Generator{f: f, gen: func(i int, _ *scratch) (Series, error) { return f.GenSeries(i) }}
 	switch f := f.(type) {
 	case EntropyFlow:
-		gen = f.generate
+		g.gen = f.generate
 	case tenantColoTimelines:
-		gen = f.generate
+		g.gen = f.generate
 	}
-	n := f.Size()
-	out := make([]Series, n)
+	return g
+}
+
+// Generate generates series indices[k] into out[k], for every k, fanned over
+// GOMAXPROCS workers that each write only the slots they claim. An error is
+// the one a walk over indices in order would have met first; out is then
+// partly written.
+func (g *Generator) Generate(indices []int, out []Series) error {
+	if len(out) != len(indices) {
+		return fmt.Errorf("workload %s: %d slots for %d series", g.f.Name(), len(out), len(indices))
+	}
+	n := len(indices)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	for len(g.scratches) < workers {
+		g.scratches = append(g.scratches, newScratch())
+	}
 	errs := make([]error, n)
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
 	)
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+	for _, sc := range g.scratches[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newScratch()
-			// Indices are claimed densely from 0 and a claimed index always
-			// runs, so every index below a failing one reports too.
+			// Slots are claimed densely from 0 and a claimed slot always
+			// runs, so every slot below a failing one reports too.
 			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				k := int(next.Add(1)) - 1
+				if k >= n {
 					return
 				}
-				if out[i], errs[i] = gen(i, sc); errs[i] != nil {
+				if out[k], errs[k] = g.gen(indices[k], sc); errs[k] != nil {
 					failed.Store(true)
 				}
 			}
@@ -165,10 +199,10 @@ func Generate(f Family) (*Set, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return f.Assemble(out)
+	return nil
 }
 
 // mix derives a decorrelated child seed from a family seed and a stream

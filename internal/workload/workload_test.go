@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -294,8 +295,33 @@ func TestGenerateIsBitIdenticalAtAnyParallelism(t *testing.T) {
 			if !reflect.DeepEqual(got.Truth, want.Truth) {
 				t.Fatalf("%s: ground truth differs", what)
 			}
+			// A subset, shuffled, twice through one generator: its
+			// scratches, used by the first batch, serve the second.
+			g := NewGenerator(f)
+			prev = runtime.GOMAXPROCS(procs)
+			for round := 0; round < 2; round++ {
+				indices := shuffledSubset(f.Size(), int64(procs+round))
+				out := make([]Series, len(indices))
+				if err := g.Generate(indices, out); err != nil {
+					t.Fatalf("%s subset: %v", what, err)
+				}
+				for k, i := range indices {
+					sameSeries(t, fmt.Sprintf("%s subset round %d series %d", what, round, i), out[k], want.Series[i])
+				}
+			}
+			runtime.GOMAXPROCS(prev)
 		}
 	}
+}
+
+// shuffledSubset is every other index below n, from an offset, shuffled.
+func shuffledSubset(n int, seed int64) []int {
+	var out []int
+	for i := int(seed % 2); i < n; i += 2 {
+		out = append(out, i)
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
+	return out
 }
 
 // TestGenerateReportsTheFirstError: whatever the fan-out, a failing family
@@ -399,6 +425,25 @@ func TestUsedScratchGeneratesWhatAFreshOneDoes(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameSeries(t, fmt.Sprintf("%s series %d", fam.f.Name(), i), got, want)
+		}
+		// The same through a Generator whose one worker inherits the used
+		// scratch, over a shuffled subset.
+		g := NewGenerator(fam.f)
+		g.scratches = []*scratch{sc}
+		prev := runtime.GOMAXPROCS(1)
+		indices := shuffledSubset(fam.f.Size(), 5)
+		out := make([]Series, len(indices))
+		err := g.Generate(indices, out)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range indices {
+			want, err := fam.f.GenSeries(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSeries(t, fmt.Sprintf("%s generator series %d", fam.f.Name(), i), out[k], want)
 		}
 	}
 }
