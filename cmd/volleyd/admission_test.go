@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -371,5 +372,50 @@ func TestExplainReportsEachMonitor(t *testing.T) {
 			}
 			explain("explained", http.StatusNotFound)
 		})
+	}
+}
+
+// TestRetuneNamesAThreshold: PATCH /tasks/{name} sets a threshold and an
+// allowance and nothing else. A body naming a selectivity — alone, where it
+// would otherwise decode as threshold 0, or beside a threshold — is refused
+// and changes nothing; the daemon keeps no per-monitor quantile summary to
+// answer one from, and /metrics carries none.
+func TestRetuneNamesAThreshold(t *testing.T) {
+	d := testClusterDaemon(t)
+	mux := d.mux()
+	control(t, mux, http.MethodPost, "/tasks", tenantTask("retuned", 0, 2), http.StatusCreated)
+	for i := 0; i < 20; i++ {
+		d.tickOnce()
+	}
+	state := func() (volley.ClusterTaskSpec, []volley.MonitorExplanation) {
+		var out []volley.MonitorExplanation
+		for _, m := range d.hosted.tasks["retuned"].mons {
+			out = append(out, m.Explain())
+		}
+		return d.cl.Tasks()[0].Spec, out
+	}
+	spec, mons := state()
+	for _, body := range []string{
+		`{"selectivity":1,"err":0.02}`,
+		`{"selectivity":1,"threshold":80,"err":0.02}`,
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPatch, "/tasks/retuned", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "ThresholdForSelectivity") {
+			t.Errorf("PATCH %s = %d %s, want 400 naming ThresholdForSelectivity", body, rec.Code, rec.Body)
+		}
+		if s, m := state(); s.Threshold != spec.Threshold || s.Err != spec.Err || !reflect.DeepEqual(m, mons) {
+			t.Errorf("PATCH %s moved the task from %+v %+v to %+v %+v", body, spec, mons, s, m)
+		}
+	}
+	control(t, mux, http.MethodPatch, "/tasks/retuned", `{"threshold":80,"err":0.02}`, http.StatusNoContent)
+	if s, m := state(); s.Threshold != 80 || s.Err != 0.02 || m[0].Threshold != 40 || m[1].Threshold != 40 {
+		t.Errorf("after a threshold retune: %+v %+v, want 80 split as 40 + 40", s, m)
+	}
+	page := metricsPage(t, mux)
+	for _, gone := range []string{"volley_sketch_", "volley_series_resident_bytes"} {
+		if strings.Contains(page, gone) {
+			t.Errorf("/metrics carries %s", gone)
+		}
 	}
 }

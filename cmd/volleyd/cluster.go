@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"volley"
@@ -65,25 +66,18 @@ type clusterMonitorRequest struct {
 	Source string `json:"source"`
 }
 
-// clusterUpdateRequest is the PATCH /tasks/{name} body. Exactly one of
-// Threshold and Selectivity drives the retune: with Selectivity k set, the
-// daemon derives each monitor's local threshold from its live streaming
-// sketch — the (100−k)-th percentile of everything that monitor has
-// sampled since admission — and the global threshold as their sum, no
-// history replay needed.
+// clusterUpdateRequest is the PATCH /tasks/{name} body: the task's new global
+// threshold and error allowance. A task's threshold is chosen from history
+// before it is admitted (volley.ThresholdForSelectivity); a retune names the
+// threshold itself.
 type clusterUpdateRequest struct {
-	Threshold   float64 `json:"threshold"`
-	Err         float64 `json:"err"`
-	Selectivity float64 `json:"selectivity,omitempty"`
+	Threshold float64 `json:"threshold"`
+	Err       float64 `json:"err"`
 }
 
-// clusterSelectivityGrid is the grid of each hosted monitor's streaming
-// sketch (percent); PATCH may ask any k in (0, 100).
-var clusterSelectivityGrid = []float64{25, 10, 5, 2, 1, 0.5, 0.2, 0.1}
-
 // clusterDaemon is cluster mode: the host with an in-process federation as
-// its control plane. A per-monitor streaming sketch and, for gated tasks, a
-// correlation gate are hosted next to each monitor.
+// its control plane. For gated tasks a correlation gate is hosted next to
+// each monitor.
 type clusterDaemon struct {
 	*monitorHost
 	cl *volley.Cluster
@@ -99,23 +93,6 @@ func newClusterDaemon(opts options) (*clusterDaemon, error) {
 	d := &clusterDaemon{monitorHost: h}
 	d.gateArms = d.reg.Counter("volley_cluster_gate_arms_total",
 		"Correlation gates armed by predictor violations (transitions from relaxed to adaptive).")
-	// Bounded-memory threshold instrumentation: every sketch is one object of
-	// constant size, so the footprint is the count times that constant and a
-	// scrape walks nothing.
-	one, err := volley.NewStreamingThresholds(clusterSelectivityGrid)
-	if err != nil {
-		return nil, errors.Join(err, d.close())
-	}
-	sketchBytes := int64(one.ResidentBytes())
-	d.sketchRejected = d.reg.Counter("volley_sketch_rejected_total",
-		"Non-finite sampled values rejected by the streaming sketches.")
-	d.reg.GaugeFunc("volley_sketch_series",
-		"Live streaming threshold sketches (one per hosted monitor).",
-		func() float64 { return float64(d.sketches.Load()) })
-	d.reg.GaugeFunc("volley_series_resident_bytes",
-		"Total resident bytes of the live per-monitor streaming threshold sketches.",
-		func() float64 { return float64(d.sketches.Load() * sketchBytes) })
-
 	shards := make([]string, opts.shards)
 	for i := range shards {
 		shards[i] = fmt.Sprintf("shard-%d", i)
@@ -244,21 +221,13 @@ func (d *clusterDaemon) handleAdmit(w http.ResponseWriter, r *http.Request) {
 // answers why not; the caller holds mu.
 func (d *clusterDaemon) admit(adm admission, agents []volley.Agent) (map[string]any, int, error) {
 	name := adm.spec.Name
-	// Gates and sketches are checked and built before cluster state is
-	// touched, so a bad gate spec rejects the admission with nothing to roll
-	// back but the agents.
+	// The gate is checked and built before cluster state is touched, so a bad
+	// gate spec rejects the admission with nothing to roll back but the
+	// agents.
 	gates, err := d.buildGates(adm)
 	if err != nil {
 		d.releaseAgents(agents)
 		return nil, http.StatusBadRequest, err
-	}
-	// One streaming sketch per monitor, fed from its sampled ticks.
-	sks := make([]*volley.StreamingThresholds, len(agents))
-	for i := range sks {
-		if sks[i], err = volley.NewStreamingThresholds(clusterSelectivityGrid); err != nil {
-			d.releaseAgents(agents)
-			return nil, http.StatusInternalServerError, err
-		}
 	}
 	shard, err := d.cl.Admit(adm.spec)
 	if err != nil {
@@ -272,37 +241,34 @@ func (d *clusterDaemon) admit(adm admission, agents []volley.Agent) (map[string]
 		_ = d.cl.Evict(name)
 		return nil, http.StatusBadRequest, err
 	}
-	t.sks = sks
 	resp := map[string]any{"name": name, "shard": shard, "coordinator": coord, "monitors": adm.spec.Monitors}
 	if gates != nil {
 		t.pred = adm.gate.Predictor
 		resp["gate"] = map[string]any{"predictor": t.pred}
 	}
-	d.host(name, t)
+	d.hosted.put(name, t)
 	return resp, 0, nil
 }
 
 // handleUpdate retunes a task's threshold and allowance: the cluster
 // rescales the coordinator's allowance state and the daemon re-splits the
-// hosted monitors' local thresholds. With "selectivity" set instead of a
-// threshold, the new thresholds come from the monitors' live streaming
-// sketches: monitor i's local threshold becomes the (100−k)-th percentile
-// of everything it has sampled, and the global threshold their sum —
-// selectivity-based task creation (the paper's methodology) applied at
-// runtime, with no retained history to replay.
+// hosted monitors' local thresholds. A body naming anything but threshold
+// and err is refused, so a field this daemon does not know can never be
+// read as threshold 0.
 func (d *clusterDaemon) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req clusterUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		if strings.Contains(err.Error(), `unknown field "selectivity"`) {
+			err = fmt.Errorf("task %q: a retune names a threshold; pick it from history before admission with volley.ThresholdForSelectivity", name)
+		}
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if req.Selectivity != 0 {
-		d.updateFromSelectivity(w, name, req)
-		return
-	}
 	if err := d.cl.Update(name, req.Threshold, req.Err); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -315,58 +281,6 @@ func (d *clusterDaemon) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// updateFromSelectivity is the sketch-driven branch of PATCH /tasks/{name};
-// the caller holds d.mu. It answers 200 with the derived thresholds so the
-// operator sees what the retune resolved to.
-func (d *clusterDaemon) updateFromSelectivity(w http.ResponseWriter, name string, req clusterUpdateRequest) {
-	if req.Threshold != 0 {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("task %q: threshold and selectivity are mutually exclusive", name))
-		return
-	}
-	t := d.hosted.tasks[name]
-	if len(t.mons) == 0 {
-		httpError(w, http.StatusNotFound, fmt.Errorf("task %q not hosted here", name))
-		return
-	}
-	sks := t.sks
-	d.skMu.Lock()
-	locals := make([]float64, len(sks))
-	samples := make([]int, len(sks))
-	var total, rankErr float64
-	var derr error
-	for i, sk := range sks {
-		locals[i], derr = sk.Threshold(req.Selectivity)
-		if derr != nil {
-			break
-		}
-		samples[i] = sk.N()
-		total += locals[i]
-		rankErr = max(rankErr, sk.RankError())
-	}
-	d.skMu.Unlock()
-	if derr != nil {
-		// Covers both an out-of-domain k and a monitor that has not sampled
-		// yet (no data to derive a percentile from).
-		httpError(w, http.StatusBadRequest, fmt.Errorf("task %q: %w", name, derr))
-		return
-	}
-	if err := d.cl.Update(name, total, req.Err); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	for i, m := range t.mons {
-		if err := m.SetLocalThreshold(locals[i]); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	writeJSON(w, map[string]any{
-		"name": name, "selectivity": req.Selectivity, "err": req.Err,
-		"threshold": total, "localThresholds": locals, "samples": samples, "rankError": rankErr,
-	})
 }
 
 // handleEvict removes a task and the monitors hosted for it. If the task was

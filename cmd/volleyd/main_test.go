@@ -751,23 +751,6 @@ func TestClusterModeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The streaming-threshold instruments are live: two hosted monitors
-	// mean two sketches of the one constant size, and this well-behaved
-	// source must not have had a value rejected.
-	if v := promValue(t, metrics, "volley_sketch_series"); v != 2 {
-		t.Errorf("volley_sketch_series = %v, want 2", v)
-	}
-	one, err := volley.NewStreamingThresholds(clusterSelectivityGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := promValue(t, metrics, "volley_series_resident_bytes"); v != float64(2*one.ResidentBytes()) {
-		t.Errorf("volley_series_resident_bytes = %v, want %d", v, 2*one.ResidentBytes())
-	}
-	if v := promValue(t, metrics, "volley_sketch_rejected_total"); v != 0 {
-		t.Errorf("volley_sketch_rejected_total = %v, want 0", v)
-	}
-
 	// Crash the owning shard: the task must re-place and keep alerting.
 	if code, body := httpDo(t, http.MethodDelete, base+"/shards/"+admitted.Shard+"?mode=crash", ""); code != http.StatusNoContent {
 		t.Fatalf("DELETE /shards/%s = %d %s", admitted.Shard, code, body)
@@ -799,58 +782,6 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	if !strings.Contains(metrics, "volley_cluster_handoffs_total 1") ||
 		!strings.Contains(metrics, "volley_cluster_shard_crashes_total 1") {
 		t.Errorf("/metrics missing handoff/crash counters:\n%s", metrics)
-	}
-
-	// Retune from the live sketches: PATCH with a selectivity instead of a
-	// threshold derives each monitor's local threshold from what it has
-	// actually sampled (no history replay) and answers with the resolved
-	// values. The source alternates between 10 and 100 with ~40% of steps
-	// at 100, so any selectivity k < 40 must resolve near the spike level.
-	// Each PATCH answers with the sample count behind every derived
-	// threshold and the rank error the sketches guarantee for it; retune
-	// until both sketches have seen a fair stretch of the stream.
-	var retuned struct {
-		Threshold       float64   `json:"threshold"`
-		LocalThresholds []float64 `json:"localThresholds"`
-		Samples         []int     `json:"samples"`
-		RankError       *float64  `json:"rankError"`
-	}
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		code, body = httpDo(t, http.MethodPatch, base+"/tasks/cpu", `{"selectivity":5,"err":0.1}`)
-		if code != http.StatusOK {
-			t.Fatalf("PATCH /tasks/cpu selectivity = %d %s", code, body)
-		}
-		if err := json.Unmarshal([]byte(body), &retuned); err != nil {
-			t.Fatalf("selectivity PATCH body not JSON: %v\n%s", err, body)
-		}
-		if len(retuned.Samples) == 2 && retuned.Samples[0] >= 100 && retuned.Samples[1] >= 100 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("monitors never accumulated 100 samples: %+v", retuned)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if len(retuned.LocalThresholds) != 2 || retuned.Threshold <= 0 {
-		t.Errorf("selectivity retune = %+v, want 2 positive local thresholds", retuned)
-	}
-	if retuned.RankError == nil || *retuned.RankError < 0 || *retuned.RankError > volley.SketchRankErrorBound {
-		t.Errorf("selectivity retune reports rankError %v, want one in [0, %v]", retuned.RankError, volley.SketchRankErrorBound)
-	}
-	for i, lt := range retuned.LocalThresholds {
-		if lt < 50 || lt > 110 {
-			t.Errorf("local threshold %d = %v, want near the spike level 100", i, lt)
-		}
-		if retuned.Samples[i] == 0 {
-			t.Errorf("monitor %d reports 0 samples behind its derived threshold", i)
-		}
-	}
-	if code, body := httpDo(t, http.MethodPatch, base+"/tasks/cpu", `{"selectivity":5,"threshold":80,"err":0.1}`); code != http.StatusBadRequest {
-		t.Errorf("PATCH with both selectivity and threshold = %d %s, want bad request", code, body)
-	}
-	if code, body := httpDo(t, http.MethodPatch, base+"/tasks/nope", `{"selectivity":5,"err":0.1}`); code != http.StatusNotFound {
-		t.Errorf("selectivity PATCH for unknown task = %d %s, want not found", code, body)
 	}
 
 	// Retune, then evict; the control plane answers and the task list

@@ -19,10 +19,9 @@ import (
 // per monitor, index-aligned, and never change once the task is hosted.
 type hostedTask struct {
 	mons    []*volley.Monitor
-	agents  []volley.Agent                // what mons read, released with them
-	metrics *volley.MonitorTaskMetrics    // the sampler series the monitors share
-	sks     []*volley.StreamingThresholds // nil in the mode that keeps no sketches
-	gates   []*volley.Gate                // nil unless the task was admitted gated
+	agents  []volley.Agent             // what mons read, released with them
+	metrics *volley.MonitorTaskMetrics // the sampler series the monitors share
+	gates   []*volley.Gate             // nil unless the task was admitted gated
 	// pred is the hosted task whose local violations arm gates: "" when the
 	// task is not gated, and again once its predictor is evicted — the gates
 	// stay with their monitors, nothing arms them any more.
@@ -84,13 +83,11 @@ type tickPlan struct {
 	origin int    // entry just past the oldest task's monitors
 	ticks  uint32 // ticks since the plan was built, which place the next walk's start
 
-	// Per monitor, index-aligned. A mode keeps sketches for every hosted
-	// task or for none, so sks is as long as mons or empty.
+	// Per monitor, index-aligned.
 	mons   []*volley.Monitor
-	sks    []*volley.StreamingThresholds
 	gates  []*volley.Gate // nil where ungated; empty when nothing is gated
 	task   []int32        // index of the monitor's task in hostedSet.order
-	values []float64      // this tick's sampled values
+	values []float64      // this tick's sampled values, for the gate fan-out
 	fed    []bool         // whether values[i] was sampled this tick
 
 	// Per task, index-aligned with hostedSet.order.
@@ -116,13 +113,11 @@ func (p *tickPlan) refresh(h *hostedSet) {
 	// Zero before truncating so an evicted task's monitors do not stay
 	// reachable from the tails of the backing arrays.
 	clear(p.mons)
-	clear(p.sks)
 	clear(p.gates)
-	p.mons, p.sks, p.gates, p.task, p.pred = p.mons[:0], p.sks[:0], p.gates[:0], p.task[:0], p.pred[:0]
+	p.mons, p.gates, p.task, p.pred = p.mons[:0], p.gates[:0], p.task[:0], p.pred[:0]
 	for t, name := range h.order {
 		ht := h.tasks[name]
 		p.mons = append(p.mons, ht.mons...)
-		p.sks = append(p.sks, ht.sks...)
 		for range ht.mons {
 			p.task = append(p.task, int32(t))
 		}
@@ -168,9 +163,8 @@ func resized[T any](s []T, n int) []T {
 }
 
 // tickMonitors advances every hosted monitor one default interval and keeps
-// what each sampled for the sketch feed and the gate fan-out. Agent failures
-// are retried at the next interval and already counted in the monitor's own
-// stats.
+// what each sampled for the gate fan-out. Agent failures are retried at the
+// next interval and already counted in the monitor's own stats.
 //
 // The walk is the plan's order taken cyclically from a start that moves
 // every tick, so over a run each monitor is read at every phase of the tick,
@@ -267,20 +261,11 @@ type monitorHost struct {
 	// observation per tick, the time control took.
 	controlTime *volley.Histogram
 	gateArms    *volley.Counter // nil in the mode that admits no gated task
-	// sketchRejected counts the sampled values the sketches refused; nil in
-	// the mode that keeps no sketches.
-	sketchRejected *volley.Counter
-	clock          virtualClock
+	clock       virtualClock
 
-	// mu guards hosted. skMu guards the sketches' contents, which the tick
-	// feeds and PATCH /tasks reads thresholds out of; it is always innermost.
-	// sketches is the number of them hosted, atomic because a scrape holds
-	// the registry lock and admission takes the registry lock under mu, so the
-	// scrape-time sketch instruments must not wait for mu.
-	mu       sync.Mutex
-	skMu     sync.Mutex
-	hosted   hostedSet
-	sketches atomic.Int64
+	// mu guards hosted.
+	mu     sync.Mutex
+	hosted hostedSet
 
 	// plan is the hosted set flattened for tickOnce; it belongs to the
 	// goroutine that ticks.
@@ -335,18 +320,11 @@ func (h *monitorHost) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"name": name, "monitors": out})
 }
 
-// host and unhost change the hosted set; the caller holds mu.
-func (h *monitorHost) host(name string, t hostedTask) {
-	h.hosted.put(name, t)
-	h.sketches.Add(int64(len(t.sks)))
-}
-
-// unhost also closes the monitors: their addresses on the network are freed,
-// their series, and the task's, leave /metrics, and their agents are
-// released.
+// unhost stops hosting a task and closes its monitors: their addresses on the
+// network are freed, their series, and the task's, leave /metrics, and their
+// agents are released. The caller holds mu.
 func (h *monitorHost) unhost(name string) {
 	t := h.hosted.remove(name)
-	h.sketches.Add(-int64(len(t.sks)))
 	for _, m := range t.mons {
 		m.Close()
 	}
@@ -412,9 +390,8 @@ func (h *monitorHost) buildMonitors(spec volley.ClusterTaskSpec, maxInterval int
 }
 
 // tickOnce is one tick: the control plane, then every hosted monitor, then
-// the sketch feed and the gate fan-out. Where a mode hosts no sketches or no
-// gated task those steps walk nothing. While the hosted set is unchanged a
-// tick takes mu once, compares one integer and allocates nothing.
+// the gate fan-out where some task is gated. While the hosted set is
+// unchanged a tick takes mu once, compares one integer and allocates nothing.
 func (h *monitorHost) tickOnce() {
 	p := &h.plan
 	now := h.clock.advance()
@@ -429,20 +406,6 @@ func (h *monitorHost) tickOnce() {
 	}
 	h.mu.Unlock()
 	p.tickMonitors(now)
-	// Feed the sampled values into the monitors' streaming sketches in one
-	// batch, after all (possibly slow) agent reads are done, so the sketch
-	// lock is never held across network I/O.
-	var rejected uint64
-	h.skMu.Lock()
-	for i, sk := range p.sks {
-		if p.fed[i] && !sk.Observe(p.values[i]) {
-			rejected++
-		}
-	}
-	h.skMu.Unlock()
-	if rejected > 0 {
-		h.sketchRejected.Add(rejected)
-	}
 	if p.gating {
 		h.fanOutGateSignals(p)
 	}

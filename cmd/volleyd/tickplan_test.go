@@ -111,7 +111,7 @@ func observations(reg *volley.Metrics, task, mon string) uint64 {
 
 // TestClusterDaemonTickZeroAlloc is the guard over the whole steady-state
 // tick: coordinators, 256 monitors with their heartbeats and yield reports
-// through the in-process network, sketch feed. Nothing on it may allocate —
+// through the in-process network. Nothing on it may allocate —
 // nor when the monitors read their values over HTTP, looked ahead at by the
 // walk, on connections that are warm.
 func TestClusterDaemonTickZeroAlloc(t *testing.T) {
@@ -239,8 +239,8 @@ func TestTickPlanFollowsClusterAdmissions(t *testing.T) {
 	if want := []string{"task-0", "task-2", "task-3", "task-4"}; !reflect.DeepEqual(d.hosted.order, want) {
 		t.Errorf("hosted order %v, want %v", d.hosted.order, want)
 	}
-	if len(d.plan.mons) != 32 || len(d.plan.sks) != 32 {
-		t.Errorf("plan holds %d monitors and %d sketches, want 32 of each", len(d.plan.mons), len(d.plan.sks))
+	if len(d.plan.mons) != 32 {
+		t.Errorf("plan holds %d monitors, want 32", len(d.plan.mons))
 	}
 }
 

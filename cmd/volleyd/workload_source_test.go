@@ -183,8 +183,8 @@ func promLabeledSum(t *testing.T, exposition, name, labelSubstr string) float64 
 // indices gated on their group's aggregate, odd indices ungated as the
 // control arm — and the gated half must sample measurably less than the
 // control while the gates demonstrably arm on predictor violations.
-// Selectivity-based retuning from the live sketches keeps working with a
-// thousand hosted monitors, and malformed gate specs are rejected whole.
+// A threshold retune answers with a thousand hosted monitors, and malformed
+// gate specs are rejected whole.
 func TestClusterModeWorkloadGating(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large cluster e2e")
@@ -290,22 +290,9 @@ func TestClusterModeWorkloadGating(t *testing.T) {
 		t.Errorf("volley_cluster_gate_arms_total = %v, want > 0 (predictor violations must arm gates)", arms)
 	}
 
-	// Selectivity-based retuning straight from the live sketches still
-	// works with a thousand hosted monitors; the monitor may need a few
-	// more samples before a percentile is derivable.
-	patchDeadline := time.Now().Add(30 * time.Second)
-	for {
-		code, body := httpDo(t, http.MethodPatch, base+"/tasks/tu-0001", `{"selectivity":5,"err":0.01}`)
-		if code == http.StatusOK {
-			if !strings.Contains(body, `"samples"`) {
-				t.Errorf("PATCH response missing samples: %s", body)
-			}
-			break
-		}
-		if time.Now().After(patchDeadline) {
-			t.Fatalf("PATCH /tasks/tu-0001 never succeeded, last = %d %s", code, body)
-		}
-		time.Sleep(100 * time.Millisecond)
+	// A retune re-splits the threshold over the task's hosted monitors.
+	if code, body := httpDo(t, http.MethodPatch, base+"/tasks/tu-0001", `{"threshold":1e12,"err":0.01}`); code != http.StatusNoContent {
+		t.Fatalf("PATCH /tasks/tu-0001 = %d %s", code, body)
 	}
 
 	// Evicting a predictor is allowed; its dependents stay admitted.

@@ -534,7 +534,7 @@ func (r *Registry) ObserveLocal(task, monitor string, now time.Duration, value f
 	r.mu.Lock()
 	if a := r.open[task]; a != nil {
 		if a.Monitors == nil {
-			a.Monitors = make(map[string]float64, r.cfg.MaxMonitors)
+			a.Monitors = make(map[string]float64)
 		}
 		if _, ok := a.Monitors[monitor]; ok || len(a.Monitors) < r.cfg.MaxMonitors {
 			a.Monitors[monitor] = value
@@ -547,7 +547,7 @@ func (r *Registry) ObserveLocal(task, monitor string, now time.Duration, value f
 		if r.pending == nil {
 			r.pending = make(map[string]map[string]float64)
 		}
-		p = make(map[string]float64, r.cfg.MaxMonitors)
+		p = make(map[string]float64)
 		r.pending[task] = p
 	}
 	if _, ok := p[monitor]; ok || len(p) < r.cfg.MaxMonitors {
@@ -614,7 +614,7 @@ func (r *Registry) ImportOpen(task string, in []Alert, now time.Duration, peer s
 				}
 				for m, v := range src.Monitors {
 					if a.Monitors == nil {
-						a.Monitors = make(map[string]float64, r.cfg.MaxMonitors)
+						a.Monitors = make(map[string]float64)
 					}
 					if _, ok := a.Monitors[m]; ok || len(a.Monitors) < r.cfg.MaxMonitors {
 						a.Monitors[m] = v

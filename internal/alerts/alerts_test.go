@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,36 @@ func TestDedupFastPathAllocs(t *testing.T) {
 		r.ObserveLocal("cpu", "m0", sec(i), 50)
 	}); n != 0 {
 		t.Fatalf("dedup fast path allocates %.1f per run, want 0", n)
+	}
+}
+
+// TestFirstEpisodeAllocsWhatItHolds: a task's first episode — one monitor's
+// local violation, then the raise that opens the alert — allocates the
+// alert, its history and a monitors map sized by the one entry it holds, not
+// by MaxMonitors. Measured on x86-64 with Go 1.24: 432 B, of which the map
+// is 244 B; sized for MaxMonitors (16) the map alone was 972 B and the
+// episode 1 160 B. The bound leaves 25 % of headroom over 432 B.
+func TestFirstEpisodeAllocsWhatItHolds(t *testing.T) {
+	const bound = 540
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 20; run++ {
+		r := New(Config{Node: "n0", Metrics: obs.NewRegistry()})
+		// Another task's episode first, so the registry's own maps have
+		// room and what is measured is the episode alone.
+		r.ObserveLocal("warm", "warm/mon/m0", 0, 1)
+		r.Raise("warm", 0, 1)
+		r.Clear("warm", sec(1), 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.ObserveLocal("cpu", "cpu/mon/m0", sec(2), 50)
+		r.Raise("cpu", sec(2), 100)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(r)
+	}
+	t.Logf("a first episode allocates %d B", least)
+	if least > bound {
+		t.Errorf("a first episode allocates %d B, want ≤ %d", least, bound)
 	}
 }
 

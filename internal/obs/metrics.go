@@ -256,6 +256,7 @@ type Registry struct {
 	probes uint64    // index lookups made: the tests' witness that finding a series is one of them
 	order  []*family // ascending seq
 	byName map[string]*family
+	idle   atomic.Pointer[scrape] // what the last scrape left for the next
 }
 
 // NewRegistry returns an empty registry.

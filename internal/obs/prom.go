@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // chunkSize is the capacity of the buffer a scrape renders into. The buffer
@@ -15,8 +14,9 @@ import (
 // fit in what is left and it never grows.
 const chunkSize = 64 << 10
 
-// scrape is the state of one WritePrometheus call, pooled so that a scrape
-// allocates nothing that grows with the page.
+// scrape is the state of one WritePrometheus call, kept by the registry
+// between scrapes so that a scrape allocates nothing that grows with the
+// page.
 type scrape struct {
 	buf []byte
 
@@ -39,8 +39,6 @@ type scrape struct {
 	at    int
 	label []byte
 }
-
-var scrapePool = sync.Pool{New: func() any { return &scrape{buf: make([]byte, 0, chunkSize)} }}
 
 // full reports whether the buffer should be written out before more is
 // rendered.
@@ -208,7 +206,13 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
-	sc := scrapePool.Get().(*scrape)
+	// The registry keeps one idle scrape, whichever goroutine, P or GC cycle
+	// the next scrape comes on: only a scrape that overlaps another builds
+	// its own.
+	sc := r.idle.Swap(nil)
+	if sc == nil {
+		sc = &scrape{buf: make([]byte, 0, chunkSize)}
+	}
 	*sc = scrape{buf: sc.buf[:0], keys: sc.keys[:0], label: sc.label}
 	r.mu.Lock()
 	sc.limit = r.seq
@@ -222,7 +226,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	sc.vec = nil
 	if cap(sc.buf) == chunkSize {
-		scrapePool.Put(sc)
+		r.idle.CompareAndSwap(nil, sc)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -400,13 +401,10 @@ func (c *chunkCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestScrapeAllocsDoNotGrowWithThePage: a scrape renders into one pooled
+// TestScrapeAllocsDoNotGrowWithThePage: a scrape renders into one kept
 // buffer of chunkSize, so neither what it allocates nor the largest write
 // depends on how many series there are.
 func TestScrapeAllocsDoNotGrowWithThePage(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a share of what is put back, so the pooled buffer is sometimes allocated anew")
-	}
 	var allocs [2]float64
 	for i, wide := range []int{10, 3000} {
 		r := goldenRegistry(wide)
@@ -427,6 +425,33 @@ func TestScrapeAllocsDoNotGrowWithThePage(t *testing.T) {
 	}
 	if allocs[0] > 12 {
 		t.Errorf("a scrape allocates %.0f times, want a handful", allocs[0])
+	}
+}
+
+// TestScrapeAllocsNoChunkAfterCollections: the state a scrape leaves behind is
+// the registry's, not a sync.Pool's, which keeps what is put back only on the
+// P that put it and drops it after two collections. A scrape made from
+// another goroutine after two collections renders into the chunk the last
+// one left instead of allocating chunkSize anew.
+func TestScrapeAllocsNoChunkAfterCollections(t *testing.T) {
+	r := goldenRegistry(100)
+	r.WritePrometheus(io.Discard)
+	runtime.GC()
+	runtime.GC()
+	var allocated uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.WritePrometheus(io.Discard)
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+	}()
+	<-done
+	t.Logf("a scrape after two collections allocates %d B", allocated)
+	if allocated >= 4<<10 {
+		t.Errorf("a scrape after two collections allocates %d B, want < 4 KiB (a chunk is %d)", allocated, chunkSize)
 	}
 }
 
