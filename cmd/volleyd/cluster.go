@@ -128,9 +128,10 @@ func runCluster(ctx context.Context, opts options) error {
 }
 
 // clusterStatus is the /healthz (and expvar) payload: cluster-wide state plus
-// per-shard readiness and the ring epoch.
+// per-shard readiness and the ring epoch. It reads the control plane's own
+// counters: no task's coordinator is visited.
 func (d *clusterDaemon) clusterStatus() map[string]any {
-	st := d.cl.Stats()
+	st := d.cl.ControlStats()
 	return map[string]any{
 		"status":         "ok",
 		"mode":           "cluster",

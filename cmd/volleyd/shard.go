@@ -232,9 +232,10 @@ func (d *shardDaemon) StopTask(name string) error {
 	return nil
 }
 
-// shardStatus is the /healthz (and expvar) payload.
+// shardStatus is the /healthz (and expvar) payload: the node's counts, read
+// without copying its state (GET /cluster is the full dump).
 func (d *shardDaemon) shardStatus() map[string]any {
-	st := d.node.Status()
+	st := d.node.Health()
 	return map[string]any{
 		"status":         "ok",
 		"mode":           "shard",
@@ -242,7 +243,7 @@ func (d *shardDaemon) shardStatus() map[string]any {
 		"uptime_seconds": time.Since(d.start).Seconds(),
 		"ring_digest":    fmt.Sprintf("%016x", st.RingDigest),
 		"ring_members":   st.RingMembers,
-		"owned":          len(st.Owned),
+		"owned":          st.Owned,
 		"catalog":        st.CatalogLive,
 		"cold_starts":    st.ColdStarts,
 		"recoveries":     st.Recoveries,

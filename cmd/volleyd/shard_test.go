@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -182,5 +183,56 @@ func TestShardGeneratesOnlyWhatItHosts(t *testing.T) {
 		if n, b := shardScrape(t, d, "volley_workload_series"), shardScrape(t, d, "volley_workload_series_bytes"); n != 0 || b != 0 {
 			t.Errorf("shard %s still holds %v series, %v bytes after the tasks were deleted", d.opts.shardID, n, b)
 		}
+	}
+}
+
+// TestShardHealthzAllocsDoNotCopyTheShard: a shard owning at least 64 tasks
+// of 16 monitors, and holding its peer's snapshots, answers /healthz from
+// counts: ≈ 3 KB a read through the mux, where copying every owned task's
+// allocation and every held snapshot cost ≈ 160 KB.
+func TestShardHealthzAllocsDoNotCopyTheShard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap measurements are not meaningful under -race")
+	}
+	const tasks, per, bound = 128, 16, 8 << 10
+	daemons := newShardPair(t)
+	for i := 0; i < tasks; i++ {
+		control(t, daemons[0].mux(), http.MethodPost, "/tasks", tenantTask(fmt.Sprintf("task-%03d", i), per*i%512, per), http.StatusCreated)
+	}
+	placed := func() bool {
+		a, b := shardStatus(t, daemons[0]), shardStatus(t, daemons[1])
+		return len(a.Owned)+len(b.Owned) == tasks && len(a.Snapshots)+len(b.Snapshots) == tasks
+	}
+	for i := 0; i < 2000 && !placed(); i++ {
+		shardRound(daemons)
+	}
+	if !placed() {
+		t.Fatal("the ring never placed and replicated every task")
+	}
+	d := daemons[0]
+	if len(shardStatus(t, d).Owned) < tasks/2 {
+		d = daemons[1]
+	}
+	st := shardStatus(t, d)
+	mux, req := d.mux(), httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	read := func() {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/healthz = %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	read()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("shard %s owns %d tasks, holds %d snapshots: %d B per /healthz read", d.opts.shardID, len(st.Owned), len(st.Snapshots), perRead)
+	if perRead > bound {
+		t.Errorf("a /healthz read of a shard owning %d tasks allocates %d B, want at most %d", len(st.Owned), perRead, bound)
 	}
 }

@@ -3,12 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"volley/internal/cluster"
 )
 
 // TestSharedSurfaceInEveryMode boots each mode on a real listener and walks
@@ -16,14 +22,18 @@ import (
 // observability set is registered in one place, so pprof is as complete under
 // -shards and -shard-id as it is for a single signal — each mode's own routes
 // answer only there, and a mode asked for another's route says 404, or 405
-// where the path is one it serves under another method.
+// where the path is one it serves under another method. It also pins what
+// the end-to-end benchmark reads: /healthz carries exactly its mode's keys,
+// /debug/vars a memstats object and a volleyd object equal to /healthz, a
+// shard's /healthz the counts its /cluster reports, and in both cluster
+// modes /metrics a hosted monitor's sampling counter, rising.
 func TestSharedSurfaceInEveryMode(t *testing.T) {
 	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { _, _ = w.Write([]byte("1")) }))
 	defer src.Close()
 	base := options{interval: time.Millisecond, errAllow: 0.05, maxInterval: 5, out: io.Discard}
-	signal, cluster, shard := base, base, base
+	signal, clustered, shard := base, base, base
 	signal.source, signal.threshold = src.URL, 50
-	cluster.shards = 2
+	clustered.shards = 2
 	shard.shardID, shard.peerListen = "a", "127.0.0.1:0"
 	shard.beaconEvery, shard.suspectAfter, shard.deadAfter, shard.snapshotEvery = 2, 8, 16, 5
 
@@ -45,18 +55,22 @@ func TestSharedSurfaceInEveryMode(t *testing.T) {
 		{"POST", "/alerts/x/resolve", "", 400},
 	}
 	for _, mode := range []struct {
-		name   string
-		opts   options
-		health string // a /healthz field only this mode reports
-		own    []probe
+		name       string
+		opts       options
+		healthKeys []string // sorted
+		own        []probe
 	}{
-		{"single-signal", signal, `"source"`, []probe{
+		{"single-signal", signal, []string{
+			"agent_errors", "alerts", "bound", "interval", "samples", "source", "status", "uptime_seconds",
+		}, []probe{
 			{"GET", "/tasks", "", 404},
 			{"POST", "/tasks", "{}", 404},
 			{"GET", "/cluster", "", 404},
 			{"POST", "/shards", `{"id":"x"}`, 404},
 		}},
-		{"shards", cluster, `"ring_epoch"`, []probe{
+		{"shards", clustered, []string{
+			"alerts", "handoffs", "mode", "ring_epoch", "shards", "status", "tasks", "uptime_seconds",
+		}, []probe{
 			{"GET", "/tasks", "", 200},
 			{"POST", "/tasks", "{}", 400},
 			{"PATCH", "/tasks/nope", `{"threshold":1,"err":0.05}`, 400},
@@ -66,7 +80,10 @@ func TestSharedSurfaceInEveryMode(t *testing.T) {
 			{"GET", "/cluster", "", 404},
 			{"PATCH", "/tasks/nope/allowance", `{"assignments":{"m":0.1}}`, 404},
 		}},
-		{"shard-id", shard, `"ring_digest"`, []probe{
+		{"shard-id", shard, []string{
+			"alerts", "catalog", "cold_starts", "mode", "owned", "recoveries", "ring_digest", "ring_members",
+			"shard", "status", "uptime_seconds",
+		}, []probe{
 			{"GET", "/tasks", "", 200},
 			{"POST", "/tasks", "{}", 400},
 			{"DELETE", "/tasks/nope", "", 404},
@@ -92,11 +109,113 @@ func TestSharedSurfaceInEveryMode(t *testing.T) {
 					t.Errorf("%s %s = %d %s, want %d", p.method, p.path, code, strings.TrimSpace(body), p.want)
 				}
 			}
-			if _, body := httpGet(t, "http://"+addr+"/healthz"); !strings.Contains(body, mode.health) {
-				t.Errorf("/healthz = %s, want this mode's %s", body, mode.health)
+			base := "http://" + addr
+			health, body := healthAround(t, base, "/debug/vars")
+			var keys []string
+			for k := range health {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			if !slices.Equal(keys, mode.healthKeys) {
+				t.Errorf("/healthz keys %v, want %v", keys, mode.healthKeys)
+			}
+			var vars struct {
+				Memstats struct{ TotalAlloc, Mallocs, HeapInuse uint64 }
+				Volleyd  map[string]any
+			}
+			if err := json.Unmarshal([]byte(body), &vars); err != nil {
+				t.Fatalf("/debug/vars: %v", err)
+			}
+			if m := vars.Memstats; m.TotalAlloc == 0 || m.Mallocs == 0 || m.HeapInuse == 0 {
+				t.Errorf("/debug/vars memstats %+v, want TotalAlloc, Mallocs and HeapInuse set", m)
+			}
+			if !sameHealth(vars.Volleyd, health) {
+				t.Errorf("/debug/vars volleyd = %v, want /healthz's %v", vars.Volleyd, health)
+			}
+			if mode.opts.shards == 0 && mode.opts.shardID == "" {
+				return
+			}
+
+			// A hosted monitor's sampling counter, the one the harness's
+			// canary is read by, is on the page and rises.
+			task := `{"name":"surf","threshold":50,"err":0.05,"monitors":[{"id":"m0","source":"` + src.URL + `"}]}`
+			if code, body := httpDo(t, "POST", base+"/tasks", task); code != http.StatusCreated {
+				t.Fatalf("POST /tasks = %d %s", code, body)
+			}
+			const series = `volley_sampler_observations_total{instance="surf/mon/m0"} `
+			observed := func() float64 {
+				_, page := httpGet(t, base+"/metrics")
+				for _, line := range strings.Split(page, "\n") {
+					if v, ok := strings.CutPrefix(line, series); ok {
+						f, _ := strconv.ParseFloat(v, 64)
+						return f
+					}
+				}
+				return 0
+			}
+			var first float64
+			waitFor(t, 5*time.Second, "the hosted monitor's first observation", func() bool { first = observed(); return first > 0 })
+			waitFor(t, 5*time.Second, "the hosted monitor's observations to rise", func() bool { return observed() > first })
+			if mode.opts.shardID == "" {
+				return
+			}
+
+			// A shard's /healthz reports the counts its /cluster dump holds.
+			health, body = healthAround(t, base, "/cluster")
+			var st cluster.NodeStatus
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Fatalf("/cluster: %v", err)
+			}
+			want := map[string]any{
+				"shard": st.ID, "ring_digest": fmt.Sprintf("%016x", st.RingDigest), "ring_members": st.RingMembers,
+				"owned": len(st.Owned), "catalog": st.CatalogLive, "cold_starts": st.ColdStarts, "recoveries": st.Recoveries,
+			}
+			for k, v := range want {
+				if fmt.Sprint(health[k]) != fmt.Sprint(v) {
+					t.Errorf("/healthz %s = %v, /cluster says %v", k, health[k], v)
+				}
+			}
+			if len(st.Owned) != 1 || st.CatalogLive != 1 {
+				t.Errorf("/cluster owns %d tasks of a %d-row catalog, want the one admitted", len(st.Owned), st.CatalogLive)
 			}
 		})
 	}
+}
+
+// healthAround reads path between two /healthz reads that agree, so that
+// what path reports was read while the health counts stood still; it
+// returns the first /healthz and path's body.
+func healthAround(t *testing.T, base, path string) (map[string]any, string) {
+	t.Helper()
+	read := func() map[string]any {
+		var h map[string]any
+		if _, body := httpGet(t, base+"/healthz"); json.Unmarshal([]byte(body), &h) != nil {
+			t.Fatalf("/healthz = %s, not a JSON object", body)
+		}
+		return h
+	}
+	for range 100 {
+		before := read()
+		_, body := httpGet(t, base+path)
+		if sameHealth(before, read()) {
+			return before, body
+		}
+	}
+	t.Fatalf("/healthz never stood still across a read of %s", path)
+	return nil, ""
+}
+
+// sameHealth compares two health payloads on every key but the uptime.
+func sameHealth(a, b map[string]any) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || k != "uptime_seconds" && !reflect.DeepEqual(v, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAdmissionRejectionsAgree: cluster mode and shard mode decode and check

@@ -221,13 +221,16 @@ func boolByte(v bool) byte {
 }
 
 // putRowLocked installs a catalog row (a local edit, or a gossiped row
-// that supersedes the held one), keeping the name order, the digest and
-// the high-water mark in step. body is kept, not copied.
+// that supersedes the held one), keeping the name order, the digest, the
+// live-row count and the high-water mark in step. body is kept, not copied.
 func (n *Node) putRowLocked(rec CatalogRecord, body []byte) {
 	name := rec.Spec.Name
 	content := contentHash(body)
 	row, ok := n.catalog[name]
 	if ok {
+		if !row.Deleted {
+			n.liveRows.Add(-1)
+		}
 		n.catalogDigest ^= row.digestTerm()
 		if t, own := n.owned[name]; own && row.content != content {
 			// The task now means something else than the coordinator and
@@ -240,6 +243,9 @@ func (n *Node) putRowLocked(rec CatalogRecord, body []byte) {
 		row = &catalogRow{CatalogRecord: rec, body: body, content: content}
 		n.catalog[name] = row
 		n.catalogOrder = insertByName(n.catalogOrder, row, rowName)
+	}
+	if !rec.Deleted {
+		n.liveRows.Add(1)
 	}
 	n.catalogDigest ^= row.digestTerm()
 	if rec.Version > n.catalogVersion {
@@ -278,17 +284,6 @@ func (n *Node) mergeCatalogLocked(b []byte) {
 			Spec: cb.Spec, HostSpec: cb.HostSpec, Version: version, Deleted: deleted,
 		}, bytes.Clone(body))
 	}
-}
-
-// liveCatalogLocked counts non-tombstoned catalog rows.
-func (n *Node) liveCatalogLocked() int {
-	live := 0
-	for _, rec := range n.catalog {
-		if !rec.Deleted {
-			live++
-		}
-	}
-	return live
 }
 
 // Catalog lists the live (non-tombstoned) task catalog rows, sorted by

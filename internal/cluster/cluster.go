@@ -665,7 +665,27 @@ func (cl *Cluster) RingEpoch() uint64 {
 // coordinator's counters — the cluster-wide aggregate view.
 func (cl *Cluster) Stats() Stats {
 	cl.mu.Lock()
-	st := Stats{
+	st := cl.controlStatsLocked()
+	st.Coord = cl.retired
+	coords := cl.coordsLocked()
+	cl.mu.Unlock()
+	for _, c := range coords {
+		addStats(&st.Coord, c.Stats())
+	}
+	return st
+}
+
+// ControlStats is Stats without the coordinator sums: the control plane's
+// own counters, read under the cluster lock alone, with no coordinator
+// visited. Coord is zero.
+func (cl *Cluster) ControlStats() Stats {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.controlStatsLocked()
+}
+
+func (cl *Cluster) controlStatsLocked() Stats {
+	return Stats{
 		Shards:       cl.ring.Len(),
 		Tasks:        len(cl.tasks),
 		RingEpoch:    cl.ring.Epoch(),
@@ -678,13 +698,6 @@ func (cl *Cluster) Stats() Stats {
 		ShardLeaves:  cl.shardLeaves.Value(),
 		ShardCrashes: cl.shardCrashes.Value(),
 	}
-	st.Coord = cl.retired
-	coords := cl.coordsLocked()
-	cl.mu.Unlock()
-	for _, c := range coords {
-		addStats(&st.Coord, c.Stats())
-	}
-	return st
 }
 
 // addStats accumulates one coordinator's counters into dst.

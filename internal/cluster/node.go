@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"volley/internal/alerts"
@@ -125,6 +126,18 @@ type NodeStatus struct {
 	InFlight      int               `json:"inFlight"`
 }
 
+// NodeHealth is the counts a shard's liveness probe reports: what Status
+// says of the same fields, read without copying any per-task state.
+type NodeHealth struct {
+	ID          string
+	RingDigest  uint64
+	RingMembers []string
+	Owned       int
+	CatalogLive int
+	ColdStarts  uint64
+	Recoveries  uint64
+}
+
 // ownedTask is an owned task's runtime state.
 type ownedTask struct {
 	spec      TaskSpec
@@ -183,6 +196,13 @@ type Node struct {
 	catalogOrder   []*catalogRow
 	catalogDigest  uint64
 	catalogVersion uint64
+	// liveRows counts the catalog's non-tombstoned rows and ownedN the
+	// owned tasks. Written under mu, they are read without it by the
+	// scrape-time gauges: a scrape holds the registry's lock while it reads
+	// them, and a tick holding mu registers the metrics of a task it places,
+	// so a gauge that took mu could deadlock the two.
+	liveRows atomic.Int64
+	ownedN   atomic.Int64
 	// peers is each peer's catalog digest and high-water as of the last
 	// beacon heard from it.
 	peers map[string]peerCatalog
@@ -257,17 +277,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.admitFailures = m.Counter("volley_cluster_admit_failures_total",
 		"Owned tasks whose coordinator failed to construct from the gossiped spec.")
 	m.GaugeFunc("volley_cluster_owned_tasks", "Tasks this shard currently owns.",
-		func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return float64(len(n.owned))
-		})
+		func() float64 { return float64(n.ownedN.Load()) })
 	m.GaugeFunc("volley_cluster_catalog_tasks", "Live tasks in the gossiped catalog.",
-		func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return float64(n.liveCatalogLocked())
-		})
+		func() float64 { return float64(n.liveRows.Load()) })
 	n.rowsSent = m.Counter("volley_cluster_catalog_rows_sent_total",
 		"Catalog rows attached to beacons. Flat once every peer's catalog digest matches this shard's.")
 	n.fullSyncs = m.Counter("volley_cluster_catalog_full_syncs_total",
@@ -552,6 +564,7 @@ func (n *Node) acquireLocked(name string, rec *catalogRow, prevOwner string) {
 	}
 	n.owned[name] = t
 	n.ownedOrder = insertByName(n.ownedOrder, t, ownedName)
+	n.ownedN.Store(int64(len(n.owned)))
 	n.coords = nil
 	n.rep.Track(name, n.tick)
 }
@@ -605,6 +618,7 @@ func (n *Node) stopOwnedLocked(name string, t *ownedTask) {
 	}
 	delete(n.owned, name)
 	n.ownedOrder = deleteByName(n.ownedOrder, name, ownedName)
+	n.ownedN.Store(int64(len(n.owned)))
 	n.coords = nil
 	n.rep.Untrack(name)
 }
@@ -653,7 +667,7 @@ func (n *Node) Status() NodeStatus {
 		RingDigest:  n.membership.Digest(),
 		RingMembers: n.membership.RingMembers(),
 		Members:     n.membership.Members(),
-		CatalogLive: n.liveCatalogLocked(),
+		CatalogLive: int(n.liveRows.Load()),
 		ColdStarts:  n.coldStarts,
 		Recoveries:  n.recoveries,
 		InFlight:    n.rep.InFlight(),
@@ -681,6 +695,23 @@ func (n *Node) Status() NodeStatus {
 		})
 	}
 	return st
+}
+
+// Health reads the shard's counts under the node lock. Unlike Status it
+// copies no owned task's allocation and no held snapshot, so what it costs
+// does not grow with the tasks the shard owns or replicates.
+func (n *Node) Health() NodeHealth {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return NodeHealth{
+		ID:          n.cfg.ID,
+		RingDigest:  n.membership.Digest(),
+		RingMembers: n.membership.RingMembers(),
+		Owned:       len(n.owned),
+		CatalogLive: int(n.liveRows.Load()),
+		ColdStarts:  n.coldStarts,
+		Recoveries:  n.recoveries,
+	}
 }
 
 // Owned lists the tasks this shard currently owns, sorted.

@@ -372,6 +372,7 @@ func TestNodeTombstoneEvictsEverywhere(t *testing.T) {
 		if len(n.Catalog()) != 0 {
 			t.Errorf("shard %s still lists evicted task", n.cfg.ID)
 		}
+		checkHealthAgrees(t, "after the eviction", n)
 	}
 
 	// Re-admitting the same name is legal once the tombstone is in place.
@@ -380,4 +381,9 @@ func TestNodeTombstoneEvictsEverywhere(t *testing.T) {
 	}
 	tickNodes(&step, 4, all...)
 	singleOwner(t, "t1", nodes)
+	for _, n := range all {
+		if h := checkHealthAgrees(t, "after the re-admission", n); h.CatalogLive != 1 {
+			t.Errorf("shard %s counts %d live catalog rows after the re-admission, want 1", n.cfg.ID, h.CatalogLive)
+		}
+	}
 }
