@@ -8,8 +8,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# benchmark/ is its own module, which `go vet ./...` at the root does not
+# reach; it links the root package and four internal ones.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

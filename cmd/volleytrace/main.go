@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -17,10 +18,9 @@ import (
 	"strconv"
 	"strings"
 
-	"volley/internal/appsim"
 	"volley/internal/bench"
-	"volley/internal/metricsim"
 	"volley/internal/stats"
+	"volley/internal/trace"
 )
 
 func main() {
@@ -55,29 +55,16 @@ func run(kind string, steps int, seed int64, csvPath string) error {
 			names = append(names, fmt.Sprintf("vm%d.rho", vm))
 		}
 	case "sysmetrics":
-		node := metricsim.NewNode(seed)
-		picks := []int{0, 1, 2, 3, 4, 5}
-		series = make([][]float64, len(picks))
-		for i := range series {
-			series[i] = make([]float64, steps)
-			name, nameErr := node.MetricName(picks[i])
-			if nameErr != nil {
-				return nameErr
+		for _, stream := range trace.StandardMetrics(seed)[:6] {
+			s := make([]float64, steps)
+			for i := range s {
+				s[i] = stream.Next()
 			}
-			names = append(names, name)
-		}
-		for s := 0; s < steps; s++ {
-			node.Step()
-			for i, m := range picks {
-				v, valErr := node.Value(m)
-				if valErr != nil {
-					return valErr
-				}
-				series[i][s] = v
-			}
+			names = append(names, stream.Name())
+			series = append(series, s)
 		}
 	case "httplog":
-		srv, genErr := appsim.NewServer(50, seed)
+		gen, genErr := trace.NewAccessGen(trace.DefaultAccessConfig(50, seed))
 		if genErr != nil {
 			return genErr
 		}
@@ -87,18 +74,14 @@ func run(kind string, steps int, seed int64, csvPath string) error {
 		}
 		names = []string{"total.rps", "obj0.rps", "obj1.rps", "obj2.rps"}
 		for s := 0; s < steps; s++ {
-			srv.Step()
-			total, rateErr := srv.TotalRate()
-			if rateErr != nil {
-				return rateErr
+			counts := gen.NextWindow()
+			total := 0
+			for _, c := range counts {
+				total += c
 			}
-			series[0][s] = total
+			series[0][s] = float64(total)
 			for obj := 0; obj < 3; obj++ {
-				r, rateErr := srv.AccessRate(obj)
-				if rateErr != nil {
-					return rateErr
-				}
-				series[obj+1][s] = r
+				series[obj+1][s] = float64(counts[obj])
 			}
 		}
 	default:
@@ -142,28 +125,26 @@ func writeCSV(path string, names []string, series [][]float64) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	var b strings.Builder
-	b.WriteString("step," + strings.Join(names, ",") + "\n")
+	w := bufio.NewWriter(f)
+	w.WriteString("step," + strings.Join(names, ",") + "\n")
 	steps := 0
 	if len(series) > 0 {
 		steps = len(series[0])
 	}
+	var num []byte
 	for s := 0; s < steps; s++ {
-		b.WriteString(strconv.Itoa(s))
+		num = strconv.AppendInt(num[:0], int64(s), 10)
 		for _, col := range series {
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(col[s], 'g', -1, 64))
+			num = append(num, ',')
+			num = strconv.AppendFloat(num, col[s], 'g', -1, 64)
 		}
-		b.WriteByte('\n')
-		if b.Len() > 1<<16 {
-			if _, err := f.WriteString(b.String()); err != nil {
-				return err
-			}
-			b.Reset()
-		}
+		num = append(num, '\n')
+		w.Write(num)
 	}
-	_, err = f.WriteString(b.String())
-	return err
+	// A bufio.Writer keeps its first error and returns it from Flush.
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

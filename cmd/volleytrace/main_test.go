@@ -66,3 +66,16 @@ func TestWriteCSVLargeBuffered(t *testing.T) {
 		t.Errorf("CSV has %d lines, want 8001", got)
 	}
 }
+
+// TestWriteCSVReportsWriteFailure: a dump that cannot be written is an
+// error, not a truncated file and a clean exit. /dev/full accepts the open
+// and fails every write with ENOSPC.
+func TestWriteCSVReportsWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	series := [][]float64{{1, 2, 3}}
+	if err := writeCSV("/dev/full", []string{"a"}, series); err == nil {
+		t.Error("writing to a full device reported no error")
+	}
+}

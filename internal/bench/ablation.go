@@ -56,7 +56,7 @@ func runAblationConfigs(name string, p Preset, series [][]float64, k float64, co
 	}
 	out := &AblationResult{Name: name}
 	for _, c := range configs {
-		r, err := replayManyThresholds(eng, series, thresholds, c.Cfg)
+		r, err := replayPooled(eng, series, thresholds, c.Cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation %s %q: %w", name, c.Label, err)
 		}

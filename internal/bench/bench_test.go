@@ -172,6 +172,9 @@ func TestGenSystemShape(t *testing.T) {
 	if _, err := GenSystem(3, 2, 0, 1); err == nil {
 		t.Error("0 steps accepted, want error")
 	}
+	if _, err := GenSystem(0, 2, 50, 1); err == nil {
+		t.Error("0 nodes accepted, want error")
+	}
 }
 
 func TestGenAppShape(t *testing.T) {
@@ -181,6 +184,15 @@ func TestGenAppShape(t *testing.T) {
 	}
 	if len(series) != 6 { // (1 total + 2 objects) × 2 servers
 		t.Fatalf("got %d series, want 6", len(series))
+	}
+	// A server's total counts every object, so it bounds its top objects'.
+	for sv := 0; sv < 2; sv++ {
+		total, obj0, obj1 := series[3*sv], series[3*sv+1], series[3*sv+2]
+		for i := range total {
+			if obj0[i] < 0 || obj1[i] < 0 || obj0[i]+obj1[i] > total[i] {
+				t.Fatalf("server %d step %d: objects %v + %v, total %v", sv, i, obj0[i], obj1[i], total[i])
+			}
+		}
 	}
 	if _, err := GenApp(2, 10, 10, 60, 1); err == nil {
 		t.Error("topObjects = objects accepted, want error")

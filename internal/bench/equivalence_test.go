@@ -108,7 +108,7 @@ func TestCachedThresholdsMatchPerCellSorts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := replayManyThresholds(serialEngine, series, grid[ki], ReplayConfig{Err: 0.01, MaxInterval: p.MaxInterval, Patience: p.Patience})
+		got, err := replayPooled(serialEngine, series, grid[ki], ReplayConfig{Err: 0.01, MaxInterval: p.MaxInterval, Patience: p.Patience})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,13 +61,8 @@ func RunFig1(p Preset) (*Fig1Result, error) {
 	out.SchemeASamples = len(series)
 
 	// Scheme B: periodical at 4× the default interval.
-	for i := 0; i < len(series); i += out.SchemeBInterval {
-		out.SchemeBSamples++
-	}
-	var accB task.Accuracy
-	for i, v := range series {
-		accB.Record(v > threshold, i%out.SchemeBInterval == 0)
-	}
+	accB := scoreSchedule(series, threshold, func(i int) bool { return i%out.SchemeBInterval == 0 })
+	_, out.SchemeBSamples = accB.Steps()
 	out.SchemeBMissed = accB.Missed()
 
 	// Scheme C: Volley.

@@ -45,7 +45,7 @@ func RunSweep(name string, series [][]float64, p Preset) (*SweepResult, error) {
 	}
 	err = eng.ForEach(len(p.Ks)*len(p.Errs), func(idx int) error {
 		ki, ei := idx/len(p.Errs), idx%len(p.Errs)
-		r, err := replayManyThresholds(serialEngine, series, thresholds[ki], ReplayConfig{
+		r, err := replayPooled(serialEngine, series, thresholds[ki], ReplayConfig{
 			Err:         p.Errs[ei],
 			MaxInterval: p.MaxInterval,
 			Patience:    p.Patience,

@@ -50,8 +50,31 @@ type ReplayResult struct {
 // default-interval granularity, as the evaluation does: the sampler sees
 // only the steps it samples, while accuracy is judged against every step.
 func ReplaySeries(series []float64, cfg ReplayConfig) (ReplayResult, error) {
+	var mask []bool
+	if cfg.KeepMask {
+		mask = make([]bool, len(series))
+	}
+	acc, err := replay(series, cfg, mask)
+	if err != nil {
+		return ReplayResult{}, err
+	}
+	_, samples := acc.Steps()
+	return ReplayResult{
+		Ratio:         acc.SamplingRatio(),
+		Misdetect:     acc.MisdetectionRate(),
+		EpisodeDetect: acc.EpisodeDetectionRate(),
+		Samples:       samples,
+		Alerts:        acc.Alerts(),
+		Missed:        acc.Missed(),
+		Sampled:       mask,
+	}, nil
+}
+
+// replay is ReplaySeries's loop: it scores the adaptive schedule against
+// every step and, when mask is non-nil, marks the steps it sampled.
+func replay(series []float64, cfg ReplayConfig, mask []bool) (task.Accuracy, error) {
 	if len(series) == 0 {
-		return ReplayResult{}, fmt.Errorf("bench: empty series")
+		return task.Accuracy{}, fmt.Errorf("bench: empty series")
 	}
 	sampler, err := core.NewSampler(core.Config{
 		Threshold:   cfg.Threshold,
@@ -64,37 +87,32 @@ func ReplaySeries(series []float64, cfg ReplayConfig) (ReplayResult, error) {
 		StatsWindow: cfg.StatsWindow,
 	})
 	if err != nil {
-		return ReplayResult{}, fmt.Errorf("bench: %w", err)
+		return task.Accuracy{}, fmt.Errorf("bench: %w", err)
 	}
-
 	var acc task.Accuracy
-	var mask []bool
-	if cfg.KeepMask {
-		mask = make([]bool, len(series))
-	}
-	samples := 0
 	next := 0
 	for i, v := range series {
 		sampled := i == next
 		if sampled {
-			samples++
-			interval := sampler.Observe(v)
-			next = i + interval
-			if cfg.KeepMask {
+			next = i + sampler.Observe(v)
+			if mask != nil {
 				mask[i] = true
 			}
 		}
 		acc.Record(v > cfg.Threshold, sampled)
 	}
-	return ReplayResult{
-		Ratio:         acc.SamplingRatio(),
-		Misdetect:     acc.MisdetectionRate(),
-		EpisodeDetect: acc.EpisodeDetectionRate(),
-		Samples:       samples,
-		Alerts:        acc.Alerts(),
-		Missed:        acc.Missed(),
-		Sampled:       mask,
-	}, nil
+	return acc, nil
+}
+
+// scoreSchedule scores a fixed sampling schedule over one series: step i
+// alerts when it exceeds threshold and is detected when sampled(i) holds.
+// sampled is called once per step, in order.
+func scoreSchedule(series []float64, threshold float64, sampled func(i int) bool) task.Accuracy {
+	var acc task.Accuracy
+	for i, v := range series {
+		acc.Record(v > threshold, sampled(i))
+	}
+	return acc
 }
 
 // PooledResult aggregates replays over many variables of one task family.
@@ -104,10 +122,60 @@ type PooledResult struct {
 	// Misdetect is total missed alerts over total alerts (pooled, so
 	// variables with many alerts weigh more); NaN without alerts.
 	Misdetect float64
+	// EpisodeDetect is the mean episode detection rate over the variables
+	// that had episodes; NaN when none had.
+	EpisodeDetect float64
 	// Variables is how many series were replayed.
 	Variables int
 	Alerts    int
 	Missed    int
+}
+
+// pool reduces per-series scores in index order — the one pooling every
+// figure, ablation, baseline and workload row goes through — so the result
+// is the same for any worker count that produced the scores.
+func pool(scores []task.Accuracy) PooledResult {
+	out := PooledResult{Variables: len(scores), Misdetect: math.NaN(), EpisodeDetect: math.NaN()}
+	var samples, steps, rated int
+	var rateSum float64
+	for i := range scores {
+		a := &scores[i]
+		total, sampled := a.Steps()
+		steps += total
+		samples += sampled
+		out.Alerts += a.Alerts()
+		out.Missed += a.Missed()
+		if rate := a.EpisodeDetectionRate(); !math.IsNaN(rate) {
+			rateSum += rate
+			rated++
+		}
+	}
+	out.Ratio = float64(samples) / float64(steps)
+	if out.Alerts > 0 {
+		out.Misdetect = float64(out.Missed) / float64(out.Alerts)
+	}
+	if rated > 0 {
+		out.EpisodeDetect = rateSum / float64(rated)
+	}
+	return out
+}
+
+// poolEach scores n series across the engine, each into its own slot, and
+// pools the scores.
+func poolEach(eng *Engine, n int, score func(i int) (task.Accuracy, error)) (PooledResult, error) {
+	scores := make([]task.Accuracy, n)
+	err := eng.ForEach(n, func(i int) error {
+		acc, err := score(i)
+		if err != nil {
+			return fmt.Errorf("bench: series %d: %w", i, err)
+		}
+		scores[i] = acc
+		return nil
+	})
+	if err != nil {
+		return PooledResult{}, err
+	}
+	return pool(scores), nil
 }
 
 // ReplayMany replays every series with a per-series threshold derived from
@@ -124,50 +192,17 @@ func ReplayMany(series [][]float64, k float64, cfg ReplayConfig) (PooledResult, 
 		}
 		thresholds[i] = t
 	}
-	return replayManyThresholds(serialEngine, series, thresholds, cfg)
+	return replayPooled(serialEngine, series, thresholds, cfg)
 }
 
-// replayManyThresholds pools adaptive replays of every series against
-// pre-derived per-series thresholds, fanning the independent series across
-// the engine. Per-series counts land in indexed slots and are reduced in
-// index order, so the result is identical for any worker count.
-func replayManyThresholds(eng *Engine, series [][]float64, thresholds []float64, cfg ReplayConfig) (PooledResult, error) {
-	type partial struct {
-		samples, steps, alerts, missed int
-	}
-	parts := make([]partial, len(series))
-	err := eng.ForEach(len(series), func(i int) error {
+// replayPooled pools adaptive replays of every series against pre-derived
+// per-series thresholds, fanning the independent series across the engine.
+func replayPooled(eng *Engine, series [][]float64, thresholds []float64, cfg ReplayConfig) (PooledResult, error) {
+	return poolEach(eng, len(series), func(i int) (task.Accuracy, error) {
 		c := cfg
 		c.Threshold = thresholds[i]
-		c.KeepMask = false
-		r, err := ReplaySeries(series[i], c)
-		if err != nil {
-			return fmt.Errorf("bench: series %d: %w", i, err)
-		}
-		parts[i] = partial{samples: r.Samples, steps: len(series[i]), alerts: r.Alerts, missed: r.Missed}
-		return nil
+		return replay(series[i], c, nil)
 	})
-	if err != nil {
-		return PooledResult{}, err
-	}
-	var totalSamples, totalSteps, alerts, missed int
-	for _, p := range parts {
-		totalSamples += p.samples
-		totalSteps += p.steps
-		alerts += p.alerts
-		missed += p.missed
-	}
-	out := PooledResult{
-		Ratio:     float64(totalSamples) / float64(totalSteps),
-		Variables: len(series),
-		Alerts:    alerts,
-		Missed:    missed,
-		Misdetect: math.NaN(),
-	}
-	if alerts > 0 {
-		out.Misdetect = float64(missed) / float64(alerts)
-	}
-	return out, nil
 }
 
 // thresholdCache amortizes threshold derivation across a whole experiment

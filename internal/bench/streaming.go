@@ -3,88 +3,15 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
 	"volley/internal/stats"
-	"volley/internal/task"
 )
 
 // This file holds what audits the sketch-backed threshold path against the
-// sorted-copy derivation it replaced: the refresh harness whose streaming
-// side must not allocate, and the rank-error check the committed workload
-// presets are held to.
-
-// MaintenanceHarness measures the cost of keeping a series' threshold grid
-// current as a window of new observations arrives — the periodic refresh a
-// long-running monitor pays. The exact baseline re-copies and re-sorts the
-// whole retained trace per refresh; the streaming path absorbs the window
-// into the sketch and reads the grid back.
-type MaintenanceHarness struct {
-	trace   []float64
-	scratch []float64
-	stream  *task.StreamingThresholds
-	ks      []float64
-	out     []float64
-	window  []float64
-}
-
-// NewMaintenanceHarness builds both paths over a synthetic trace of the
-// given length and pre-generates one refresh window.
-func NewMaintenanceHarness(steps, window int, ks []float64, seed int64) (*MaintenanceHarness, error) {
-	if steps < 1 || window < 1 {
-		return nil, fmt.Errorf("bench: maintenance harness needs positive steps and window")
-	}
-	st, err := task.NewStreamingThresholds(ks)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	gen := func(i int) float64 { return 20 + 5*math.Sin(float64(i)/200) + rng.NormFloat64() }
-	trace := make([]float64, steps)
-	for i := range trace {
-		trace[i] = gen(i)
-		st.Observe(trace[i])
-	}
-	win := make([]float64, window)
-	for i := range win {
-		win[i] = gen(steps + i)
-	}
-	return &MaintenanceHarness{
-		trace:   trace,
-		scratch: make([]float64, 0, steps+window),
-		stream:  st,
-		ks:      append([]float64(nil), ks...),
-		out:     make([]float64, 0, len(ks)),
-		window:  win,
-	}, nil
-}
-
-// ExactRefresh performs one sorted-copy refresh: copy trace+window, sort,
-// derive the grid. Returns the thresholds (valid until the next call).
-func (h *MaintenanceHarness) ExactRefresh() ([]float64, error) {
-	h.scratch = h.scratch[:0]
-	h.scratch = append(h.scratch, h.trace...)
-	h.scratch = append(h.scratch, h.window...)
-	sort.Float64s(h.scratch)
-	return task.Thresholds(h.scratch, h.ks)
-}
-
-// StreamingRefresh performs one sketch refresh: absorb the window and read
-// the grid back. It does not allocate (the zero-alloc guard test gates
-// this). Returns the thresholds (valid until the next call).
-func (h *MaintenanceHarness) StreamingRefresh() ([]float64, error) {
-	for _, v := range h.window {
-		h.stream.Observe(v)
-	}
-	out, err := h.stream.AppendThresholds(h.out[:0])
-	if err != nil {
-		return nil, err
-	}
-	h.out = out
-	return out, nil
-}
+// sorted-copy derivation it replaced: the rank-error check the committed
+// workload presets are held to.
 
 // StreamingErrorCheckResult is one workload's sketch-versus-exact accuracy
 // audit.

@@ -2,68 +2,46 @@ package bench
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"volley/internal/stats"
+	"volley/internal/task"
 )
 
-// TestMaintenanceHarnessAgreement checks the two refresh paths answer the
-// same grid within the sketch's rank-error contract, on the harness's own
-// well-behaved synthetic stream.
-func TestMaintenanceHarnessAgreement(t *testing.T) {
-	ks := Quick().Ks
-	h, err := NewMaintenanceHarness(20000, 64, ks, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := h.ExactRefresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := h.StreamingRefresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact) != len(ks) || len(stream) != len(ks) {
-		t.Fatalf("grid sizes: exact %d, stream %d, want %d", len(exact), len(stream), len(ks))
-	}
-	// The harness's stream is unimodal and stationary, so value-space
-	// agreement is tight; a loose relative check catches wiring bugs
-	// (wrong k, wrong series) without re-deriving rank errors here —
-	// TestStreamingThresholdsWithinBoundOnPresets owns the real contract.
-	for i := range ks {
-		if relDiff(exact[i], stream[i]) > 0.10 {
-			t.Errorf("k=%v: exact %v vs streaming %v", ks[i], exact[i], stream[i])
-		}
-	}
-}
-
-func relDiff(a, b float64) float64 {
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / den
-}
-
-// TestMaintenanceStreamingRefreshZeroAlloc gates the streaming refresh
-// path's allocation profile: absorbing a window and re-deriving the grid
-// must not allocate.
+// TestMaintenanceStreamingRefreshZeroAlloc gates the periodic refresh a
+// long-running monitor pays on the figure grid: absorbing a window of
+// observations into the sketch and reading the grid back into a reused
+// buffer must not allocate.
 func TestMaintenanceStreamingRefreshZeroAlloc(t *testing.T) {
-	h, err := NewMaintenanceHarness(5000, 64, Quick().Ks, 5)
+	const steps, window = 5000, 64
+	st, err := task.NewStreamingThresholds(Quick().Ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.StreamingRefresh(); err != nil {
+	rng := rand.New(rand.NewSource(5))
+	gen := func(i int) float64 { return 20 + 5*math.Sin(float64(i)/200) + rng.NormFloat64() }
+	for i := range steps {
+		st.Observe(gen(i))
+	}
+	win := make([]float64, window)
+	for i := range win {
+		win[i] = gen(steps + i)
+	}
+	out, err := st.AppendThresholds(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := h.StreamingRefresh(); err != nil {
+		for _, v := range win {
+			st.Observe(v)
+		}
+		if out, err = st.AppendThresholds(out[:0]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("StreamingRefresh allocates %v times per call, want 0", allocs)
+		t.Errorf("a window of Observe, then AppendThresholds, allocates %v times per refresh, want 0", allocs)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"volley/internal/core"
 	"volley/internal/correlation"
+	"volley/internal/task"
 	"volley/internal/workload"
 )
 
@@ -145,34 +146,22 @@ func RunWorkloadEntropy(p Preset) (*WorkloadResult, error) {
 // sampled it), and an attack epoch counts as detected when any node
 // samples a locally violating window inside it.
 func entropyVolleyPoint(p Preset, set *workload.Set, errNode float64, maxInterval int) (WorkloadPoint, error) {
-	n := len(set.Series)
-	w := len(set.Series[0].Values)
-	caught := make([]bool, w)
-	samples, alerts, missed := 0, 0, 0
-	for _, s := range set.Series {
-		r, err := ReplaySeries(s.Values, ReplayConfig{
+	masks := make([][]bool, len(set.Series))
+	for idx, s := range set.Series {
+		masks[idx] = make([]bool, len(s.Values))
+		_, err := replay(s.Values, ReplayConfig{
 			Threshold:   s.Threshold,
 			Err:         errNode,
 			MaxInterval: maxInterval,
 			Patience:    p.Patience,
-			KeepMask:    true,
-		})
+		}, masks[idx])
 		if err != nil {
 			return WorkloadPoint{}, fmt.Errorf("bench: %s: %w", s.ID, err)
 		}
-		samples += r.Samples
-		alerts += r.Alerts
-		missed += r.Missed
-		for i, v := range s.Values {
-			if r.Sampled[i] && v > s.Threshold {
-				caught[i] = true
-			}
-		}
 	}
-	pt := scoreEntropyPoint(set, caught, alerts, missed)
+	pt := scoreEntropyPoint(set, func(idx, i int) bool { return masks[idx][i] })
 	pt.Label = fmt.Sprintf("err=%g", errNode)
 	pt.Param = errNode
-	pt.Ratio = float64(samples) / float64(n*w)
 	return pt, nil
 }
 
@@ -180,42 +169,29 @@ func entropyVolleyPoint(p Preset, set *workload.Set, errNode float64, maxInterva
 // per-node staggered offsets (node i samples windows ≡ i mod interval),
 // the budget-equivalent fixed schedule, under the same metrics.
 func entropyBaselinePoint(set *workload.Set, interval int) WorkloadPoint {
-	n := len(set.Series)
-	w := len(set.Series[0].Values)
-	caught := make([]bool, w)
-	samples, alerts, missed := 0, 0, 0
-	for idx, s := range set.Series {
-		off := idx % interval
-		for i, v := range s.Values {
-			sampled := i%interval == off
-			if sampled {
-				samples++
-			}
-			if v > s.Threshold {
-				alerts++
-				if !sampled {
-					missed++
-				} else {
-					caught[i] = true
-				}
-			}
-		}
-	}
-	pt := scoreEntropyPoint(set, caught, alerts, missed)
+	pt := scoreEntropyPoint(set, func(idx, i int) bool { return i%interval == idx%interval })
 	pt.Label = fmt.Sprintf("I=%d", interval)
 	pt.Param = float64(interval)
-	pt.Ratio = float64(samples) / float64(n*w)
 	return pt
 }
 
-// scoreEntropyPoint pools the window-level counts and scores ground-truth
-// epochs against the caught mask (windows where some node sampled a local
-// violation).
-func scoreEntropyPoint(set *workload.Set, caught []bool, alerts, missed int) WorkloadPoint {
-	pt := WorkloadPoint{Misdetect: math.NaN(), EpisodeDetect: math.NaN()}
-	if alerts > 0 {
-		pt.Misdetect = float64(missed) / float64(alerts)
+// scoreEntropyPoint pools every node's window-level score under the given
+// schedule (sampled(node, window)) and scores ground-truth epochs against
+// the caught mask: windows where some node sampled a local violation.
+func scoreEntropyPoint(set *workload.Set, sampled func(idx, i int) bool) WorkloadPoint {
+	caught := make([]bool, len(set.Series[0].Values))
+	scores := make([]task.Accuracy, len(set.Series))
+	for idx, s := range set.Series {
+		scores[idx] = scoreSchedule(s.Values, s.Threshold, func(i int) bool {
+			hit := sampled(idx, i)
+			if hit && s.Values[i] > s.Threshold {
+				caught[i] = true
+			}
+			return hit
+		})
 	}
+	pooled := pool(scores)
+	pt := WorkloadPoint{Ratio: pooled.Ratio, Misdetect: pooled.Misdetect, EpisodeDetect: math.NaN()}
 	if set.Truth != nil {
 		episodes, detected := 0, 0
 		in, hit := false, false
@@ -293,98 +269,39 @@ func RunWorkloadTenant(p Preset) (*WorkloadResult, error) {
 // tenantVolleyPoint replays every tenant adaptively with its tier
 // allowance scaled by scale and pools accuracy across tenants.
 func tenantVolleyPoint(p Preset, set *workload.Set, scale float64) (WorkloadPoint, error) {
-	samples, steps, alerts, missed := 0, 0, 0, 0
-	epiSum, epiN := 0.0, 0
-	for _, s := range set.Series {
+	scores := make([]task.Accuracy, len(set.Series))
+	for idx, s := range set.Series {
 		errV := s.Err * scale
 		if errV >= 1 {
 			errV = 0.999
 		}
-		r, err := ReplaySeries(s.Values, ReplayConfig{
+		acc, err := replay(s.Values, ReplayConfig{
 			Threshold:   s.Threshold,
 			Err:         errV,
 			MaxInterval: p.MaxInterval,
 			Patience:    p.Patience,
-		})
+		}, nil)
 		if err != nil {
 			return WorkloadPoint{}, fmt.Errorf("bench: %s: %w", s.ID, err)
 		}
-		samples += r.Samples
-		steps += len(s.Values)
-		alerts += r.Alerts
-		missed += r.Missed
-		if !math.IsNaN(r.EpisodeDetect) {
-			epiSum += r.EpisodeDetect
-			epiN++
-		}
+		scores[idx] = acc
 	}
-	pt := WorkloadPoint{
-		Label:         fmt.Sprintf("err×%g", scale),
-		Param:         scale,
-		Ratio:         float64(samples) / float64(steps),
-		Misdetect:     math.NaN(),
-		EpisodeDetect: math.NaN(),
-	}
-	if alerts > 0 {
-		pt.Misdetect = float64(missed) / float64(alerts)
-	}
-	if epiN > 0 {
-		pt.EpisodeDetect = epiSum / float64(epiN)
-	}
-	return pt, nil
+	return tenantPoint(fmt.Sprintf("err×%g", scale), scale, pool(scores)), nil
 }
 
 // tenantBaselinePoint pools uniform sampling at the given interval across
 // tenants (staggered offsets).
 func tenantBaselinePoint(set *workload.Set, interval int) WorkloadPoint {
-	samples, steps, alerts, missed := 0, 0, 0, 0
-	epiSum, epiN := 0.0, 0
+	scores := make([]task.Accuracy, len(set.Series))
 	for idx, s := range set.Series {
 		off := idx % interval
-		episodes, detected := 0, 0
-		in, hit := false, false
-		for i, v := range s.Values {
-			sampled := i%interval == off
-			if sampled {
-				samples++
-			}
-			if v > s.Threshold {
-				alerts++
-				if !sampled {
-					missed++
-				}
-				if !in {
-					episodes++
-					in, hit = true, false
-				}
-				if !hit && sampled {
-					hit = true
-					detected++
-				}
-			} else {
-				in = false
-			}
-		}
-		steps += len(s.Values)
-		if episodes > 0 {
-			epiSum += float64(detected) / float64(episodes)
-			epiN++
-		}
+		scores[idx] = scoreSchedule(s.Values, s.Threshold, func(i int) bool { return i%interval == off })
 	}
-	pt := WorkloadPoint{
-		Label:         fmt.Sprintf("I=%d", interval),
-		Param:         float64(interval),
-		Ratio:         float64(samples) / float64(steps),
-		Misdetect:     math.NaN(),
-		EpisodeDetect: math.NaN(),
-	}
-	if alerts > 0 {
-		pt.Misdetect = float64(missed) / float64(alerts)
-	}
-	if epiN > 0 {
-		pt.EpisodeDetect = epiSum / float64(epiN)
-	}
-	return pt
+	return tenantPoint(fmt.Sprintf("I=%d", interval), float64(interval), pool(scores))
+}
+
+func tenantPoint(label string, param float64, r PooledResult) WorkloadPoint {
+	return WorkloadPoint{Label: label, Param: param, Ratio: r.Ratio, Misdetect: r.Misdetect, EpisodeDetect: r.EpisodeDetect}
 }
 
 // advantageAtEqualMisdetect interpolates the baseline's sampling ratio at

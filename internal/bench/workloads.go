@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"volley/internal/appsim"
-	"volley/internal/metricsim"
 	"volley/internal/netsim"
 	"volley/internal/trace"
 )
@@ -73,7 +71,7 @@ func GenNetwork(servers, vmsPerServer, windows int, flowsPerWindow float64, seed
 			cfg.Flows.Diurnal.Period = 2
 		}
 	}
-	return GenNetworkCfg(cfg, windows)
+	return genNetworkCfg(cfg, windows)
 }
 
 // GenNetworkStationary is GenNetwork with the diurnal cycle disabled: the
@@ -88,12 +86,12 @@ func GenNetworkStationary(servers, vmsPerServer, windows int, flowsPerWindow flo
 		cfg.Flows.MeanFlowsPerWindow = flowsPerWindow
 	}
 	cfg.Flows.Diurnal = trace.Diurnal{}
-	return GenNetworkCfg(cfg, windows)
+	return genNetworkCfg(cfg, windows)
 }
 
-// GenNetworkCfg simulates a custom datacenter configuration for the given
+// genNetworkCfg simulates a custom datacenter configuration for the given
 // number of windows.
-func GenNetworkCfg(cfg netsim.Config, windows int) (*NetworkWorkload, error) {
+func genNetworkCfg(cfg netsim.Config, windows int) (*NetworkWorkload, error) {
 	if windows < 1 {
 		return nil, fmt.Errorf("bench: need ≥ 1 window, got %d", windows)
 	}
@@ -127,46 +125,37 @@ func GenNetworkCfg(cfg netsim.Config, windows int) (*NetworkWorkload, error) {
 	return w, nil
 }
 
-// GenSystem simulates the metric cluster and records the chosen number of
-// metrics per node. It returns one series per (node, metric) variable.
+// GenSystem generates the first metricsPerNode streams of each node's
+// 66-metric standard set (node n seeded seed+n). It returns one series per
+// (node, metric) variable.
 func GenSystem(nodes, metricsPerNode, steps int, seed int64) ([][]float64, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("bench: need ≥ 1 step, got %d", steps)
+	}
+	if nodes < 1 {
+		return nil, fmt.Errorf("bench: need ≥ 1 node, got %d", nodes)
 	}
 	if metricsPerNode < 1 || metricsPerNode > trace.StandardMetricCount {
 		return nil, fmt.Errorf("bench: metrics per node %d outside [1, %d]",
 			metricsPerNode, trace.StandardMetricCount)
 	}
-	cluster, err := metricsim.NewCluster(nodes, seed)
-	if err != nil {
-		return nil, err
-	}
-	series := make([][]float64, nodes*metricsPerNode)
-	for i := range series {
-		series[i] = make([]float64, steps)
-	}
-	for step := 0; step < steps; step++ {
-		cluster.Step()
-		for n := 0; n < nodes; n++ {
-			node, err := cluster.Node(n)
-			if err != nil {
-				return nil, err
+	series := make([][]float64, 0, nodes*metricsPerNode)
+	for n := 0; n < nodes; n++ {
+		// Every stream has its own seed, so the unread ones change no draw.
+		for _, stream := range trace.StandardMetrics(seed + int64(n))[:metricsPerNode] {
+			s := make([]float64, steps)
+			for step := range s {
+				s[step] = stream.Next()
 			}
-			for m := 0; m < metricsPerNode; m++ {
-				v, err := node.Value(m)
-				if err != nil {
-					return nil, err
-				}
-				series[n*metricsPerNode+m][step] = v
-			}
+			series = append(series, s)
 		}
 	}
 	return series, nil
 }
 
-// GenApp simulates application servers and records, per server, the total
-// request rate plus the access rates of the top objects. It returns one
-// series per (server, variable).
+// GenApp generates each application server's access log and records, per
+// server, the total request rate plus the access rates of the top objects.
+// It returns one series per (server, variable).
 func GenApp(servers, objects, topObjects, steps int, seed int64) ([][]float64, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("bench: need ≥ 1 step, got %d", steps)
@@ -188,23 +177,20 @@ func GenApp(servers, objects, topObjects, steps int, seed int64) ([][]float64, e
 		if cfg.Diurnal.Period < 2 {
 			cfg.Diurnal.Period = 2
 		}
-		srv, err := appsim.NewServerWithConfig(cfg)
+		gen, err := trace.NewAccessGen(cfg)
 		if err != nil {
 			return nil, err
 		}
+		row := series[sv*varsPerServer : (sv+1)*varsPerServer]
 		for step := 0; step < steps; step++ {
-			srv.Step()
-			total, err := srv.TotalRate()
-			if err != nil {
-				return nil, err
+			counts := gen.NextWindow()
+			total := 0
+			for _, c := range counts {
+				total += c
 			}
-			series[sv*varsPerServer][step] = total
+			row[0][step] = float64(total)
 			for obj := 0; obj < topObjects; obj++ {
-				r, err := srv.AccessRate(obj)
-				if err != nil {
-					return nil, err
-				}
-				series[sv*varsPerServer+1+obj][step] = r
+				row[1+obj][step] = float64(counts[obj])
 			}
 		}
 	}

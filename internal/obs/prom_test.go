@@ -433,25 +433,34 @@ func TestScrapeAllocsDoNotGrowWithThePage(t *testing.T) {
 // P that put it and drops it after two collections. A scrape made from
 // another goroutine after two collections renders into the chunk the last
 // one left instead of allocating chunkSize anew.
+//
+// TotalAlloc is process-wide, so on a busy host a runtime thread start
+// (runtime.allocm, ≈ 5 KB) can land inside one reading. The measurement is
+// made five times and the least is judged: a pool that drops its chunk
+// allocates it on every round.
 func TestScrapeAllocsNoChunkAfterCollections(t *testing.T) {
 	r := goldenRegistry(100)
 	r.WritePrometheus(io.Discard)
-	runtime.GC()
-	runtime.GC()
-	var allocated uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r.WritePrometheus(io.Discard)
-		runtime.ReadMemStats(&after)
-		allocated = after.TotalAlloc - before.TotalAlloc
-	}()
-	<-done
-	t.Logf("a scrape after two collections allocates %d B", allocated)
-	if allocated >= 4<<10 {
-		t.Errorf("a scrape after two collections allocates %d B, want < 4 KiB (a chunk is %d)", allocated, chunkSize)
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		runtime.GC()
+		runtime.GC()
+		var allocated uint64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.WritePrometheus(io.Discard)
+			runtime.ReadMemStats(&after)
+			allocated = after.TotalAlloc - before.TotalAlloc
+		}()
+		<-done
+		least = min(least, allocated)
+	}
+	t.Logf("a scrape after two collections allocates %d B (least of 5)", least)
+	if least >= 4<<10 {
+		t.Errorf("a scrape after two collections allocates %d B, want < 4 KiB (a chunk is %d)", least, chunkSize)
 	}
 }
 

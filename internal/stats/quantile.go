@@ -132,10 +132,3 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return lerpClamped(sorted[lo], sorted[hi], frac)
 }
-
-// Percentile computes the p-th percentile (0 ≤ p ≤ 100) of values.
-// For streaming percentiles over unbounded series, see Sketch (sketch.go):
-// it maintains a whole quantile grid online in O(1) memory.
-func Percentile(values []float64, p float64) float64 {
-	return Quantile(values, p/100)
-}

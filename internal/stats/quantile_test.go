@@ -64,18 +64,6 @@ func TestQuantileUnsortedInput(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	values := make([]float64, 101)
-	for i := range values {
-		values[i] = float64(i)
-	}
-	for _, p := range []float64{0, 25, 50, 90, 99, 100} {
-		if got := Percentile(values, p); !almostEqual(got, p, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", p, got, p)
-		}
-	}
-}
-
 func TestQuantileBoundsProperty(t *testing.T) {
 	f := func(raw []float64, qRaw float64) bool {
 		values := make([]float64, 0, len(raw))

@@ -57,52 +57,6 @@ func (s BoxSummary) String() string {
 		s.N, s.Min, s.Q1, s.Med, s.Q3, s.Max, s.Mean)
 }
 
-// Histogram counts values into equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first/last bin so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins over [lo, hi].
-// It returns an error if bins < 1 or hi ≤ lo.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs ≥ 1 bin, got %d", bins)
-	}
-	if hi <= lo || math.IsNaN(lo) || math.IsNaN(hi) {
-		return nil, fmt.Errorf("stats: histogram needs hi > lo, got [%v, %v]", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Observe adds one value to the histogram.
-func (h *Histogram) Observe(v float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (v - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total reports the number of observed values.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction reports the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 || i < 0 || i >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
 // Mean computes the arithmetic mean of a slice; it returns NaN for an empty
 // slice.
 func Mean(values []float64) float64 {

@@ -73,78 +73,6 @@ func TestBoxSummaryString(t *testing.T) {
 	}
 }
 
-func TestNewHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("bins=0 accepted, want error")
-	}
-	if _, err := NewHistogram(1, 1, 5); err == nil {
-		t.Error("hi=lo accepted, want error")
-	}
-	if _, err := NewHistogram(2, 1, 5); err == nil {
-		t.Error("hi<lo accepted, want error")
-	}
-	if _, err := NewHistogram(math.NaN(), 1, 5); err == nil {
-		t.Error("NaN bound accepted, want error")
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	if h.Total() != 10 {
-		t.Errorf("Total() = %d, want 10", h.Total())
-	}
-}
-
-func TestHistogramClampsOutOfRange(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe(-100)
-	h.Observe(100)
-	h.Observe(10) // exactly hi lands in the last bin
-	if h.Counts[0] != 1 {
-		t.Errorf("first bin = %d, want 1", h.Counts[0])
-	}
-	if h.Counts[4] != 2 {
-		t.Errorf("last bin = %d, want 2", h.Counts[4])
-	}
-}
-
-func TestHistogramFraction(t *testing.T) {
-	h, err := NewHistogram(0, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Fraction(0); got != 0 {
-		t.Errorf("Fraction on empty histogram = %v, want 0", got)
-	}
-	h.Observe(0.5)
-	h.Observe(1.5)
-	h.Observe(1.6)
-	h.Observe(3.5)
-	if got := h.Fraction(1); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("Fraction(1) = %v, want 0.5", got)
-	}
-	if got := h.Fraction(-1); got != 0 {
-		t.Errorf("Fraction(-1) = %v, want 0", got)
-	}
-	if got := h.Fraction(99); got != 0 {
-		t.Errorf("Fraction(99) = %v, want 0", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v, want 2", got)

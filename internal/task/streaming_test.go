@@ -169,6 +169,9 @@ func TestStreamingThresholdsResidentBytesIsTheHeap(t *testing.T) {
 	runtime.KeepAlive(trackers)
 }
 
+// TestStreamingThresholdsObserveZeroAlloc: neither one observation nor a
+// refresh — a window of observations, then the grid read back into a reused
+// buffer, what a long-running monitor pays periodically — allocates.
 func TestStreamingThresholdsObserveZeroAlloc(t *testing.T) {
 	st, err := NewStreamingThresholds([]float64{6.4, 0.8, 0.1})
 	if err != nil {
@@ -180,11 +183,35 @@ func TestStreamingThresholdsObserveZeroAlloc(t *testing.T) {
 		xs[i] = rng.NormFloat64()
 	}
 	i := 0
-	if avg := testing.AllocsPerRun(1000, func() {
-		st.Observe(xs[i%len(xs)])
+	next := func() float64 {
+		v := xs[i%len(xs)]
 		i++
-	}); avg != 0 {
-		t.Errorf("Observe allocates %.1f times per call, want 0", avg)
+		return v
+	}
+	for range 5000 {
+		st.Observe(next())
+	}
+	out, err := st.AppendThresholds(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Observe", func() { st.Observe(next()) }},
+		{"a window of Observe, then AppendThresholds", func() {
+			for range 64 {
+				st.Observe(next())
+			}
+			if out, err = st.AppendThresholds(out[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if avg := testing.AllocsPerRun(1000, c.run); avg != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", c.name, avg)
+		}
 	}
 }
 
