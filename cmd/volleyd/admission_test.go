@@ -352,7 +352,7 @@ func TestExplainReportsEachMonitor(t *testing.T) {
 				mode.tick()
 			}
 			got := explain("explained", http.StatusOK)
-			mons := mode.host.hosted.tasks["explained"].mons
+			mons := mode.host.hosted.Task("explained").Mons
 			if len(got) != 3 || len(mons) != 3 {
 				t.Fatalf("%d monitors explained, %d hosted, want 3", len(got), len(mons))
 			}
@@ -389,7 +389,7 @@ func TestRetuneNamesAThreshold(t *testing.T) {
 	}
 	state := func() (volley.ClusterTaskSpec, []volley.MonitorExplanation) {
 		var out []volley.MonitorExplanation
-		for _, m := range d.hosted.tasks["retuned"].mons {
+		for _, m := range d.hosted.Task("retuned").Mons {
 			out = append(out, m.Explain())
 		}
 		return d.cl.Tasks()[0].Spec, out

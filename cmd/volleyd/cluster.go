@@ -169,9 +169,9 @@ func (d *clusterDaemon) buildGates(adm admission) ([]*volley.Gate, error) {
 		return nil, fmt.Errorf("task %q: gate needs a predictor task", name)
 	case pred == name:
 		return nil, fmt.Errorf("task %q cannot gate on itself", name)
-	case len(d.hosted.tasks[pred].mons) == 0:
+	case len(d.hosted.Task(pred).Mons) == 0:
 		return nil, fmt.Errorf("task %q: gate predictor %q is not admitted here", name, pred)
-	case d.hosted.tasks[pred].pred != "":
+	case d.hosted.Task(pred).Pred != "":
 		return nil, fmt.Errorf("task %q: predictor %q is itself gated (gate chains are not allowed)", name, pred)
 	}
 	relaxed := adm.gate.RelaxedInterval
@@ -244,10 +244,10 @@ func (d *clusterDaemon) admit(adm admission, agents []volley.Agent) (map[string]
 	}
 	resp := map[string]any{"name": name, "shard": shard, "coordinator": coord, "monitors": adm.spec.Monitors}
 	if gates != nil {
-		t.pred = adm.gate.Predictor
-		resp["gate"] = map[string]any{"predictor": t.pred}
+		t.Pred = adm.gate.Predictor
+		resp["gate"] = map[string]any{"predictor": t.Pred}
 	}
-	d.hosted.put(name, t)
+	d.hosted.Put(name, t)
 	return resp, 0, nil
 }
 
@@ -274,7 +274,7 @@ func (d *clusterDaemon) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	mons := d.hosted.tasks[name].mons
+	mons := d.hosted.Task(name).Mons
 	for _, m := range mons {
 		if err := m.SetLocalThreshold(req.Threshold / float64(len(mons))); err != nil {
 			httpError(w, http.StatusInternalServerError, err)

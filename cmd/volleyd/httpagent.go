@@ -23,15 +23,14 @@ import (
 	"time"
 
 	"volley"
+	"volley/internal/host"
 )
 
 const (
-	// agentWindow is how many plan entries ahead of the monitor being ticked
-	// the tick loop keeps agent reads issued (tickPlan.tickMonitors), and so
-	// also how many idle connections the pool keeps per destination: the walk
-	// never has more than that many reads out. A constant, not a setting;
-	// DESIGN.md has the measurements that chose it.
-	agentWindow = 16
+	// agentWindow is how many idle connections the pool keeps per
+	// destination: the tick's walk never has more reads out than it looks
+	// ahead (host.ReadAhead).
+	agentWindow = host.ReadAhead
 	// agentBodyLimit is how much of a response body is looked at.
 	agentBodyLimit = 1 << 16
 	// agentLineLimit bounds what of one response is read as lines and is not

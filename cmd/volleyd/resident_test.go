@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"volley/internal/alloctest"
 )
 
 // TestAdmissionKeepsWhatItAllocates: admitting 2 × 512 workload:tenant
@@ -39,23 +41,22 @@ func TestAdmissionKeepsWhatItAllocates(t *testing.T) {
 	source := func(i int) string {
 		return fmt.Sprintf(`{"id":"m%d","source":"workload:tenant?index=%d&tenants=1024&groups=16&windows=512&seed=977&period=1ms"}`, i%512, i)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for task := 0; task < 2; task++ {
-		mons := make([]string, 512)
-		for j := range mons {
-			mons[j] = source(512*task + j)
+	// One round: an admission happens once, and what it allocates is
+	// megabytes, far above what the runtime can add to one reading.
+	before := liveHeap()
+	allocated, _ := alloctest.Least(1, nil, func() {
+		for task := 0; task < 2; task++ {
+			mons := make([]string, 512)
+			for j := range mons {
+				mons[j] = source(512*task + j)
+			}
+			control(t, mux, http.MethodPost, "/tasks",
+				fmt.Sprintf(`{"name":"kept-%d","threshold":1e12,"err":0.05,"monitors":[%s]}`, task, strings.Join(mons, ",")),
+				http.StatusCreated)
 		}
-		control(t, mux, http.MethodPost, "/tasks",
-			fmt.Sprintf(`{"name":"kept-%d","threshold":1e12,"err":0.05,"monitors":[%s]}`, task, strings.Join(mons, ",")),
-			http.StatusCreated)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	live := float64(after.HeapAlloc) - float64(before.HeapAlloc)
-	allocated := float64(after.TotalAlloc - before.TotalAlloc)
-	perMonitor, ratio := live/1024, allocated/live
+	})
+	live := liveHeap() - before
+	perMonitor, ratio := live/1024, float64(allocated)/live
 	t.Logf("%.0f B live per monitor, %.2f B allocated per byte kept", perMonitor, ratio)
 	if perMonitor > perMonitorBound {
 		t.Errorf("admission keeps %.0f B per monitor, want ≤ %.0f", perMonitor, float64(perMonitorBound))

@@ -218,7 +218,7 @@ func (d *shardDaemon) StartTask(spec cluster.TaskSpec, hostSpec []byte, coordAdd
 		return err
 	}
 	d.mu.Lock()
-	d.hosted.put(spec.Name, t)
+	d.hosted.Put(spec.Name, t)
 	d.mu.Unlock()
 	return nil
 }

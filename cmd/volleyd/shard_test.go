@@ -6,10 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 	"time"
 
+	"volley/internal/alloctest"
 	"volley/internal/cluster"
 )
 
@@ -224,13 +224,12 @@ func TestShardHealthzAllocsDoNotCopyTheShard(t *testing.T) {
 	}
 	read()
 	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		read()
-	}
-	runtime.ReadMemStats(&after)
-	perRead := (after.TotalAlloc - before.TotalAlloc) / runs
+	least, _ := alloctest.Least(3, nil, func() {
+		for range runs {
+			read()
+		}
+	})
+	perRead := least / runs
 	t.Logf("shard %s owns %d tasks, holds %d snapshots: %d B per /healthz read", d.opts.shardID, len(st.Owned), len(st.Snapshots), perRead)
 	if perRead > bound {
 		t.Errorf("a /healthz read of a shard owning %d tasks allocates %d B, want at most %d", len(st.Owned), perRead, bound)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"volley"
+	"volley/internal/host"
 )
 
 // TestAlertLineMatchesMapEncoding pins the stdout alert line to the bytes the
@@ -124,8 +125,8 @@ func TestClusterDaemonTickZeroAlloc(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			d.tickOnce()
 		}
-		if len(d.plan.mons) != 256 {
-			t.Fatalf("plan holds %d monitors, want 256", len(d.plan.mons))
+		if d.plan.Len() != 256 {
+			t.Fatalf("plan holds %d monitors, want 256", d.plan.Len())
 		}
 		before := observations(d.reg, "task-3", "m63")
 		// 300 runs cover three yield-report periods and thirty heartbeats.
@@ -189,12 +190,12 @@ func TestTickPlanRefreshAllocs(t *testing.T) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var p tickPlan
-	p.refresh(&d.hosted)
-	if !p.gating || len(p.mons) != 2+8*8 {
-		t.Fatalf("plan of %d monitors, gating %v: want 66 and gating", len(p.mons), p.gating)
+	var p host.Plan
+	p.Refresh(&d.hosted)
+	if p.Len() != 2+8*8 || d.hosted.Task("task-0").Pred != "pred" {
+		t.Fatalf("plan of %d monitors, task-0 gated on %q: want 66 and gated on pred", p.Len(), d.hosted.Task("task-0").Pred)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { p.refresh(&d.hosted) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { p.Refresh(&d.hosted) }); allocs != 0 {
 		t.Errorf("refreshing a plan over an unchanged set allocates %.2f times, want 0", allocs)
 	}
 }
@@ -211,13 +212,13 @@ func TestTickPlanFollowsClusterAdmissions(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.tickOnce()
 	}
-	gen := d.plan.gen
+	gen := d.plan.Gen()
 	d.tickOnce()
-	if d.plan.gen != gen || gen != d.hosted.gen {
-		t.Fatalf("plan generation moved from %d to %d with the hosted set at %d and unchanged", gen, d.plan.gen, d.hosted.gen)
+	if d.plan.Gen() != gen || gen != d.hosted.Gen() {
+		t.Fatalf("plan generation moved from %d to %d with the hosted set at %d and unchanged", gen, d.plan.Gen(), d.hosted.Gen())
 	}
 
-	victim := d.hosted.tasks["task-1"].mons
+	victim := d.hosted.Task("task-1").Mons
 	control(t, mux, http.MethodPost, "/tasks", tenantTask("task-4", 32, 8), http.StatusCreated)
 	control(t, mux, http.MethodDelete, "/tasks/task-1", "", http.StatusNoContent)
 	if got := observations(d.reg, "task-4", "m0"); got != 0 {
@@ -236,11 +237,11 @@ func TestTickPlanFollowsClusterAdmissions(t *testing.T) {
 			t.Errorf("evicted monitor %s ticked %d times after eviction", m.ID(), got-ticksAtEvict)
 		}
 	}
-	if want := []string{"task-0", "task-2", "task-3", "task-4"}; !reflect.DeepEqual(d.hosted.order, want) {
-		t.Errorf("hosted order %v, want %v", d.hosted.order, want)
+	if want := []string{"task-0", "task-2", "task-3", "task-4"}; !reflect.DeepEqual(d.hosted.Names(), want) {
+		t.Errorf("hosted order %v, want %v", d.hosted.Names(), want)
 	}
-	if len(d.plan.mons) != 32 {
-		t.Errorf("plan holds %d monitors, want 32", len(d.plan.mons))
+	if d.plan.Len() != 32 {
+		t.Errorf("plan holds %d monitors, want 32", d.plan.Len())
 	}
 }
 
@@ -268,22 +269,22 @@ func TestTickPlanFollowsShardOwnership(t *testing.T) {
 	// Ownership lands on the node's next tick, and that same tick's monitor
 	// pass already covers the started tasks.
 	d.tickOnce()
-	if len(d.plan.mons) != 24 {
-		t.Fatalf("plan holds %d monitors after the first tick, want 24", len(d.plan.mons))
+	if d.plan.Len() != 24 {
+		t.Fatalf("plan holds %d monitors after the first tick, want 24", d.plan.Len())
 	}
 	if got := observations(d.reg, "task-2", "m7"); got != 1 {
 		t.Fatalf("task-2/m7 sampled %d times on the tick that started it, want 1", got)
 	}
-	gen := d.plan.gen
+	gen := d.plan.Gen()
 	for i := 0; i < 5; i++ {
 		d.tickOnce()
 	}
-	if d.plan.gen != gen {
-		t.Fatalf("plan generation moved from %d to %d with ownership unchanged", gen, d.plan.gen)
+	if d.plan.Gen() != gen {
+		t.Fatalf("plan generation moved from %d to %d with ownership unchanged", gen, d.plan.Gen())
 	}
 
 	d.mu.Lock()
-	victim := d.hosted.tasks["task-1"].mons
+	victim := d.hosted.Task("task-1").Mons
 	d.mu.Unlock()
 	control(t, mux, http.MethodPost, "/tasks", tenantTask("task-3", 24, 8), http.StatusCreated)
 	control(t, mux, http.MethodDelete, "/tasks/task-1", "", http.StatusNoContent)
@@ -300,8 +301,8 @@ func TestTickPlanFollowsShardOwnership(t *testing.T) {
 			t.Errorf("removed monitor %s ticked %d times after removal", m.ID(), got-ticksAtRemove)
 		}
 	}
-	if want := []string{"task-0", "task-2", "task-3"}; !reflect.DeepEqual(d.hosted.order, want) {
-		t.Errorf("hosted order %v, want %v", d.hosted.order, want)
+	if want := []string{"task-0", "task-2", "task-3"}; !reflect.DeepEqual(d.hosted.Names(), want) {
+		t.Errorf("hosted order %v, want %v", d.hosted.Names(), want)
 	}
 	if st := d.node.Status(); len(st.Owned) != 3 {
 		t.Errorf("node owns %v, want three tasks", st.Owned)
@@ -324,8 +325,8 @@ func TestDaemonsTickInSameOrder(t *testing.T) {
 	const ticks = 8
 	reads := map[string][]string{}
 	for _, daemon := range []string{"d1", "d2"} {
-		h := newHostedSet()
-		host := func(name string, n int) {
+		var h host.Set
+		admit := func(name string, n int) {
 			mons := make([]*volley.Monitor, n)
 			for i := range mons {
 				id := fmt.Sprintf("%s/m%d", name, i)
@@ -342,17 +343,17 @@ func TestDaemonsTickInSameOrder(t *testing.T) {
 				}
 				mons[i] = m
 			}
-			h.put(name, hostedTask{mons: mons})
+			h.Put(name, host.Task{Mons: mons})
 		}
 		for _, a := range admissions {
-			host(a.name, a.n)
+			admit(a.name, a.n)
 		}
-		h.remove("mid")
-		host("mid", 2)
-		var p tickPlan
-		p.refresh(&h)
+		h.Remove("mid")
+		admit("mid", 2)
+		var p host.Plan
+		p.Refresh(&h)
 		for i := 0; i < ticks; i++ {
-			p.tickMonitors(time.Duration(i) * time.Millisecond)
+			p.Tick(time.Duration(i) * time.Millisecond)
 		}
 	}
 	var order []string
@@ -430,8 +431,8 @@ func TestHTTPAgentsReadOncePerDueTick(t *testing.T) {
 		}
 	}
 	monitors := map[string]*volley.Monitor{}
-	for _, ht := range d.hosted.tasks {
-		for _, m := range ht.mons {
+	for _, name := range d.hosted.Names() {
+		for _, m := range d.hosted.Task(name).Mons {
 			monitors[m.ID()] = m
 		}
 	}
@@ -469,8 +470,8 @@ func TestHTTPAgentsReadOncePerDueTick(t *testing.T) {
 			}
 		}
 		mu.Unlock()
-		for i, m := range d.plan.mons {
-			if got := d.plan.values[i]; d.plan.fed[i] && slices.Contains(ids, m.ID()) && got != float64(k) {
+		for i := range d.plan.Len() {
+			if m, got, fed := d.plan.Entry(i); fed && slices.Contains(ids, m.ID()) && got != float64(k) {
 				t.Errorf("tick %d sampled %v from %s, a value served during tick %v", k, got, m.ID(), got)
 			}
 		}
@@ -596,8 +597,8 @@ func TestStalledAgentsCostOneTimeout(t *testing.T) {
 		if took := time.Since(start); took < timeout || took > 2*timeout {
 			t.Errorf("tick %d with %d stalled agents took %v, want about one timeout of %v", tick, stalled, took, timeout)
 		}
-		for name, ht := range d.hosted.tasks {
-			for _, m := range ht.mons {
+		for _, name := range d.hosted.Names() {
+			for _, m := range d.hosted.Task(name).Mons {
 				st := m.Stats()
 				if name == "down" && (st.AgentErrors != uint64(tick) || st.Samples != 0) {
 					t.Errorf("tick %d: stalled %s has %d errors and %d samples", tick, m.ID(), st.AgentErrors, st.Samples)
@@ -614,133 +615,6 @@ func TestStalledAgentsCostOneTimeout(t *testing.T) {
 		if got := d.agents.readErrors.Value(); got != uint64(tick*stalled) {
 			t.Errorf("%d read errors by the end of tick %d, want %d", got, tick, tick*stalled)
 		}
-	}
-}
-
-// TestFanOutArmsEachDependentGateOnce: a predictor's local violation arms
-// every gate of every dependent exactly once and wakes its monitor;
-// volley_cluster_gate_arms_total counts the relaxed→armed transitions, not
-// the signals that merely extend a hold-down.
-func TestFanOutArmsEachDependentGateOnce(t *testing.T) {
-	const holdDown = 3
-	reg := volley.NewMetrics()
-	d := &monitorHost{gateArms: reg.Counter("volley_cluster_gate_arms_total", "")}
-	h := newHostedSet()
-	gates := map[string][]*volley.Gate{}
-	level := map[string]*float64{}
-	host := func(name, pred string, n int) {
-		v := new(float64)
-		level[name] = v
-		mons := make([]*volley.Monitor, n)
-		var gs []*volley.Gate
-		for i := range mons {
-			cfg := volley.MonitorConfig{
-				ID: fmt.Sprintf("%s/m%d", name, i), Task: name,
-				Agent:   volley.AgentFunc(func() (float64, error) { return *v, nil }),
-				Sampler: volley.SamplerConfig{Threshold: 10, Err: 0.01, MaxInterval: 1},
-			}
-			if pred != "" {
-				g, err := volley.NewGate(50, holdDown)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gs = append(gs, g)
-				cfg.Gate = g
-			}
-			m, err := volley.NewMonitor(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mons[i] = m
-		}
-		gates[name] = gs
-		h.put(name, hostedTask{mons: mons, gates: gs, pred: pred})
-	}
-	host("free", "", 2) // ungated and nobody's predictor
-	host("pred-a", "", 1)
-	host("dep-a1", "pred-a", 3)
-	host("pred-b", "", 2)
-	host("dep-a2", "pred-a", 2)
-	host("dep-b", "pred-b", 2)
-
-	var p tickPlan
-	p.refresh(&h)
-	step := 0
-	tick := func() {
-		p.tickMonitors(time.Duration(step) * time.Second)
-		step++
-		d.fanOutGateSignals(&p)
-	}
-	armed := func(task string) (n int) {
-		for _, g := range gates[task] {
-			if g.Armed() {
-				n++
-			}
-		}
-		return n
-	}
-	samples := func(task string) (n uint64) {
-		for _, m := range h.tasks[task].mons {
-			n += m.Stats().Samples
-		}
-		return n
-	}
-
-	tick() // everyone samples once, then the gated stretch to 50 ticks
-	tick()
-	if got := d.gateArms.Value(); got != 0 {
-		t.Fatalf("%d gates armed with every predictor quiet", got)
-	}
-	// An ungated non-predictor violating arms nothing.
-	*level["free"] = 99
-	tick()
-	if got := d.gateArms.Value(); got != 0 {
-		t.Fatalf("%d gates armed by a task nothing is gated on", got)
-	}
-
-	before := samples("dep-a1") + samples("dep-a2")
-	*level["pred-a"] = 99
-	tick()
-	if got := d.gateArms.Value(); got != 5 {
-		t.Errorf("gate arms = %d after pred-a's violation, want 5 (dep-a1's 3 + dep-a2's 2)", got)
-	}
-	for _, task := range []string{"dep-a1", "dep-a2"} {
-		for i, g := range gates[task] {
-			if g.Arms() != 1 {
-				t.Errorf("%s gate %d armed %d times, want once", task, i, g.Arms())
-			}
-		}
-	}
-	if armed("dep-a1") != 3 || armed("dep-a2") != 2 || armed("dep-b") != 0 {
-		t.Errorf("armed gates: dep-a1 %d, dep-a2 %d, dep-b %d; want 3, 2, 0", armed("dep-a1"), armed("dep-a2"), armed("dep-b"))
-	}
-	// Still violating: the signals extend the hold-down, no new arms, and
-	// the woken monitors sample on the very next tick.
-	tick()
-	tick()
-	if got := d.gateArms.Value(); got != 5 {
-		t.Errorf("gate arms = %d while the hold-down is being extended, want 5 still", got)
-	}
-	if got := samples("dep-a1") + samples("dep-a2") - before; got != 10 {
-		t.Errorf("pred-a's dependents sampled %d times over the two ticks after being woken, want 10", got)
-	}
-	if got := samples("dep-b"); got != 2 {
-		t.Errorf("dep-b sampled %d times, want 2 (nobody woke it)", got)
-	}
-
-	// Quiet long enough for the hold-down to lapse, then a second
-	// violation is a second set of transitions.
-	*level["pred-a"] = 1
-	for i := 0; i <= holdDown; i++ {
-		tick()
-	}
-	if armed("dep-a1")+armed("dep-a2") != 0 {
-		t.Fatalf("gates still armed %d ticks after the last signal", holdDown+1)
-	}
-	*level["pred-a"], *level["pred-b"] = 99, 99
-	tick()
-	if got := d.gateArms.Value(); got != 12 {
-		t.Errorf("gate arms = %d after both predictors violated, want 12 (5 + 5 again + dep-b's 2)", got)
 	}
 }
 

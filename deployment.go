@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"volley/internal/coord"
+	"volley/internal/host"
 )
 
 // AlertFunc is invoked when a global poll confirms a global violation.
@@ -57,6 +58,7 @@ type Deployment struct {
 	coordinator *Coordinator
 	monitors    []*Monitor
 	spec        TaskSpec
+	plan        host.Plan // the monitors, walked as volleyd walks its hosted tasks
 }
 
 // NewDeployment validates cfg and builds the task. Monitor addresses are
@@ -157,21 +159,21 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 			return nil, err
 		}
 	}
-	return &Deployment{coordinator: coordinator, monitors: monitors, spec: cfg.Spec}, nil
+	d := &Deployment{coordinator: coordinator, monitors: monitors, spec: cfg.Spec}
+	var set host.Set
+	set.Put(cfg.Spec.ID, host.Task{Mons: monitors})
+	d.plan.Sync(&set)
+	return d, nil
 }
 
-// Tick advances the whole task one default sampling interval. Agent
-// failures are collected but do not stop the other monitors; the first
-// error (if any) is returned.
+// Tick advances the whole task one default sampling interval: the
+// coordinator, then every monitor in the rotating order volleyd ticks its
+// hosted monitors in. Agent failures are collected but do not stop the
+// other monitors; the first error of the walk (if any) is returned.
 func (d *Deployment) Tick(now time.Duration) error {
 	d.coordinator.Tick(now)
-	var firstErr error
-	for _, m := range d.monitors {
-		if _, _, err := m.Tick(now); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	_, err := d.plan.Tick(now)
+	return err
 }
 
 // Coordinator exposes the task's coordinator.

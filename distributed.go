@@ -211,18 +211,3 @@ func BuildMonitoringPlan(rules []CorrelationRule, costs map[string]float64, minR
 func NewGate(relaxedInterval, holdDown int) (*Gate, error) {
 	return correlation.NewGate(relaxedInterval, holdDown)
 }
-
-// TaskScheduler runs a set of monitoring tasks under a correlation plan:
-// every task samples adaptively, and gated tasks additionally relax to a
-// long interval until their predictor observes a violation.
-type TaskScheduler = correlation.Scheduler
-
-// TaskSchedulerStats counts one scheduled task's activity.
-type TaskSchedulerStats = correlation.TaskStats
-
-// NewTaskScheduler returns an empty multi-task scheduler; add tasks with
-// AddTask, install a plan with Apply, and drive it with Step once per
-// default interval.
-func NewTaskScheduler() *TaskScheduler {
-	return correlation.NewScheduler()
-}

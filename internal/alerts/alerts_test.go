@@ -6,11 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"volley/internal/alloctest"
 	"volley/internal/obs"
 )
 
@@ -114,22 +114,18 @@ func TestDedupFastPathAllocs(t *testing.T) {
 // episode 1 160 B. The bound leaves 25 % of headroom over 432 B.
 func TestFirstEpisodeAllocsWhatItHolds(t *testing.T) {
 	const bound = 540
-	least := uint64(math.MaxUint64)
-	for run := 0; run < 20; run++ {
-		r := New(Config{Node: "n0", Metrics: obs.NewRegistry()})
+	var r *Registry
+	least, _ := alloctest.Least(20, func() {
+		r = New(Config{Node: "n0", Metrics: obs.NewRegistry()})
 		// Another task's episode first, so the registry's own maps have
 		// room and what is measured is the episode alone.
 		r.ObserveLocal("warm", "warm/mon/m0", 0, 1)
 		r.Raise("warm", 0, 1)
 		r.Clear("warm", sec(1), 0)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	}, func() {
 		r.ObserveLocal("cpu", "cpu/mon/m0", sec(2), 50)
 		r.Raise("cpu", sec(2), 100)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-		runtime.KeepAlive(r)
-	}
+	})
 	t.Logf("a first episode allocates %d B", least)
 	if least > bound {
 		t.Errorf("a first episode allocates %d B, want ≤ %d", least, bound)

@@ -210,7 +210,7 @@ func RunAblationCoordPeriod(p Preset) (*AblationResult, error) {
 	err = p.engine().ForEach(len(periods), func(i int) error {
 		pp := p
 		pp.Fig8UpdatePeriod = periods[i]
-		ratio, _, err := runDistributed(series, thresholds, steps, pp, coord.SchemeAdaptive)
+		ratio, _, err := runHosted(series, thresholds, steps, pp, coord.SchemeAdaptive)
 		if err != nil {
 			return err
 		}
@@ -279,7 +279,7 @@ func RunAblationThresholdSplit(p Preset) (*AblationResult, error) {
 	}
 	rows := make([]AblationRow, len(splits))
 	err = p.engine().ForEach(len(splits), func(i int) error {
-		ratio, cs, err := runDistributed(series, splits[i].thresholds, steps, p, coord.SchemeAdaptive)
+		ratio, cs, err := runHosted(series, splits[i].thresholds, steps, p, coord.SchemeAdaptive)
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,9 @@ func NewEngine(procs int) *Engine {
 }
 
 // serialEngine is used inside already-parallel regions (e.g. per-cell work
-// of a fanned sweep) so pools never nest.
+// of a fanned sweep) so pools never nest. Its items are the parts of a cell
+// that is counted already, so it runs them inline without counting them:
+// the cell count of a figure does not depend on how its cells do their work.
 var serialEngine = &Engine{procs: 1}
 
 // Procs reports the engine's worker count.
@@ -67,6 +69,14 @@ func (e *Engine) Procs() int { return e.procs }
 // one worker (or n ≤ 1) it runs fn inline in index order.
 func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
+		return nil
+	}
+	if e == serialEngine {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
 	workers := e.procs

@@ -57,6 +57,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	})
 
+	t.Run("fig8", func(t *testing.T) {
+		s, err := RunFig8(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := RunFig8(parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(*s) != render(*p) {
+			t.Errorf("Fig8Result diverged between procs=1 and procs=4:\nserial:   %s\nparallel: %s", render(*s), render(*p))
+		}
+		if s.Table() != p.Table() {
+			t.Error("rendered fig8 tables diverged between procs=1 and procs=4")
+		}
+	})
+
+	t.Run("tenant workload", func(t *testing.T) {
+		s, err := RunWorkloadTenant(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := RunWorkloadTenant(parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Gating == nil || p.Gating == nil {
+			t.Fatal("the tenant workload has no gated row")
+		}
+		// The gated row by value: %+v would print the pointer.
+		flat := func(r WorkloadResult) string {
+			g := *r.Gating
+			r.Gating = nil
+			return render(r) + render(g)
+		}
+		if flat(*s) != flat(*p) {
+			t.Errorf("WorkloadResult diverged between procs=1 and procs=4:\nserial:   %s\nparallel: %s", flat(*s), flat(*p))
+		}
+		if s.Table() != p.Table() {
+			t.Error("rendered tenant workload tables diverged between procs=1 and procs=4")
+		}
+	})
+
 	t.Run("baselines", func(t *testing.T) {
 		s, err := RunBaselines(serial, 1, 0.01)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"volley/internal/coord"
 	"volley/internal/core"
+	"volley/internal/host"
 	"volley/internal/monitor"
 	"volley/internal/stats"
 	"volley/internal/transport"
@@ -79,14 +80,14 @@ func RunFig8(p Preset) (*Fig8Result, error) {
 		si, even := idx/2, idx%2 == 1
 		skew := p.Fig8Skews[si]
 		if even {
-			ratio, _, err := runDistributed(series, thresholdsBySkew[si], steps, p, coord.SchemeEven)
+			ratio, _, err := runHosted(series, thresholdsBySkew[si], steps, p, coord.SchemeEven)
 			if err != nil {
 				return fmt.Errorf("bench: fig8 even skew=%v: %w", skew, err)
 			}
 			out.EvenRatio[si] = ratio
 			return nil
 		}
-		ratio, cs, err := runDistributed(series, thresholdsBySkew[si], steps, p, coord.SchemeAdaptive)
+		ratio, cs, err := runHosted(series, thresholdsBySkew[si], steps, p, coord.SchemeAdaptive)
 		if err != nil {
 			return fmt.Errorf("bench: fig8 adapt skew=%v: %w", skew, err)
 		}
@@ -156,9 +157,13 @@ func fig8Thresholds(cache *thresholdCache, baseK, skew float64) ([]float64, erro
 	return thresholds, nil
 }
 
-// runDistributed wires monitors and a coordinator over an in-memory
-// transport and replays the series step by step.
-func runDistributed(series [][]float64, thresholds []float64, steps int, p Preset, scheme coord.Scheme) (ratio float64, stats coord.Stats, err error) {
+// runHosted builds a distributed task over the series — one monitor per
+// series with the given local thresholds, and a coordinator of the scheme —
+// on an in-memory transport, hosts the monitors in one plan and drives it
+// step by step with the coordinator's tick as the control step, as volleyd
+// does. It reports the sampling ratio (samples over monitor-steps, poll
+// samples included) and the coordinator's counters.
+func runHosted(series [][]float64, thresholds []float64, steps int, p Preset, scheme coord.Scheme) (ratio float64, stats coord.Stats, err error) {
 	n := len(series)
 	net := transport.NewMemory()
 	cursor := -1
@@ -186,7 +191,6 @@ func runDistributed(series [][]float64, thresholds []float64, steps int, p Prese
 
 	monitors := make([]*monitor.Monitor, n)
 	for i := range series {
-		i := i
 		agent := monitor.AgentFunc(func() (float64, error) {
 			if cursor < 0 {
 				return 0, fmt.Errorf("bench: sample before first step")
@@ -212,15 +216,17 @@ func runDistributed(series [][]float64, thresholds []float64, steps int, p Prese
 		}
 		monitors[i] = m
 	}
+	var set host.Set
+	set.Put("fig8", host.Task{Mons: monitors})
+	var plan host.Plan
+	plan.Sync(&set)
 
 	for step := 0; step < steps; step++ {
 		cursor = step
 		now := time.Duration(step) * time.Second
 		coordinator.Tick(now)
-		for _, m := range monitors {
-			if _, _, err := m.Tick(now); err != nil {
-				return 0, coord.Stats{}, err
-			}
+		if _, err := plan.Tick(now); err != nil {
+			return 0, coord.Stats{}, err
 		}
 	}
 

@@ -5,9 +5,12 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"volley/internal/core"
 	"volley/internal/correlation"
+	"volley/internal/host"
+	"volley/internal/monitor"
 	"volley/internal/task"
 	"volley/internal/workload"
 )
@@ -419,35 +422,66 @@ func runTenantGating(p Preset, set *workload.Set) (*WorkloadGating, error) {
 	return g, nil
 }
 
-// runTenantSchedule drives the second half of the trace through a
-// correlation.Scheduler — aggregates and tenants all sampling adaptively,
-// tenants additionally gated when plan is non-nil — and reports the total
-// weighted cost plus the pooled episode recall over the watched tenants.
+// runTenantSchedule hosts the second half of the trace — one standalone
+// monitor per aggregate and per tenant, all sampling adaptively, tenants
+// additionally gated on their plan predictor when plan is non-nil — and
+// ticks it as volleyd ticks its hosted tasks. It reports the total weighted
+// cost plus the pooled episode recall over the watched tenants: an episode
+// is detected when its tenant sampled one of its violating steps.
 //
 // Aggregate predictors keep a short max interval: a gate is only as
 // responsive as the task arming it, and the aggregates are the cheap
 // always-on side of the bargain.
 func runTenantSchedule(p Preset, set *workload.Set, half int, plan *correlation.Plan,
 	relaxedInterval, holdDown int, watch map[string]bool) (cost, recall float64, err error) {
-	sch := correlation.NewScheduler()
-	step := 0
-	evalW := 0
+	step, evalW := 0, 0
+	var hosted host.Set
+	series := make([]*workload.Series, 0, len(set.Aggregates)+len(set.Series))
+	sampled := make(map[string][]bool, len(watch)) // per watched tenant: the steps its agent was read on
 	addTask := func(s *workload.Series, maxInterval int) error {
 		vals := s.Values[half:]
 		if evalW == 0 || len(vals) < evalW {
 			evalW = len(vals)
 		}
-		sampler, err := core.NewSampler(core.Config{
-			Threshold:   s.Threshold,
-			Err:         s.Err,
-			MaxInterval: maxInterval,
-			Patience:    p.Patience,
-		})
+		var read []bool
+		if watch[s.ID] {
+			read = make([]bool, len(vals))
+			sampled[s.ID] = read
+		}
+		cfg := monitor.Config{
+			ID:   s.ID,
+			Task: s.ID,
+			Agent: monitor.AgentFunc(func() (float64, error) {
+				if read != nil {
+					read[step] = true
+				}
+				return vals[step], nil
+			}),
+			Sampler: core.Config{
+				Threshold:   s.Threshold,
+				Err:         s.Err,
+				MaxInterval: maxInterval,
+				Patience:    p.Patience,
+			},
+		}
+		t := host.Task{}
+		if plan != nil {
+			if rule, ok := plan.Gates[s.ID]; ok {
+				g, err := correlation.NewGate(relaxedInterval, holdDown)
+				if err != nil {
+					return err
+				}
+				cfg.Gate, t.Gates, t.Pred = g, []*correlation.Gate{g}, rule.Predictor
+			}
+		}
+		m, err := monitor.New(cfg)
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", s.ID, err)
 		}
-		agent := func() (float64, error) { return vals[step], nil }
-		return sch.AddTask(s.ID, agent, sampler, s.Cost)
+		t.Mons = []*monitor.Monitor{m}
+		hosted.Put(s.ID, t)
+		series = append(series, s)
+		return nil
 	}
 	aggMax := p.MaxInterval
 	if aggMax > 4 {
@@ -463,53 +497,37 @@ func runTenantSchedule(p Preset, set *workload.Set, half int, plan *correlation.
 			return 0, 0, err
 		}
 	}
-	if plan != nil {
-		if err := sch.Apply(*plan, relaxedInterval, holdDown); err != nil {
+
+	var tick host.Plan
+	tick.Sync(&hosted)
+	for step = 0; step < evalW; step++ {
+		if _, err := tick.Tick(time.Duration(step)); err != nil {
 			return 0, 0, err
 		}
 	}
-
-	// Ground-truth violation masks of the watched tenants over the eval
-	// half.
-	truth := make(map[string][]bool, len(watch))
-	for i := range set.Series {
-		s := &set.Series[i]
-		if !watch[s.ID] {
-			continue
-		}
-		vals := s.Values[half:]
-		mask := make([]bool, len(vals))
-		for j, v := range vals {
-			mask[j] = v > s.Threshold
-		}
-		truth[s.ID] = mask
+	for _, s := range series {
+		cost += float64(hosted.Task(s.ID).Mons[0].Stats().Samples) * s.Cost
 	}
 
 	episodes, detected := 0, 0
-	in := make(map[string]bool, len(watch))
-	hit := make(map[string]bool, len(watch))
-	violated := make(map[string]bool, 64)
-	for step = 0; step < evalW; step++ {
-		res, err := sch.Step()
-		if err != nil {
-			return 0, 0, err
+	for _, s := range series {
+		read := sampled[s.ID]
+		if read == nil {
+			continue
 		}
-		clear(violated)
-		for _, id := range res.Violations {
-			violated[id] = true
-		}
-		for id, mask := range truth {
-			if mask[step] {
-				if !in[id] {
-					episodes++
-					in[id], hit[id] = true, false
-				}
-				if !hit[id] && violated[id] {
-					hit[id] = true
-					detected++
-				}
-			} else {
-				in[id] = false
+		in, hit := false, false
+		for i, v := range s.Values[half : half+evalW] {
+			if v <= s.Threshold {
+				in = false
+				continue
+			}
+			if !in {
+				episodes++
+				in, hit = true, false
+			}
+			if !hit && read[i] {
+				hit = true
+				detected++
 			}
 		}
 	}
@@ -517,7 +535,7 @@ func runTenantSchedule(p Preset, set *workload.Set, half int, plan *correlation.
 	if episodes > 0 {
 		recall = float64(detected) / float64(episodes)
 	}
-	return sch.TotalCost(), recall, nil
+	return cost, recall, nil
 }
 
 // validateWorkload checks the preset's workload-family axes.

@@ -3,12 +3,12 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"volley/internal/alloctest"
 	"volley/internal/obs"
 	"volley/internal/transport"
 )
@@ -142,15 +142,15 @@ func TestNodeHealthAllocsDoNotGrowWithTheShard(t *testing.T) {
 	}
 }
 
-// bytesPerCall is the heap bytes one call of f allocates, averaged over runs.
+// bytesPerCall is the heap bytes one call of f allocates, averaged over runs
+// calls, in the least of three rounds.
 func bytesPerCall(runs int, f func()) float64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	least, _ := alloctest.Least(3, nil, func() {
+		for range runs {
+			f()
+		}
+	})
+	return float64(least) / float64(runs)
 }
 
 // scrapingHost scrapes the node's registry from another goroutine while the

@@ -3,11 +3,11 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
 
+	"volley/internal/alloctest"
 	"volley/internal/transport"
 )
 
@@ -101,15 +101,15 @@ func admitBytes(t *testing.T, cl *Cluster, net *transport.Memory, from, n int) f
 		sinkNet(t, net, name+"/m")
 		specs[i] = testSpec(name, name+"/m")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, spec := range specs {
-		if _, err := cl.Admit(spec); err != nil {
-			t.Fatal(err)
+	// One round: each admission happens once.
+	bytes, _ := alloctest.Least(1, nil, func() {
+		for _, spec := range specs {
+			if _, err := cl.Admit(spec); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	})
+	return float64(bytes) / float64(n)
 }
 
 // TestClusterAdmitCostDoesNotGrow pins what keeps set-up linear: an
@@ -128,6 +128,7 @@ func TestClusterAdmitCostDoesNotGrow(t *testing.T) {
 	large := admitBytes(t, cl, net, 4000, 250)
 	// Map and slice doubling land in one window or the other; a per-task
 	// term would make the second window an order of magnitude dearer.
+	t.Logf("Admit allocates %.0f B at 250 tasks, %.0f B at 4000", small, large)
 	if large > 2*small {
 		t.Errorf("Admit allocates %.0f B at 4000 tasks against %.0f B at 250; it must not grow with the cluster", large, small)
 	}

@@ -9,11 +9,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"volley/internal/alerts"
+	"volley/internal/alloctest"
 	"volley/internal/coord"
 	"volley/internal/obs"
 	"volley/internal/transport"
@@ -517,11 +517,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		for _, in := range [][]byte{frame, resealed(frame)} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			st, err := DecodeSnapshot(in)
-			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+4096); got > limit {
+			var st coord.AllowanceState
+			var err error
+			got, _ := alloctest.Least(3, nil, func() { st, err = DecodeSnapshot(in) })
+			if limit := uint64(64*len(in) + 4096); got > limit {
 				t.Fatalf("decoding %d bytes allocated %d, limit %d", len(in), got, limit)
 			}
 			if err != nil {

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"volley/internal/alloctest"
 )
 
 // promSample is one parsed exposition line.
@@ -434,30 +436,24 @@ func TestScrapeAllocsDoNotGrowWithThePage(t *testing.T) {
 // another goroutine after two collections renders into the chunk the last
 // one left instead of allocating chunkSize anew.
 //
-// TotalAlloc is process-wide, so on a busy host a runtime thread start
-// (runtime.allocm, ≈ 5 KB) can land inside one reading. The measurement is
-// made five times and the least is judged: a pool that drops its chunk
-// allocates it on every round.
+// The measurement is made five times and the least is judged
+// (alloctest.Least): a pool that drops its chunk allocates it on every
+// round.
 func TestScrapeAllocsNoChunkAfterCollections(t *testing.T) {
 	r := goldenRegistry(100)
 	r.WritePrometheus(io.Discard)
-	least := uint64(math.MaxUint64)
-	for range 5 {
+	collect := func() {
 		runtime.GC()
 		runtime.GC()
-		var allocated uint64
+	}
+	least, _ := alloctest.Least(5, collect, func() {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			r.WritePrometheus(io.Discard)
-			runtime.ReadMemStats(&after)
-			allocated = after.TotalAlloc - before.TotalAlloc
 		}()
 		<-done
-		least = min(least, allocated)
-	}
+	})
 	t.Logf("a scrape after two collections allocates %d B (least of 5)", least)
 	if least >= 4<<10 {
 		t.Errorf("a scrape after two collections allocates %d B, want < 4 KiB (a chunk is %d)", least, chunkSize)

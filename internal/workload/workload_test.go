@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"volley/internal/alloctest"
 )
 
 func quickEntropy() EntropyFlow { return DefaultEntropyFlow(8, 1200, 7) }
@@ -467,19 +469,12 @@ func TestGenSeriesAllocsDoNotGrowWithWindows(t *testing.T) {
 		}
 		run() // the scratch grows to the family once
 		const runs = 10
-		// TotalAlloc counts the whole process: the least of three rounds is
-		// the one nothing else allocated during.
-		perSeries := math.Inf(1)
-		for round := 0; round < 3; round++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+		least, _ := alloctest.Least(3, nil, func() {
 			for i := 0; i < runs; i++ {
 				run()
 			}
-			runtime.ReadMemStats(&after)
-			perSeries = min(perSeries, float64(after.TotalAlloc-before.TotalAlloc)/runs)
-		}
-		return cost{testing.AllocsPerRun(runs, run), perSeries - 8*float64(windows)}
+		})
+		return cost{testing.AllocsPerRun(runs, run), float64(least)/runs - 8*float64(windows)}
 	}
 	costs := map[int][]cost{}
 	for _, windows := range []int{512, 4096} {
